@@ -63,6 +63,7 @@ from .surfaces import (
     underlying_sing,
     validate_profile,
     validate_word,
+    witnessed_profiles,
 )
 
 __version__ = "0.1.0"

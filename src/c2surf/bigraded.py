@@ -142,7 +142,8 @@ class Summand:
     ``Summand(Bidegree(p, q))`` is the suspension by (p, q) of the point
     module; ``Summand(Bidegree(p, q), n)`` the suspension of A_n.  Since
     tau is invertible on A_n, a weight shift of an antipodal summand is
-    isomorphic to the unshifted one; ``canonical()`` normalizes q to 0.
+    isomorphic to the unshifted one, so construction sets its q to 0:
+    every instance is the canonical representative of its class.
     """
 
     shift: Bidegree
@@ -151,6 +152,8 @@ class Summand:
     def __post_init__(self):
         if self.n is not None and self.n < 0:
             raise ValueError("antipodal index must be a natural number")
+        if self.n is not None and self.shift.q:
+            object.__setattr__(self, "shift", Bidegree(self.shift.p, 0))
 
     @classmethod
     def free(cls, p: int, q: int) -> "Summand":
@@ -176,15 +179,10 @@ class Summand:
         rel = b - self.shift
         return m2_tau_rank(rel) if self.n is None else an_tau_rank(self.n, rel)
 
-    def canonical(self) -> "Summand":
-        if self.n is None or self.shift.q == 0:
-            return self
-        return Summand(Bidegree(self.shift.p, 0), self.n)
-
     def sort_key(self):
         # Free summands before antipodal ones, then (p, q, n) lexicographic.
-        s = self.canonical()
-        return (0 if s.n is None else 1, s.shift.p, s.shift.q, -1 if s.n is None else s.n)
+        free = self.n is None
+        return (0 if free else 1, self.shift.p, self.shift.q, -1 if free else self.n)
 
     def __str__(self) -> str:
         core = "M2" if self.n is None else f"A{self.n}"
@@ -196,9 +194,10 @@ class Summand:
 class Decomposition:
     """A finite formal multiset of summands; the empty one is the zero module.
 
-    Instances are immutable.  Equality is multiset equality after
-    canonicalization, so e.g. ``S(1,1)A0`` and ``S(1,0)A0`` give equal
-    decompositions.
+    Instances are immutable.  Construction counts the (already canonical)
+    summands once into a tuple of ``(summand, count)`` pairs in sort_key
+    order; equality and hashing compare that tuple, so ``S(1,1)A0`` and
+    ``S(1,0)A0`` give equal decompositions.
 
     >>> x1 = Decomposition([Summand.free(0, 0), Summand.free(1, 0),
     ...                     Summand.free(1, 1), Summand.free(2, 1)])
@@ -208,7 +207,7 @@ class Decomposition:
     M2 + S(1,0)M2 + S(1,1)M2 + S(2,1)M2
     """
 
-    __slots__ = ("_counts",)
+    __slots__ = ("_items",)
 
     def __init__(self, summands: Iterable[Summand] = ()):
         counts = Counter()
@@ -220,41 +219,30 @@ class Decomposition:
                     counts[s] += c
         else:
             counts.update(summands)
-        object.__setattr__(self, "_counts", counts)
+        self._items = tuple(sorted(counts.items(), key=lambda it: it[0].sort_key()))
 
     # -- multiset access ----------------------------------------------------
 
     def items(self) -> Iterator[tuple[Summand, int]]:
         """Distinct summands with multiplicities, in canonical order."""
-        merged = Counter()
-        for s, c in self._counts.items():
-            merged[s.canonical()] += c
-        return iter(sorted(merged.items(), key=lambda it: it[0].sort_key()))
+        return iter(self._items)
 
     def __len__(self) -> int:
-        return sum(self._counts.values())
+        return sum(c for _, c in self._items)
 
     def count(self, summand: Summand) -> int:
-        merged = Counter()
-        for s, c in self._counts.items():
-            merged[s.canonical()] += c
-        return merged[summand.canonical()]
+        return dict(self.items()).get(summand, 0)
 
     def free_shifts(self) -> list[Bidegree]:
-        """Shifts of the free summands, with multiplicity."""
-        out = []
-        for s, c in self._counts.items():
-            if s.is_free:
-                out.extend([s.shift] * c)
-        out.sort(key=lambda b: (b.p, b.q))
-        return out
+        """Shifts of the free summands, with multiplicity, sorted by (p, q)."""
+        return [s.shift for s, c in self._items if s.is_free for _ in range(c)]
 
     # -- pointwise evaluation ----------------------------------------------
 
     def dim_at(self, b) -> int:
         """Total dimension in bidegree ``b`` (suspension shifts applied)."""
         b = _as_bidegree(b)
-        return sum(c * s.dim_at(b) for s, c in self._counts.items())
+        return sum(c * s.dim_at(b) for s, c in self._items)
 
     def rank_at(self, b, generator: str) -> int:
         """Rank of multiplication by ``generator`` ("rho" or "tau") at ``b``.
@@ -264,54 +252,49 @@ class Decomposition:
         """
         b = _as_bidegree(b)
         if generator == "rho":
-            return sum(c * s.rho_rank_at(b) for s, c in self._counts.items())
+            return sum(c * s.rho_rank_at(b) for s, c in self._items)
         if generator == "tau":
-            return sum(c * s.tau_rank_at(b) for s, c in self._counts.items())
+            return sum(c * s.tau_rank_at(b) for s, c in self._items)
         raise ValueError(f"unknown generator {generator!r}")
 
     # -- algebra -------------------------------------------------------------
 
     def canonicalize(self) -> "Decomposition":
-        """Normalize antipodal weights to 0.  Idempotent; preserves dim_at
-        and rank_at in every bidegree."""
-        return Decomposition(dict(self.items()))
+        """The decomposition itself: construction already normalized it."""
+        return self
 
     def direct_sum(self, other: "Decomposition") -> "Decomposition":
-        return Decomposition(self._counts + other._counts)
+        return Decomposition(Counter(dict(self.items())) + Counter(dict(other.items())))
 
     __add__ = direct_sum
 
     def suspend(self, s) -> "Decomposition":
         s = _as_bidegree(s)
         shifted = Counter()
-        for summand, c in self._counts.items():
+        for summand, c in self.items():
             shifted[Summand(summand.shift + s, summand.n)] += c
-        return Decomposition(shifted).canonicalize()
+        return Decomposition(shifted)
 
     def remove(self, summand: Summand, count: int = 1) -> "Decomposition":
         """A copy with ``count`` copies of ``summand`` removed.
 
         Raises KeyError if the decomposition does not contain them.
         """
-        merged = Counter(dict(self.items()))
-        key = summand.canonical()
-        if merged[key] < count:
+        counts = Counter(dict(self.items()))
+        if counts[summand] < count:
             raise KeyError(f"decomposition has no summand {summand}")
-        merged[key] -= count
-        return Decomposition(+merged)
+        counts[summand] -= count
+        return Decomposition(+counts)
 
     # -- comparison / serialization ------------------------------------------
-
-    def _canonical_tuple(self):
-        return tuple(self.items())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Decomposition):
             return NotImplemented
-        return self._canonical_tuple() == other._canonical_tuple()
+        return self._items == other._items
 
     def __hash__(self) -> int:
-        return hash(self._canonical_tuple())
+        return hash(self._items)
 
     def __str__(self) -> str:
         parts = []

@@ -8,7 +8,8 @@ Three subcommands:
 * ``verify INPUT``   -- run all structural checks; exit 0 on pass.
 * ``catalog BETA_MAX`` -- one verified row per realizable profile.
 
-Exit codes: 0 ok, 1 verification failure, 2 parse/validation error.
+Exit codes: 0 ok, 1 verification failure, 2 bad input (see README); any
+other exception is a program error and propagates.
 INPUT starting with '{' is parsed as a profile JSON object
 ``{"kind":..., "beta":..., "F":..., "C":...}``; anything else as a word.
 The environment variable ``ESC_WINDOW`` (same ``pmin:pmax,qmin:qmax``
@@ -31,10 +32,9 @@ from .surfaces import (
     ParseError,
     ProfileError,
     WordError,
-    enumerate_profiles,
     invariants,
     parse_word,
-    profiles_by_words,
+    witnessed_profiles,
 )
 
 DEFAULT_GRID_WINDOW = Window(-4, 6, -6, 6)
@@ -53,19 +53,20 @@ def _parse_input(text: str) -> InvariantProfile:
     if text.startswith("{"):
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:       # JSONDecodeError, or an over-long integer
             raise _InputError(f"bad profile JSON: {exc}") from None
         return InvariantProfile.from_json_obj(obj)
     return invariants(parse_word(text))
 
 
 def _pick_window(flag_value: str | None, fallback: Window) -> Window:
-    if flag_value is not None:
-        return Window.parse(flag_value)
-    env = os.environ.get("ESC_WINDOW")
-    if env:
-        return Window.parse(env)
-    return fallback
+    text = flag_value if flag_value is not None else os.environ.get("ESC_WINDOW") or None
+    if text is None:
+        return fallback
+    try:
+        return Window.parse(text)
+    except ValueError as exc:
+        raise _InputError(str(exc)) from None
 
 
 def _cmd_compute(args) -> int:
@@ -115,10 +116,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    profiles = enumerate_profiles(args.beta_max)
-    witnesses = profiles_by_words(args.beta_max)
+    if args.beta_max < 0:
+        raise _InputError(f"catalog bound must be >= 0, got {args.beta_max}")
+    witnesses = witnessed_profiles(args.beta_max)
     any_failed = False
-    for pr in profiles:
+    for pr in witnesses:
         decomposition = closed_form(pr)
         violations = verify_decomposition(decomposition, pr)
         status = "ok" if not violations else "FAIL"
@@ -179,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
                "catalog": _cmd_catalog}[args.command]
     try:
         return handler(args)
-    except (ParseError, WordError, ProfileError, _InputError, ValueError) as exc:
+    except (ParseError, WordError, ProfileError, _InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
 

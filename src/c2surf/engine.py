@@ -78,7 +78,7 @@ def closed_form(pr: InvariantProfile) -> Decomposition:
         counts[_S10] += c - 1
         counts[_A0_1] += (beta - f) // 2 + 1 - c
         counts[_S21] += 1
-    return Decomposition(+counts).canonicalize()
+    return Decomposition(+counts)
 
 
 def reduced_form(pr: InvariantProfile) -> Decomposition:
@@ -131,36 +131,35 @@ def transform(d_y: Decomposition, pr_y: InvariantProfile, op: Op) -> Decompositi
         # each singular 1-class of the glued surface contributes one
         # tau-periodic column in dimension one.
         extra = 1 if op.token == "DCC" else op.surface.beta
-        return d_y.direct_sum(Decomposition(Counter({_A0_1: extra}))).canonicalize()
+        return d_y.direct_sum(Decomposition(Counter({_A0_1: extra})))
 
     if op.token == "AT11":
         if free_kind:
-            if d_y.canonicalize() != closed_form(pr_y):
+            if d_y != closed_form(pr_y):
                 raise TransformError("antitube rule needs the closed-form input")
-            return _free_at_result(pr_y.beta, _S22).canonicalize()
+            return _free_at_result(pr_y.beta, _S22)
         # Pinching the conjugate gluing disks wedges on an S(1,1) sphere,
         # and the remaining extension splits off a second one.
-        return d_y.direct_sum(Decomposition(Counter({_S11: 2}))).canonicalize()
+        return d_y.direct_sum(Decomposition(Counter({_S11: 2})))
 
     if op.token == "AT10":
         if free_kind:
-            if d_y.canonicalize() != closed_form(pr_y):
+            if d_y != closed_form(pr_y):
                 raise TransformError("antitube rule needs the closed-form input")
-            return _free_at_result(pr_y.beta, _S21).canonicalize()
+            return _free_at_result(pr_y.beta, _S21)
         if pr_y.fixed_circles >= 1:
-            return d_y.direct_sum(
-                Decomposition(Counter({_S11: 1, _S10: 1}))).canonicalize()
+            return d_y.direct_sum(Decomposition(Counter({_S11: 1, _S10: 1})))
         # C(Y) = 0: the new circle moves the top class from weight 2 to
         # weight 1; the pinch wedge and the nontrivial extension each
         # contribute one S(1,1)M2.
-        return _swap_top(d_y, add=Counter({_S11: 2, _S21: 1})).canonicalize()
+        return _swap_top(d_y, add=Counter({_S11: 2, _S21: 1}))
 
     if op.token == "FM":
         if pr_y.fixed_circles >= 1:
-            return d_y.direct_sum(Decomposition(Counter({_S10: 1}))).canonicalize()
+            return d_y.direct_sum(Decomposition(Counter({_S10: 1})))
         # C(Y) = 0: trading a fixed point for a circle again rewrites the
         # top class, with a single new S(1,1)M2 from the extension.
-        return _swap_top(d_y, add=Counter({_S11: 1, _S21: 1})).canonicalize()
+        return _swap_top(d_y, add=Counter({_S11: 1, _S21: 1}))
 
     raise TransformError(f"no rewrite rule for op {op.token!r}")
 

@@ -201,10 +201,14 @@ class InvariantProfile:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "InvariantProfile":
         try:
-            pr = cls(obj["kind"], int(obj["beta"]),
-                     int(obj.get("F", 0)), int(obj.get("C", 0)))
+            kind, beta = obj["kind"], obj["beta"]
+            f, c = obj.get("F", 0), obj.get("C", 0)
         except (KeyError, TypeError) as exc:
             raise ProfileError(f"bad profile object: {exc}") from None
+        for name, value in (("beta", beta), ("F", f), ("C", c)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ProfileError(f"profile field {name} must be an integer, got {value!r}")
+        pr = cls(kind, beta, f, c)
         validate_profile(pr)
         return pr
 
@@ -431,17 +435,20 @@ def profiles_by_words(beta_max: int) -> dict[InvariantProfile, SurgeryWord]:
     return witnesses
 
 
-def enumerate_profiles(beta_max: int) -> list[InvariantProfile]:
-    """All valid profiles with beta <= beta_max, sorted.
-
-    Produced by both generators; a discrepancy raises RealizabilityError
-    (it must be reported, never silently accepted).
-    """
+def witnessed_profiles(beta_max: int) -> dict[InvariantProfile, SurgeryWord]:
+    """All valid profiles with beta <= beta_max, sorted, each mapped to its
+    first witness word.  Produced by both generators; a discrepancy raises
+    RealizabilityError (it must be reported, never silently accepted)."""
     scanned = profiles_by_scan(beta_max)
-    worded = set(profiles_by_words(beta_max))
-    if scanned != worded:
-        missing = sorted(scanned - worded, key=InvariantProfile.sort_key)
-        extra = sorted(worded - scanned, key=InvariantProfile.sort_key)
+    witnesses = profiles_by_words(beta_max)
+    if scanned != witnesses.keys():
+        missing = sorted(scanned - witnesses.keys(), key=InvariantProfile.sort_key)
+        extra = sorted(witnesses.keys() - scanned, key=InvariantProfile.sort_key)
         raise RealizabilityError(
             f"profile generators disagree: scan-only={missing} word-only={extra}")
-    return sorted(scanned, key=InvariantProfile.sort_key)
+    return {pr: witnesses[pr] for pr in sorted(scanned, key=InvariantProfile.sort_key)}
+
+
+def enumerate_profiles(beta_max: int) -> list[InvariantProfile]:
+    """The keys of ``witnessed_profiles``, as a sorted list."""
+    return list(witnessed_profiles(beta_max))

@@ -186,6 +186,32 @@ summand_strategy = st.one_of(
 decompositions = st.lists(summand_strategy, max_size=6).map(Decomposition)
 
 
+summand_specs = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                                   st.none() | st.integers(0, 3)), max_size=8)
+
+
+@given(summand_specs, st.data())
+def test_construction_is_canonical(specs, data):
+    # (p, q, n) specs; n is None for M2.  The first build uses q as the
+    # weight of an antipodal summand, the second a random weight and a
+    # shuffled order: both describe the same multiset of isomorphism classes.
+    def build(specs, weight):
+        return Decomposition([Summand.free(p, q) if n is None
+                              else Summand.antipodal(p, n, q=weight(q))
+                              for p, q, n in specs])
+
+    d = build(specs, lambda q: q)
+    items = list(d.items())
+    keys = [s.sort_key() for s, _ in items]
+    assert keys == sorted(set(keys))
+    assert all(s.shift.q == 0 for s, _ in items if not s.is_free)
+    assert len(d) == len(specs)
+    e = build(data.draw(st.permutations(specs)),
+              lambda q: data.draw(st.integers(-9, 9)))
+    assert d == e and hash(d) == hash(e)
+    assert str(d) == str(e) and d.to_json_obj() == e.to_json_obj()
+
+
 @given(decompositions, st.builds(Bidegree, st.integers(-4, 4), st.integers(-4, 4)),
        bidegrees)
 def test_suspension_equivariance(d, s, b):

@@ -71,6 +71,16 @@ def test_compute_invalid_profile_exit_code(capsys):
     code, _, err = run(capsys, "compute", '{"kind":"nonfree","beta":1,"F":2,"C":0}')
     assert code == 2
     assert "mod 2" in err
+    # Non-integer fields are rejected by name, never coerced.
+    for text, field in [('{"kind":"nonfree","beta":2.5,"F":2,"C":0}', "beta"),
+                        ('{"kind":"trivial","beta":"2"}', "beta"),
+                        ('{"kind":"trivial","beta":true}', "beta"),
+                        ('{"kind":"trivial","beta":1e400}', "beta"),
+                        ('{"kind":"nonfree","beta":2,"F":2.0,"C":0}', "F"),
+                        ('{"kind":"nonfree","beta":2,"F":2,"C":false}', "C")]:
+        code, out, err = run(capsys, "compute", text)
+        assert code == 2 and out == ""
+        assert f"field {field} " in err
 
 
 def test_verify_pass_and_inject(capsys):
@@ -119,6 +129,21 @@ def test_catalog_zero(capsys):
     rows = out.strip().splitlines()
     assert len(rows) == 4
     assert all(row.endswith("ok") for row in rows)
+
+
+def test_catalog_negative_bound(capsys):
+    code, out, err = run(capsys, "catalog", "-1")
+    assert code == 2 and out == ""
+    assert "catalog bound" in err
+
+
+def test_program_error_is_not_reported_as_bad_input(monkeypatch):
+    def broken(profile):
+        raise ValueError("bug")
+
+    monkeypatch.setattr("c2surf.cli.closed_form", broken)
+    with pytest.raises(ValueError, match="bug"):
+        main(["compute", "S22"])
 
 
 def test_catalog_includes_expected_witnesses(capsys):

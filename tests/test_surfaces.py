@@ -32,6 +32,7 @@ from c2surf.surfaces import (
     underlying_sing,
     validate_profile,
     validate_word,
+    witnessed_profiles,
 )
 
 
@@ -250,6 +251,12 @@ def test_witness_words_fold_back_to_their_profiles():
     for pr, word in profiles_by_words(8).items():
         validate_word(word)
         assert invariants(word) == pr
+
+
+def test_witnessed_profiles_sort_the_word_witnesses():
+    witnesses = witnessed_profiles(6)
+    assert list(witnesses) == sorted(profiles_by_scan(6), key=InvariantProfile.sort_key)
+    assert witnesses == profiles_by_words(6)
 
 
 def test_expected_witnesses():
