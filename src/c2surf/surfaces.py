@@ -177,6 +177,9 @@ def parse_word(text: str) -> SurgeryWord:
 # Invariant profiles.
 
 
+_PROFILE_KEYS = frozenset({"kind", "beta", "F", "C"})
+
+
 @dataclass(frozen=True)
 class InvariantProfile:
     """The data the cohomology depends on: kind, beta, and the fixed-set
@@ -205,6 +208,10 @@ class InvariantProfile:
             f, c = obj.get("F", 0), obj.get("C", 0)
         except (KeyError, TypeError) as exc:
             raise ProfileError(f"bad profile object: {exc}") from None
+        unknown = sorted(map(repr, set(obj) - _PROFILE_KEYS))
+        if unknown:
+            raise ProfileError(f"unknown profile key(s) {', '.join(unknown)}"
+                               " (want kind, beta, F, C)")
         for name, value in (("beta", beta), ("F", f), ("C", c)):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ProfileError(f"profile field {name} must be an integer, got {value!r}")
@@ -325,7 +332,13 @@ class SingProfile:
     h2: int
 
     def at(self, p: int) -> int:
-        return {0: self.h0, 1: self.h1, 2: self.h2}.get(p, 0)
+        if p == 0:
+            return self.h0
+        if p == 1:
+            return self.h1
+        if p == 2:
+            return self.h2
+        return 0
 
     def euler(self) -> int:
         return self.h0 - self.h1 + self.h2

@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import random
 
+from c2surf.bigraded import Bidegree
+from c2surf.checks import Violation
+
 
 def naive_rank(rows: list[list[int]]) -> int:
     """Textbook O(n^3) Gaussian elimination over GF(2) on list-of-lists."""
@@ -30,6 +33,22 @@ def naive_rank(rows: list[list[int]]) -> int:
                 m[r] = [(a + b) % 2 for a, b in zip(m[r], m[rank])]
         rank += 1
     return rank
+
+
+def naive_forgetful_les(d, sing, window) -> list[Violation]:
+    """The forgetful-sequence rank identity swept bidegree by bidegree,
+    each side read from ``Decomposition.dim_at``/``rank_at``.  It shares
+    only the per-module functions (``m2_dim`` and the like) with
+    ``check_forgetful_les``, not its cached per-summand tables."""
+    out = []
+    for b in window.bidegrees():
+        expected = sing.at(b.p)
+        actual = (d.dim_at(Bidegree(b.p, b.q + 1)) + d.dim_at(b)
+                  - d.rank_at(Bidegree(b.p - 1, b.q), "rho")
+                  - d.rank_at(b, "rho"))
+        if actual != expected:
+            out.append(Violation("forgetful-les", str(b), expected, actual))
+    return out
 
 
 def random_matrix(rng: random.Random, max_side: int = 64) -> list[list[int]]:

@@ -2,7 +2,10 @@
 top class, beta recovery, and their sensitivity to corruption."""
 
 import pytest
+from hypothesis import given, strategies as st
 
+from _oracles import naive_forgetful_les
+from c2surf import checks
 from c2surf.bigraded import Bidegree, Decomposition, Summand
 from c2surf.checks import (
     DEFAULT_LES_WINDOW,
@@ -99,6 +102,32 @@ def test_forgetful_les_free_orbit():
 def test_forgetful_les_third_example_full_sweep():
     x3 = closed_form(X3_PROFILE)
     assert check_forgetful_les(x3, SingProfile(1, 1, 1), Window(-2, 5, -6, 6)) == []
+
+
+summands = st.one_of(
+    st.builds(Summand.free, st.integers(-10, 15), st.integers(-12, 12)),
+    st.builds(Summand.antipodal, st.integers(-10, 15), st.integers(0, 4)))
+decompositions = st.dictionaries(summands, st.integers(1, 3), max_size=8).map(Decomposition)
+sing_profiles = st.builds(SingProfile, st.integers(0, 4), st.integers(0, 12), st.integers(0, 4))
+
+
+@st.composite
+def windows(draw):
+    """The default window, or one inside it or reaching beyond it."""
+    if draw(st.booleans()):
+        return DEFAULT_LES_WINDOW
+    pmin, qmin = draw(st.integers(-14, 8)), draw(st.integers(-16, 10))
+    return Window(pmin, pmin + draw(st.integers(0, 20)),
+                  qmin, qmin + draw(st.integers(0, 24)))
+
+
+@given(decompositions, sing_profiles, windows())
+def test_forgetful_les_matches_the_naive_sweep(d, sing, window):
+    want = naive_forgetful_les(d, sing, window)
+    assert check_forgetful_les(d, sing, window) == want
+    checks._les_residuals.cache_clear()
+    assert check_forgetful_les(d, sing, window) == want    # every table cold
+    assert check_forgetful_les(d, sing, window) == want    # every table warm
 
 
 def test_top_class_positions():

@@ -81,6 +81,13 @@ def test_compute_invalid_profile_exit_code(capsys):
         code, out, err = run(capsys, "compute", text)
         assert code == 2 and out == ""
         assert f"field {field} " in err
+    # Unknown keys are rejected by name, never ignored (a misspelt "C"
+    # would otherwise silently default to 0).
+    for text, key in [('{"kind":"nonfree","beta":2,"F":2,"c":1}', "'c'"),
+                      ('{"kind":"trivial","beta":1,"Beta":3}', "'Beta'")]:
+        code, out, err = run(capsys, "compute", text)
+        assert code == 2 and out == ""
+        assert f"unknown profile key(s) {key}" in err
 
 
 def test_verify_pass_and_inject(capsys):
