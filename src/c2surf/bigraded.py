@@ -16,11 +16,17 @@ families:
   ``0 <= p <= n``, with tau acting invertibly and rho nilpotent.
 
 Dimensions and generator-multiplication ranks are total functions of the
-bidegree; nothing here materializes a grid (the modules are unbounded in
-the weight q).  Windows exist only for rendering and verification sweeps.
+bidegree (the modules are unbounded in the weight q).  Windows exist only
+for rendering and verification sweeps: ``render_grid`` sums, weighted by
+multiplicity, one cached table of dimensions per distinct summand and
+window, since dimension is additive over the direct sum.
 
-All values are immutable and every operation is a pure function, so the
-whole module is safe to use from concurrent threads without locking.
+``Bidegree`` and ``Summand`` are ``NamedTuple``s, so they hash and compare
+like plain tuples and compare equal to them: ``Bidegree(1, 2) == (1, 2)``.
+
+All values are immutable and every operation is a pure function (the
+table cache is a thread-safe ``functools.lru_cache``), so the whole module
+is safe to use from concurrent threads without locking.
 
 >>> m2_dim(Bidegree(0, 0)), m2_dim(Bidegree(1, 0)), m2_dim(Bidegree(0, -2))
 (1, 0, 1)
@@ -31,22 +37,24 @@ whole module is safe to use from concurrent threads without locking.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import lru_cache
+from typing import Iterable, Iterator, NamedTuple
 
 
-@dataclass(frozen=True)
-class Bidegree:
-    """An (p, q) index: p is the topological dimension, q the weight."""
+class Bidegree(NamedTuple):
+    """An (p, q) index: p is the topological dimension, q the weight.
+
+    ``+`` and ``-`` are componentwise, not tuple concatenation.
+    """
 
     p: int
     q: int
 
-    def __add__(self, other: "Bidegree") -> "Bidegree":
-        return Bidegree(self.p + other.p, self.q + other.q)
+    def __add__(self, other) -> "Bidegree":
+        return Bidegree(self[0] + other[0], self[1] + other[1])
 
-    def __sub__(self, other: "Bidegree") -> "Bidegree":
-        return Bidegree(self.p - other.p, self.q - other.q)
+    def __sub__(self, other) -> "Bidegree":
+        return Bidegree(self[0] - other[0], self[1] - other[1])
 
     def __repr__(self) -> str:
         return f"({self.p},{self.q})"
@@ -55,19 +63,16 @@ class Bidegree:
 ZERO = Bidegree(0, 0)
 
 
-def _as_bidegree(b) -> Bidegree:
-    if isinstance(b, Bidegree):
-        return b
-    p, q = b
-    return Bidegree(p, q)
-
-
 # ---------------------------------------------------------------------------
 # The point module M2.
 #
 # Top cone: rho^p tau^(q-p) for p >= 0, q >= p.
 # Bottom cone: theta/(rho^i tau^j) in bidegree (-i, -2-i-j), i.e. the
 # region p <= 0, q <= p - 2.  The two regions are disjoint.
+#
+# Every function of a bidegree below reads it by position, so it takes a
+# Bidegree or a plain (p, q) tuple alike; the hot paths pass plain tuples,
+# which are far cheaper to build than a Bidegree.
 
 
 def m2_dim(b: Bidegree) -> int:
@@ -76,9 +81,10 @@ def m2_dim(b: Bidegree) -> int:
     >>> [m2_dim(Bidegree(0, q)) for q in range(-4, 3)]
     [1, 1, 1, 0, 1, 1, 1]
     """
-    if b.p >= 0 and b.q >= b.p:
+    p, q = b
+    if p >= 0 and q >= p:
         return 1
-    if b.p <= 0 and b.q <= b.p - 2:
+    if p <= 0 and q <= p - 2:
         return 1
     return 0
 
@@ -91,9 +97,10 @@ def m2_rho_rank(b: Bidegree) -> int:
     cone, rho sends theta/(rho^i tau^j) to theta/(rho^(i-1) tau^j), which
     dies only when i = 0, i.e. in the column p = 0.
     """
-    if b.p >= 0 and b.q >= b.p:
+    p, q = b
+    if p >= 0 and q >= p:
         return 1
-    if b.p <= -1 and b.q <= b.p - 2:
+    if p <= -1 and q <= p - 2:
         return 1
     return 0
 
@@ -105,9 +112,10 @@ def m2_tau_rank(b: Bidegree) -> int:
     because the target group there is zero; everywhere else it is nonzero
     wherever the source is.
     """
-    if b.p >= 0 and b.q >= b.p:
+    p, q = b
+    if p >= 0 and q >= p:
         return 1
-    if b.p <= 0 and b.q <= b.p - 3:
+    if p <= 0 and q <= p - 3:
         return 1
     return 0
 
@@ -118,25 +126,29 @@ def m2_tau_rank(b: Bidegree) -> int:
 
 def an_dim(n: int, b: Bidegree) -> int:
     """Dimension of A_n in bidegree ``b``: the n+1 columns 0 <= p <= n."""
-    return 1 if 0 <= b.p <= n else 0
+    return 1 if 0 <= b[0] <= n else 0
 
 
 def an_rho_rank(n: int, b: Bidegree) -> int:
     """rho maps column p isomorphically to column p+1, until rho^{n+1} = 0."""
-    return 1 if 0 <= b.p <= n - 1 else 0
+    return 1 if 0 <= b[0] <= n - 1 else 0
 
 
 def an_tau_rank(n: int, b: Bidegree) -> int:
     """tau acts invertibly on A_n, hence rank 1 on every nonzero column."""
-    return 1 if 0 <= b.p <= n else 0
+    return 1 if 0 <= b[0] <= n else 0
 
 
 # ---------------------------------------------------------------------------
 # Summands and decompositions.
 
 
-@dataclass(frozen=True)
-class Summand:
+class _SummandFields(NamedTuple):
+    shift: Bidegree
+    n: int | None = None
+
+
+class Summand(_SummandFields):
     """A shifted copy of M2 (``n is None``) or of A_n (``n >= 0``).
 
     ``Summand(Bidegree(p, q))`` is the suspension by (p, q) of the point
@@ -146,14 +158,20 @@ class Summand:
     every instance is the canonical representative of its class.
     """
 
-    shift: Bidegree
-    n: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n is not None and self.n < 0:
-            raise ValueError("antipodal index must be a natural number")
-        if self.n is not None and self.shift.q:
-            object.__setattr__(self, "shift", Bidegree(self.shift.p, 0))
+    def __new__(cls, shift: Bidegree, n: int | None = None) -> "Summand":
+        if n is not None:
+            if n < 0:
+                raise ValueError("antipodal index must be a natural number")
+            if shift[1]:
+                shift = Bidegree(shift[0], 0)
+        return tuple.__new__(cls, (shift, n))
+
+    @classmethod
+    def _make(cls, iterable) -> "Summand":
+        # ``_replace`` goes through here; keep it canonical too.
+        return cls(*iterable)
 
     @classmethod
     def free(cls, p: int, q: int) -> "Summand":
@@ -167,16 +185,20 @@ class Summand:
     def is_free(self) -> bool:
         return self.n is None
 
-    def dim_at(self, b: Bidegree) -> int:
-        rel = b - self.shift
+    def _relative(self, b) -> tuple[int, int]:
+        shift = self.shift
+        return (b[0] - shift[0], b[1] - shift[1])
+
+    def dim_at(self, b) -> int:
+        rel = self._relative(b)
         return m2_dim(rel) if self.n is None else an_dim(self.n, rel)
 
-    def rho_rank_at(self, b: Bidegree) -> int:
-        rel = b - self.shift
+    def rho_rank_at(self, b) -> int:
+        rel = self._relative(b)
         return m2_rho_rank(rel) if self.n is None else an_rho_rank(self.n, rel)
 
-    def tau_rank_at(self, b: Bidegree) -> int:
-        rel = b - self.shift
+    def tau_rank_at(self, b) -> int:
+        rel = self._relative(b)
         return m2_tau_rank(rel) if self.n is None else an_tau_rank(self.n, rel)
 
     def sort_key(self):
@@ -241,7 +263,6 @@ class Decomposition:
 
     def dim_at(self, b) -> int:
         """Total dimension in bidegree ``b`` (suspension shifts applied)."""
-        b = _as_bidegree(b)
         return sum(c * s.dim_at(b) for s, c in self._items)
 
     def rank_at(self, b, generator: str) -> int:
@@ -250,7 +271,6 @@ class Decomposition:
         Valid because the module really is the direct sum: the map splits
         summand by summand.
         """
-        b = _as_bidegree(b)
         if generator == "rho":
             return sum(c * s.rho_rank_at(b) for s, c in self._items)
         if generator == "tau":
@@ -269,7 +289,6 @@ class Decomposition:
     __add__ = direct_sum
 
     def suspend(self, s) -> "Decomposition":
-        s = _as_bidegree(s)
         shifted = Counter()
         for summand, c in self.items():
             shifted[Summand(summand.shift + s, summand.n)] += c
@@ -334,15 +353,34 @@ def _glyph(value: int) -> str:
     return str(value)
 
 
+@lru_cache(maxsize=1024)
+def _grid_cells(s: Summand, pmin: int, pmax: int, qmin: int, qmax: int) -> tuple[int, ...]:
+    """Where one summand is nonzero (its dimension is then 1) over the
+    window, as cell indices in ``render_grid`` order: rows from the top
+    weight down, columns left to right in p."""
+    width = pmax - pmin + 1
+    return tuple(row * width + col
+                 for row, q in enumerate(range(qmax, qmin - 1, -1))
+                 for col, p in enumerate(range(pmin, pmax + 1))
+                 if s.dim_at((p, q)))
+
+
 def render_grid(d: Decomposition, p_range: tuple[int, int], q_range: tuple[int, int]) -> str:
     """Plot dimensions over a finite window as text, one character per
     bidegree: '.' for zero, digits, '+' for 10 or more.  Rows run from the
-    top weight down, columns left to right in p."""
+    top weight down, columns left to right in p.
+
+    Dimension is additive over the direct sum, so the grid is the
+    multiplicity-weighted sum of one cached cell table per distinct summand.
+    """
     pmin, pmax = p_range
     qmin, qmax = q_range
     if pmin > pmax or qmin > qmax:
         raise ValueError(f"inverted window p={p_range} q={q_range}")
-    lines = []
-    for q in range(qmax, qmin - 1, -1):
-        lines.append("".join(_glyph(d.dim_at(Bidegree(p, q))) for p in range(pmin, pmax + 1)))
-    return "\n".join(lines)
+    width = pmax - pmin + 1
+    totals = [0] * (width * (qmax - qmin + 1))
+    for s, c in d.items():
+        for i in _grid_cells(s, pmin, pmax, qmin, qmax):
+            totals[i] += c
+    glyphs = [_glyph(v) for v in totals]
+    return "\n".join("".join(glyphs[i:i + width]) for i in range(0, len(glyphs), width))

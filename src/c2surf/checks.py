@@ -113,17 +113,21 @@ class Violation:
         return f"{self.check} at {self.location}: expected {self.expected}, got {self.actual}"
 
 
+@lru_cache(maxsize=256)
+def _cell_model_betti(beta_closed: int, circles: int) -> SingProfile:
+    # Capping the boundary circles gives a closed surface; its h1 pins the
+    # polygon model, from which the punctured model is rebuilt honestly.
+    return betti_f2(surface_with_boundary_model(beta_closed, circles))
+
+
 def check_quotient_row(d: Decomposition, pr: InvariantProfile) -> list[Violation]:
     """The q = 0 row of the decomposition against the orbit-space Betti
-    numbers, independently recomputed from a cellular model."""
+    numbers, independently recomputed from a cellular model (built once
+    per model shape and cached)."""
     validate_profile(pr)
     arithmetic = quotient_sing(pr)
     circles = pr.fixed_circles if pr.kind == NONFREE else 0
-    # Capping the boundary circles gives a closed surface; its h1 pins the
-    # polygon model, from which the punctured model is rebuilt honestly.
-    chi_q = arithmetic.euler()
-    model = surface_with_boundary_model(2 - chi_q - circles, circles)
-    betti = betti_f2(model)
+    betti = _cell_model_betti(2 - arithmetic.euler() - circles, circles)
     out = []
     if betti != arithmetic:
         out.append(Violation("quotient-row", "cell model vs chi arithmetic",
@@ -131,7 +135,7 @@ def check_quotient_row(d: Decomposition, pr: InvariantProfile) -> list[Violation
                              (betti.h0, betti.h1, betti.h2)))
     for p in QUOTIENT_ROW_RANGE:
         expected = betti.at(p)
-        actual = d.dim_at(Bidegree(p, 0))
+        actual = d.dim_at((p, 0))
         if actual != expected:
             out.append(Violation("quotient-row", f"({p},0)", expected, actual))
     return out
@@ -161,7 +165,7 @@ def _les_residuals(s: Summand, window: Window) -> tuple[tuple[int, int], ...]:
     # q in [qmin, qmax+1]; each residual then reads four grid entries.
     ps = range(window.pmin - s.shift.p - 1, window.pmax - s.shift.p + 1)
     qs = range(window.qmin - s.shift.q, window.qmax - s.shift.q + 2)
-    grid = [[Bidegree(p, q) for q in qs] for p in ps]
+    grid = [[(p, q) for q in qs] for p in ps]
     if s.n is None:
         dims = [[m2_dim(b) for b in row] for row in grid]
         rhos = [[m2_rho_rank(b) for b in row] for row in grid]

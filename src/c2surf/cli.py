@@ -15,11 +15,15 @@ INPUT starting with '{' is parsed as a profile JSON object
 The environment variable ``ESC_WINDOW`` (same ``pmin:pmax,qmin:qmax``
 syntax as ``--window``) overrides the default windows.  stdout carries
 data; diagnostics go to stderr.
+
+The argument parser is built once per process, on the first ``main`` call
+(not at import), and reused: ``parse_args`` keeps no state between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -131,6 +135,7 @@ def _cmd_catalog(args) -> int:
     return VERIFY_FAILED if any_failed else OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="c2surf",

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 
-from c2surf.bigraded import Bidegree
+from c2surf.bigraded import Bidegree, an_dim, m2_dim
 from c2surf.checks import Violation
 
 
@@ -49,6 +49,24 @@ def naive_forgetful_les(d, sing, window) -> list[Violation]:
         if actual != expected:
             out.append(Violation("forgetful-les", str(b), expected, actual))
     return out
+
+
+def naive_render_grid(d, p_range, q_range) -> str:
+    """The dimension grid drawn cell by cell, every summand evaluated with
+    ``m2_dim``/``an_dim`` at every bidegree.  It shares only those two
+    functions with ``render_grid``, not its cached per-summand tables."""
+    (pmin, pmax), (qmin, qmax) = p_range, q_range
+    rows = []
+    for q in range(qmax, qmin - 1, -1):
+        row = ""
+        for p in range(pmin, pmax + 1):
+            total = 0
+            for s, c in d.items():
+                rel = Bidegree(p - s.shift.p, q - s.shift.q)
+                total += c * (m2_dim(rel) if s.n is None else an_dim(s.n, rel))
+            row += "." if total == 0 else "+" if total >= 10 else str(total)
+        rows.append(row)
+    return "\n".join(rows)
 
 
 def random_matrix(rng: random.Random, max_side: int = 64) -> list[list[int]]:

@@ -1,6 +1,8 @@
 """Dimension tables, ranks, and multiset algebra for the basic modules."""
 
 import doctest
+import hashlib
+import json
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,7 +21,10 @@ from c2surf.bigraded import (
     render_grid,
 )
 
-from _oracles import GOLDEN_M2_SQUARE, theta_divided_positions
+from c2surf.engine import closed_form
+from c2surf.surfaces import enumerate_profiles
+
+from _oracles import GOLDEN_M2_SQUARE, naive_render_grid, theta_divided_positions
 
 bidegrees = st.builds(Bidegree, st.integers(-25, 25), st.integers(-25, 25))
 small_n = st.integers(0, 6)
@@ -240,6 +245,41 @@ def test_remove():
         d.remove(Summand.free(5, 5))
 
 
+# SHA-256 of one line per profile of enumerate_profiles(20), in its order:
+# "kind beta F C", str(closed_form) and its compact JSON, tab-separated.
+# Recorded while Bidegree and Summand were frozen dataclasses.
+CLOSED_FORMS_BETA_20_SHA256 = "8972cc0e552537202b62e2e13a2a378f9fd2a83c8da155a0b0dc4fafb0b8a28a"
+
+
+def test_value_types_keep_their_semantics():
+    assert str(Bidegree(1, -2)) == repr(Bidegree(1, -2)) == "(1,-2)"
+    # Componentwise arithmetic, not tuple concatenation.
+    assert Bidegree(1, 2) + Bidegree(3, 4) == Bidegree(4, 6)
+    assert Bidegree(1, 2) - Bidegree(3, 4) == Bidegree(-2, -2)
+    assert Bidegree(1, 2) == (1, 2) and hash(Bidegree(1, 2)) == hash((1, 2))
+    assert Summand.antipodal(3, 1, q=5) == Summand.antipodal(3, 1)
+    assert hash(Summand.antipodal(3, 1, q=5)) == hash(Summand.antipodal(3, 1))
+    assert Summand.antipodal(3, 1)._replace(shift=Bidegree(3, 4)).shift == (3, 0)
+    assert str(Summand.free(1, 2)) == "S(1,2)M2" and str(Summand.antipodal(0, 2)) == "A2"
+    assert m2_dim((0, -2)) == m2_dim(Bidegree(0, -2)) == 1
+    with pytest.raises(ValueError):
+        Summand.antipodal(0, -1)
+    with pytest.raises(AttributeError):
+        Bidegree(1, 2).p = 3
+    with pytest.raises(AttributeError):
+        Summand.free(0, 0).shift = Bidegree(1, 1)
+    with pytest.raises(AttributeError):
+        Summand.free(0, 0).extra = 1
+    digest = hashlib.sha256()
+    for pr in enumerate_profiles(20):
+        d = closed_form(pr)
+        keys = [s.sort_key() for s, _ in d.items()]
+        assert keys == sorted(keys)
+        digest.update(f"{pr.kind} {pr.beta} {pr.fixed_points} {pr.fixed_circles}\t{d}\t"
+                      f"{json.dumps(d.to_json_obj(), separators=(',', ':'))}\n".encode())
+    assert digest.hexdigest() == CLOSED_FORMS_BETA_20_SHA256
+
+
 def test_json_round_trip():
     x2 = Decomposition([Summand.free(0, 0)] + [Summand.free(1, 1)] * 6
                        + [Summand.antipodal(1, 0)] * 4 + [Summand.free(2, 2)])
@@ -272,3 +312,33 @@ def test_render_grid_rejects_inverted_window():
         render_grid(Decomposition([]), (2, 0), (0, 1))
     with pytest.raises(ValueError):
         render_grid(Decomposition([]), (0, 1), (4, -4))
+
+
+wide_summands = st.one_of(
+    st.builds(Summand.free, st.integers(-10, 15), st.integers(-12, 12)),
+    st.builds(Summand.antipodal, st.integers(-10, 15), st.integers(0, 4)))
+wide_decompositions = st.dictionaries(wide_summands, st.integers(1, 3),
+                                      max_size=8).map(Decomposition)
+
+
+@st.composite
+def grid_windows(draw):
+    """A (p_range, q_range) pair, over the summands or beyond every one of
+    them, and sometimes inverted."""
+    pmin, qmin = draw(st.integers(-40, 40)), draw(st.integers(-40, 40))
+    return ((pmin, pmin + draw(st.integers(-2, 20))),
+            (qmin, qmin + draw(st.integers(-2, 24))))
+
+
+@given(wide_decompositions, grid_windows())
+def test_render_grid_matches_the_naive_grid(d, window):
+    p_range, q_range = window
+    if p_range[0] > p_range[1] or q_range[0] > q_range[1]:
+        with pytest.raises(ValueError):
+            render_grid(d, p_range, q_range)
+        return
+    want = naive_render_grid(d, p_range, q_range)
+    assert render_grid(d, p_range, q_range) == want
+    c2surf.bigraded._grid_cells.cache_clear()
+    assert render_grid(d, p_range, q_range) == want    # every table cold
+    assert render_grid(d, p_range, q_range) == want    # every table warm

@@ -181,3 +181,41 @@ def test_module_entry_point_subprocess():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "M2 + S(1,1)M2 + S(2,1)M2"
+
+
+def fresh_process(argv):
+    """stdout, stderr and exit code of one call in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("ESC_WINDOW", None)
+    proc = subprocess.run([sys.executable, "-m", "c2surf", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_parser_reuse_keeps_calls_independent(capsys, monkeypatch):
+    # One process reuses one parser: no flag may carry over to the next call.
+    monkeypatch.delenv("ESC_WINDOW", raising=False)
+    x = "S21 + AT10"
+    sequence = [["compute", "--grid", "--window=0:2,0:2", x], ["compute", "--grid", x],
+                ["verify", "--json", x], ["verify", x], ["compute", "--reduced", x],
+                ["compute", x], ["verify", "--inject", "drop:1,1", x], ["verify", x]]
+    for argv in sequence:
+        assert run(capsys, *argv) == fresh_process(argv), argv
+    # An argparse error leaves the parser usable.
+    with pytest.raises(SystemExit) as exc:
+        main(["compute"])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    assert run(capsys, "compute", x) == fresh_process(["compute", x])
+
+
+def test_import_builds_no_parser():
+    # The parser is built on the first call, so importing the CLI stays cheap.
+    code = ("import c2surf.cli as cli\n"
+            "assert cli._build_parser.cache_info().currsize == 0\n"
+            "cli.main(['compute', 'S22'])\n"
+            "assert cli._build_parser.cache_info().currsize == 1\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
