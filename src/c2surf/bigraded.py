@@ -23,6 +23,10 @@ window, since dimension is additive over the direct sum.
 
 ``Bidegree`` and ``Summand`` are ``NamedTuple``s, so they hash and compare
 like plain tuples and compare equal to them: ``Bidegree(1, 2) == (1, 2)``.
+A ``Decomposition`` is one tuple of ``(summand, count)`` pairs in
+``Summand.sort_key`` order.  Construction counts into a plain dict and
+sorts once; ``direct_sum`` keeps the left operand's order, and sorts only
+when the right one brings a summand the left lacks.
 
 All values are immutable and every operation is a pure function (the
 table cache is a thread-safe ``functools.lru_cache``), so the whole module
@@ -36,7 +40,6 @@ is safe to use from concurrent threads without locking.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
@@ -203,8 +206,11 @@ class Summand(_SummandFields):
 
     def sort_key(self):
         # Free summands before antipodal ones, then (p, q, n) lexicographic.
-        free = self.n is None
-        return (0 if free else 1, self.shift.p, self.shift.q, -1 if free else self.n)
+        # Fields are read by position: this runs once per summand per sort.
+        (p, q), n = self
+        if n is None:
+            return (0, p, q, -1)
+        return (1, p, q, n)
 
     def __str__(self) -> str:
         core = "M2" if self.n is None else f"A{self.n}"
@@ -217,9 +223,12 @@ class Decomposition:
     """A finite formal multiset of summands; the empty one is the zero module.
 
     Instances are immutable.  Construction counts the (already canonical)
-    summands once into a tuple of ``(summand, count)`` pairs in sort_key
-    order; equality and hashing compare that tuple, so ``S(1,1)A0`` and
-    ``S(1,0)A0`` give equal decompositions.
+    summands once into a plain dict and sorts it once, by
+    ``Summand.sort_key``, into a tuple of ``(summand, count)`` pairs;
+    equality and hashing compare that tuple, so ``S(1,1)A0`` and
+    ``S(1,0)A0`` give equal decompositions.  The algebra below builds its
+    results from counts it knows are valid, without validating again, and
+    keeps its operand's order wherever the order cannot change.
 
     >>> x1 = Decomposition([Summand.free(0, 0), Summand.free(1, 0),
     ...                     Summand.free(1, 1), Summand.free(2, 1)])
@@ -231,17 +240,25 @@ class Decomposition:
 
     __slots__ = ("_items",)
 
-    def __init__(self, summands: Iterable[Summand] = ()):
-        counts = Counter()
-        if isinstance(summands, (Counter, dict)):
+    def __init__(self, summands: Iterable[Summand] | dict[Summand, int] = ()):
+        counts = {}
+        if isinstance(summands, dict):          # a Counter included
             for s, c in summands.items():
-                if c < 0:
-                    raise ValueError("negative multiplicity")
+                _check_multiplicity(c)
                 if c:
-                    counts[s] += c
+                    counts[s] = c
         else:
-            counts.update(summands)
-        self._items = tuple(sorted(counts.items(), key=lambda it: it[0].sort_key()))
+            for s in summands:
+                counts[s] = counts.get(s, 0) + 1
+        self._items = _sorted_items(counts)
+
+    @classmethod
+    def _from_items(cls, items: tuple) -> "Decomposition":
+        """The decomposition of ``items``, taken as they are: positive int
+        counts of distinct summands, already in sort_key order."""
+        d = object.__new__(cls)
+        d._items = items
+        return d
 
     # -- multiset access ----------------------------------------------------
 
@@ -279,31 +296,39 @@ class Decomposition:
 
     # -- algebra -------------------------------------------------------------
 
-    def canonicalize(self) -> "Decomposition":
-        """The decomposition itself: construction already normalized it."""
-        return self
-
     def direct_sum(self, other: "Decomposition") -> "Decomposition":
-        return Decomposition(Counter(dict(self.items())) + Counter(dict(other.items())))
+        counts = dict(self._items)
+        for s, c in other.items():
+            counts[s] = counts.get(s, 0) + c
+        if len(counts) == len(self._items):
+            # No new summand: the dict still holds self's keys in self's order.
+            return Decomposition._from_items(tuple(counts.items()))
+        return Decomposition._from_items(_sorted_items(counts))
 
     __add__ = direct_sum
 
     def suspend(self, s) -> "Decomposition":
-        shifted = Counter()
-        for summand, c in self.items():
-            shifted[Summand(summand.shift + s, summand.n)] += c
-        return Decomposition(shifted)
+        # A translation keeps distinct summands distinct and keeps their
+        # order (antipodal weights stay 0), so nothing is merged or sorted.
+        return Decomposition._from_items(tuple(
+            (Summand(summand.shift + s, summand.n), c) for summand, c in self._items))
 
     def remove(self, summand: Summand, count: int = 1) -> "Decomposition":
         """A copy with ``count`` copies of ``summand`` removed.
 
-        Raises KeyError if the decomposition does not contain them.
+        Raises KeyError if the decomposition does not contain them, and
+        ValueError if ``count`` is not a natural number.
         """
-        counts = Counter(dict(self.items()))
-        if counts[summand] < count:
+        _check_multiplicity(count)
+        counts = dict(self._items)
+        left = counts.get(summand, 0) - count
+        if left < 0:
             raise KeyError(f"decomposition has no summand {summand}")
-        counts[summand] -= count
-        return Decomposition(+counts)
+        if left:
+            counts[summand] = left
+        else:
+            counts.pop(summand, None)
+        return Decomposition._from_items(tuple(counts.items()))
 
     # -- comparison / serialization ------------------------------------------
 
@@ -337,12 +362,27 @@ class Decomposition:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Decomposition":
-        counts = Counter()
-        for p, q, c in obj.get("free", ()):
-            counts[Summand.free(p, q)] += c
-        for p, n, c in obj.get("antipodal", ()):
-            counts[Summand.antipodal(p, n)] += c
+        """Inverse of ``to_json_obj``; each count must be a natural number
+        (ValueError otherwise), and repeated entries add up."""
+        counts = {}
+        entries = [(Summand.free(p, q), c) for p, q, c in obj.get("free", ())]
+        entries += [(Summand.antipodal(p, n), c) for p, n, c in obj.get("antipodal", ())]
+        for s, c in entries:
+            _check_multiplicity(c)
+            counts[s] = counts.get(s, 0) + c
         return cls(counts)
+
+
+def _check_multiplicity(c) -> None:
+    if not isinstance(c, int) or isinstance(c, bool):
+        raise ValueError(f"multiplicity must be an integer, got {c!r}")
+    if c < 0:
+        raise ValueError("negative multiplicity")
+
+
+def _sorted_items(counts: dict) -> tuple:
+    """``(summand, count)`` pairs of ``counts`` in sort_key order."""
+    return tuple([(s, counts[s]) for s in sorted(counts, key=Summand.sort_key)])
 
 
 def _glyph(value: int) -> str:

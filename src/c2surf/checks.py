@@ -31,7 +31,7 @@ bounds the forgetful-LES sweep; it does not cover every input.  The
 closed forms have shifts 0 <= p <= 2 and n <= 2, but an arbitrary
 decomposition may put a summand beyond it (an added ``S(10,0)A0`` passes
 every check), so these checks are not exact outside the window.
-ROADMAP.md's "Exact, window-free verification" item tracks the fix.
+ROADMAP.md's "Exact checks in one dimension" item tracks the fix.
 """
 
 from __future__ import annotations

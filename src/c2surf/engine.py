@@ -15,6 +15,12 @@ the point module.  The answers, by kind of action:
 
 The profile inequalities make every exponent a nonnegative integer.
 
+``closed_form`` is a bounded memo (``functools.lru_cache``, thread-safe,
+1024 entries) keyed by the profile's fields *and their types*, so that
+``beta=4.0`` never finds the entry of ``beta=4``; ``validate_profile``
+runs on every miss, and an exception is never cached.  Its results are
+immutable and shared between callers.
+
 ``transform`` implements the incremental effect of a single surgery on a
 closed-form-shaped decomposition, as an independent set of rewrite rules;
 folding it along a word must land on ``closed_form`` of the folded
@@ -23,7 +29,7 @@ profile, which is the cross-validation the test suite runs exhaustively.
 
 from __future__ import annotations
 
-from collections import Counter
+from functools import lru_cache
 
 from .bigraded import Decomposition, Summand
 from .surfaces import (
@@ -46,39 +52,49 @@ _S21 = Summand.free(2, 1)
 _S22 = Summand.free(2, 2)
 _A0_1 = Summand.antipodal(1, 0)
 
+# The fixed addends of the rewrite rules.
+_PLUS_2_S11 = Decomposition({_S11: 2})
+_PLUS_S11_S10 = Decomposition({_S11: 1, _S10: 1})
+_PLUS_S10 = Decomposition({_S10: 1})
+_TOP_AT10 = Decomposition({_S11: 2, _S21: 1})
+_TOP_FM = Decomposition({_S11: 1, _S21: 1})
+
 
 class TransformError(ValueError):
     """A rewrite rule applied to a decomposition it does not match."""
 
 
 def closed_form(pr: InvariantProfile) -> Decomposition:
-    """The unreduced cohomology decomposition of a valid profile."""
-    validate_profile(pr)
-    counts: Counter = Counter()
-    beta, f, c = pr.beta, pr.fixed_points, pr.fixed_circles
-    if pr.kind == TRIVIAL:
-        counts[_M2] += 1
-        counts[_S10] += beta
-        counts[_S20] += 1
-    elif pr.kind == FREE_SPHERE:
-        counts[_A0_1] += beta // 2
-        counts[Summand.antipodal(0, 2)] += 1
-    elif pr.kind == FREE_TORUS:
-        counts[_A0_1] += (beta - 2) // 2
-        counts[Summand.antipodal(0, 1)] += 1
-        counts[Summand.antipodal(1, 1)] += 1
-    elif c == 0:
-        counts[_M2] += 1
-        counts[_S11] += f - 2
-        counts[_A0_1] += (beta - f) // 2 + 1
-        counts[_S22] += 1
-    else:
-        counts[_M2] += 1
-        counts[_S11] += f + c - 1
-        counts[_S10] += c - 1
-        counts[_A0_1] += (beta - f) // 2 + 1 - c
-        counts[_S21] += 1
-    return Decomposition(+counts)
+    """The unreduced cohomology decomposition of a valid profile.
+
+    Memoized; ``closed_form.cache_info()`` and ``closed_form.cache_clear()``
+    reach the memo.
+    """
+    try:
+        return _closed_form(pr.kind, pr.beta, pr.fixed_points, pr.fixed_circles)
+    except TypeError:
+        validate_profile(pr)    # an unhashable field is bad input: name it
+        raise
+
+
+@lru_cache(maxsize=1024, typed=True)
+def _closed_form(kind: str, beta: int, f: int, c: int) -> Decomposition:
+    validate_profile(InvariantProfile(kind, beta, f, c))
+    if kind == TRIVIAL:
+        return Decomposition({_M2: 1, _S10: beta, _S20: 1})
+    if kind == FREE_SPHERE:
+        return Decomposition({_A0_1: beta // 2, Summand.antipodal(0, 2): 1})
+    if kind == FREE_TORUS:
+        return Decomposition({_A0_1: (beta - 2) // 2, Summand.antipodal(0, 1): 1,
+                              Summand.antipodal(1, 1): 1})
+    if c == 0:
+        return Decomposition({_M2: 1, _S11: f - 2, _A0_1: (beta - f) // 2 + 1, _S22: 1})
+    return Decomposition({_M2: 1, _S11: f + c - 1, _S10: c - 1,
+                          _A0_1: (beta - f) // 2 + 1 - c, _S21: 1})
+
+
+closed_form.cache_info = _closed_form.cache_info
+closed_form.cache_clear = _closed_form.cache_clear
 
 
 def reduced_form(pr: InvariantProfile) -> Decomposition:
@@ -99,18 +115,14 @@ def free_orbit_product(sing: SingProfile) -> Decomposition:
     A product with the free orbit only sees the underlying space:
     the answer is tau-periodic, one shifted A0 per singular class.
     """
-    counts: Counter = Counter()
-    counts[Summand.antipodal(0, 0)] += sing.h0
-    counts[Summand.antipodal(1, 0)] += sing.h1
-    counts[Summand.antipodal(2, 0)] += sing.h2
-    return Decomposition(+counts)
+    return Decomposition({Summand.antipodal(0, 0): sing.h0, Summand.antipodal(1, 0): sing.h1,
+                          Summand.antipodal(2, 0): sing.h2})
 
 
 def _free_at_result(beta_y: int, top: Summand) -> Decomposition:
     # Attaching either antitube to a free surface yields
     # M2 (+) (S(1,0)A0)^((beta+2)/2) (+) the top summand.
-    counts: Counter = Counter({_M2: 1, _A0_1: (beta_y + 2) // 2, top: 1})
-    return Decomposition(counts)
+    return Decomposition({_M2: 1, _A0_1: (beta_y + 2) // 2, top: 1})
 
 
 def transform(d_y: Decomposition, pr_y: InvariantProfile, op: Op) -> Decomposition:
@@ -131,7 +143,7 @@ def transform(d_y: Decomposition, pr_y: InvariantProfile, op: Op) -> Decompositi
         # each singular 1-class of the glued surface contributes one
         # tau-periodic column in dimension one.
         extra = 1 if op.token == "DCC" else op.surface.beta
-        return d_y.direct_sum(Decomposition(Counter({_A0_1: extra})))
+        return d_y.direct_sum(Decomposition({_A0_1: extra}))
 
     if op.token == "AT11":
         if free_kind:
@@ -140,7 +152,7 @@ def transform(d_y: Decomposition, pr_y: InvariantProfile, op: Op) -> Decompositi
             return _free_at_result(pr_y.beta, _S22)
         # Pinching the conjugate gluing disks wedges on an S(1,1) sphere,
         # and the remaining extension splits off a second one.
-        return d_y.direct_sum(Decomposition(Counter({_S11: 2})))
+        return d_y.direct_sum(_PLUS_2_S11)
 
     if op.token == "AT10":
         if free_kind:
@@ -148,25 +160,25 @@ def transform(d_y: Decomposition, pr_y: InvariantProfile, op: Op) -> Decompositi
                 raise TransformError("antitube rule needs the closed-form input")
             return _free_at_result(pr_y.beta, _S21)
         if pr_y.fixed_circles >= 1:
-            return d_y.direct_sum(Decomposition(Counter({_S11: 1, _S10: 1})))
+            return d_y.direct_sum(_PLUS_S11_S10)
         # C(Y) = 0: the new circle moves the top class from weight 2 to
         # weight 1; the pinch wedge and the nontrivial extension each
         # contribute one S(1,1)M2.
-        return _swap_top(d_y, add=Counter({_S11: 2, _S21: 1}))
+        return _swap_top(d_y, add=_TOP_AT10)
 
     if op.token == "FM":
         if pr_y.fixed_circles >= 1:
-            return d_y.direct_sum(Decomposition(Counter({_S10: 1})))
+            return d_y.direct_sum(_PLUS_S10)
         # C(Y) = 0: trading a fixed point for a circle again rewrites the
         # top class, with a single new S(1,1)M2 from the extension.
-        return _swap_top(d_y, add=Counter({_S11: 1, _S21: 1}))
+        return _swap_top(d_y, add=_TOP_FM)
 
     raise TransformError(f"no rewrite rule for op {op.token!r}")
 
 
-def _swap_top(d_y: Decomposition, add: Counter) -> Decomposition:
+def _swap_top(d_y: Decomposition, add: Decomposition) -> Decomposition:
     try:
         trimmed = d_y.remove(_S22)
     except KeyError:
         raise TransformError("rule must remove S(2,2)M2 but the input has none") from None
-    return trimmed.direct_sum(Decomposition(add))
+    return trimmed.direct_sum(add)

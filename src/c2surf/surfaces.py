@@ -212,9 +212,6 @@ class InvariantProfile:
         if unknown:
             raise ProfileError(f"unknown profile key(s) {', '.join(unknown)}"
                                " (want kind, beta, F, C)")
-        for name, value in (("beta", beta), ("F", f), ("C", c)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ProfileError(f"profile field {name} must be an integer, got {value!r}")
         pr = cls(kind, beta, f, c)
         validate_profile(pr)
         return pr
@@ -225,13 +222,19 @@ def validate_profile(pr: InvariantProfile) -> None:
 
     The inequalities carve out exactly the triples realized by closed
     C2-surfaces; they also make every exponent in the closed cohomology
-    formulas a nonnegative integer.
+    formulas a nonnegative integer.  beta, F and C must be ints (not bools):
+    ``2.5``, ``4.0`` and ``"2"`` are rejected, never coerced.
     """
+    f, c, beta = pr.fixed_points, pr.fixed_circles, pr.beta
+    # Plain ints skip the loop: every check validates its profile again.
+    if not (type(beta) is type(f) is type(c) is int):
+        for name, value in (("beta", beta), ("F", f), ("C", c)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ProfileError(f"profile field {name} must be an integer, got {value!r}")
     if pr.kind not in KINDS:
         raise ProfileError(f"unknown kind {pr.kind!r}")
-    if pr.beta < 0 or pr.fixed_points < 0 or pr.fixed_circles < 0:
+    if beta < 0 or f < 0 or c < 0:
         raise ProfileError("beta, F, C must be nonnegative")
-    f, c, beta = pr.fixed_points, pr.fixed_circles, pr.beta
     if pr.kind != NONFREE:
         if f or c:
             raise ProfileError(f"{pr.kind} actions have F = 0 and C = 0")

@@ -7,8 +7,9 @@ share no code with the implementations they check.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
-from c2surf.bigraded import Bidegree, an_dim, m2_dim
+from c2surf.bigraded import Bidegree, Summand, an_dim, m2_dim
 from c2surf.checks import Violation
 
 
@@ -67,6 +68,37 @@ def naive_render_grid(d, p_range, q_range) -> str:
             row += "." if total == 0 else "+" if total >= 10 else str(total)
         rows.append(row)
     return "\n".join(rows)
+
+
+def naive_items(pairs) -> list[tuple[Summand, int]]:
+    """The ``(summand, count)`` pairs of a decomposition, from
+    ``((p, q, n), count)`` pairs (n None for M2, counts may repeat a summand
+    or be negative), summed in a ``Counter`` and ordered by the documented
+    rule: free summands by (p, q), then antipodal ones by (p, n), an
+    antipodal weight being 0.  Nonpositive totals are dropped."""
+    counts = Counter()
+    for (p, q, n), c in pairs:
+        counts[p, 0 if n is not None else q, n] += c
+    counts = +counts
+    free = sorted((p, q) for p, q, n in counts if n is None)
+    anti = sorted((p, n) for p, q, n in counts if n is not None)
+    return ([(Summand.free(p, q), counts[p, q, None]) for p, q in free]
+            + [(Summand.antipodal(p, n), counts[p, 0, n]) for p, n in anti])
+
+
+def naive_render(items) -> tuple[str, dict]:
+    """``str`` and ``to_json_obj`` of a decomposition with these pairs."""
+    words, free, anti = [], [], []
+    for s, c in items:
+        (p, q), n = s
+        core = "M2" if n is None else f"A{n}"
+        words.append(("" if (p, q) == (0, 0) else f"S({p},{q})") + core
+                     + (f"^{c}" if c > 1 else ""))
+        if n is None:
+            free.append([p, q, c])
+        else:
+            anti.append([p, n, c])
+    return " + ".join(words) or "0", {"free": free, "antipodal": anti}
 
 
 def random_matrix(rng: random.Random, max_side: int = 64) -> list[list[int]]:

@@ -3,6 +3,7 @@
 import doctest
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,7 +25,13 @@ from c2surf.bigraded import (
 from c2surf.engine import closed_form
 from c2surf.surfaces import enumerate_profiles
 
-from _oracles import GOLDEN_M2_SQUARE, naive_render_grid, theta_divided_positions
+from _oracles import (
+    GOLDEN_M2_SQUARE,
+    naive_items,
+    naive_render,
+    naive_render_grid,
+    theta_divided_positions,
+)
 
 bidegrees = st.builds(Bidegree, st.integers(-25, 25), st.integers(-25, 25))
 small_n = st.integers(0, 6)
@@ -148,25 +155,40 @@ def test_rank_at_examples():
 
 
 def test_canonicalize_examples():
+    # Construction is the only canonicalization: a weight-shifted antipodal
+    # summand builds the same decomposition as the unshifted one.
     shifted = Decomposition([Summand.antipodal(1, 0, q=1)])
-    assert shifted.canonicalize() == Decomposition([Summand.antipodal(1, 0)])
-    assert Decomposition([]).canonicalize() == Decomposition([])
+    assert shifted == Decomposition([Summand.antipodal(1, 0)])
+    assert list(shifted.items()) == [(Summand.antipodal(1, 0), 1)]
+    assert Decomposition([]) == Decomposition({}) == Decomposition({Summand.free(0, 0): 0})
     frees = Decomposition([Summand.free(2, 2), Summand.free(0, 0)])
-    assert frees.canonicalize() == frees
+    assert frees == Decomposition([Summand.free(0, 0), Summand.free(2, 2)])
     assert [str(s) for s, _ in frees.items()] == ["M2", "S(2,2)M2"]
 
 
 def test_canonicalize_is_idempotent_and_preserves_evaluation():
-    d = Decomposition([Summand.antipodal(1, 1, q=3), Summand.free(0, 1),
-                       Summand.antipodal(0, 0, q=-2)])
-    c = d.canonicalize()
-    assert c.canonicalize() == c
+    raw = [(1, 3, 1), (0, 1, None), (0, -2, 0)]     # (p, q, n) as given
+    d = Decomposition([Summand(Bidegree(p, q), n) for p, q, n in raw])
+    assert d == Decomposition([Summand.antipodal(1, 1), Summand.free(0, 1),
+                               Summand.antipodal(0, 0)])
+    # Rebuilding from its own pairs, as a mapping or as a multiset, is
+    # the identity.
+    again = Decomposition(dict(d.items()))
+    assert again == d and list(again.items()) == list(d.items())
+    assert Decomposition([s for s, c in d.items() for _ in range(c)]) == d
+    # Evaluation agrees with the summands as given, weight shifts included.
     for p in range(-4, 5):
         for q in range(-6, 7):
             b = Bidegree(p, q)
-            assert d.dim_at(b) == c.dim_at(b)
-            assert d.rank_at(b, "rho") == c.rank_at(b, "rho")
-            assert d.rank_at(b, "tau") == c.rank_at(b, "tau")
+            want = [0, 0, 0]
+            for sp, sq, n in raw:
+                rel = Bidegree(p - sp, q - sq)
+                if n is None:
+                    got = (m2_dim(rel), m2_rho_rank(rel), m2_tau_rank(rel))
+                else:
+                    got = (an_dim(n, rel), an_rho_rank(n, rel), an_tau_rank(n, rel))
+                want = [w + g for w, g in zip(want, got)]
+            assert [d.dim_at(b), d.rank_at(b, "rho"), d.rank_at(b, "tau")] == want
 
 
 def test_suspend_examples():
@@ -238,6 +260,81 @@ def test_rank_soundness(d, b):
         assert r <= d.dim_at(b + step)
 
 
+# -- the algebra against a Counter-based oracle --------------------------------
+
+wide_specs = st.tuples(st.integers(-10, 15), st.integers(-12, 12), st.none() | st.integers(0, 4))
+spec_pairs = st.lists(st.tuples(wide_specs, st.integers(0, 3)), max_size=8)
+
+
+def _summand(p, q, n):
+    return Summand.free(p, q) if n is None else Summand.antipodal(p, n, q=q)
+
+
+def _from_pairs(pairs) -> Decomposition:
+    return Decomposition([_summand(*spec) for spec, c in pairs for _ in range(c)])
+
+
+def assert_like_oracle(d: Decomposition, pairs) -> None:
+    want = naive_items(pairs)
+    assert list(d.items()) == want
+    text, obj = naive_render(want)
+    assert str(d) == text and d.to_json_obj() == obj
+    # An equal decomposition built another way: summands one by one,
+    # in reverse order.
+    ref = Decomposition([s for s, c in reversed(want) for _ in range(c)])
+    assert d == ref and hash(d) == hash(ref)
+
+
+@given(spec_pairs)
+def test_construction_matches_the_oracle(pairs):
+    assert_like_oracle(_from_pairs(pairs), pairs)
+    counts = Counter()
+    for spec, c in pairs:
+        counts[_summand(*spec)] += c        # keeps zero counts
+    assert_like_oracle(Decomposition(counts), pairs)
+    assert_like_oracle(Decomposition(dict(counts)), pairs)
+    s = _summand(*pairs[0][0]) if pairs else Summand.free(0, 0)
+    for bad in (-1, 1.0, 2.5, True, "1", None):
+        with pytest.raises(ValueError):
+            Decomposition({s: bad})
+
+
+@given(spec_pairs, spec_pairs, st.data())
+def test_direct_sum_matches_the_oracle(pairs1, pairs2, data):
+    d1 = _from_pairs(pairs1)
+    assert_like_oracle(d1 + _from_pairs(pairs2), pairs1 + pairs2)
+    # Only summands d1 already has: d1's order is kept, not re-sorted.
+    present = [(spec, c) for spec, c in pairs1 if c]
+    same = data.draw(st.lists(st.sampled_from(present), max_size=4)) if present else []
+    assert_like_oracle(d1.direct_sum(_from_pairs(same)), pairs1 + same)
+
+
+@given(spec_pairs, wide_specs, st.integers(0, 4), st.booleans())
+def test_remove_matches_the_oracle(pairs, spec, count, from_d):
+    if from_d and any(c for _, c in pairs):
+        spec = next(spec for spec, c in pairs if c)
+    d = _from_pairs(pairs)
+    s = _summand(*spec)
+    if dict(naive_items(pairs)).get(s, 0) < count:
+        with pytest.raises(KeyError):
+            d.remove(s, count)
+    else:
+        assert_like_oracle(d.remove(s, count), pairs + [(spec, -count)])
+
+
+@given(spec_pairs, st.integers(-6, 6), st.integers(-6, 6))
+def test_suspend_matches_the_oracle(pairs, a, b):
+    shifted = [((p + a, q + b, n), c) for (p, q, n), c in pairs]
+    assert_like_oracle(_from_pairs(pairs).suspend((a, b)), shifted)
+
+
+def test_remove_rejects_a_bad_count():
+    d = x1_decomposition()
+    for bad in (-1, 1.5, True):
+        with pytest.raises(ValueError):
+            d.remove(Summand.free(0, 0), bad)
+
+
 def test_remove():
     d = x1_decomposition()
     assert len(d.remove(Summand.free(1, 1))) == 3
@@ -287,6 +384,12 @@ def test_json_round_trip():
     assert obj == {"free": [[0, 0, 1], [1, 1, 6], [2, 2, 1]],
                    "antipodal": [[1, 0, 4]]}
     assert Decomposition.from_json_obj(obj) == x2
+    assert Decomposition.from_json_obj({"free": [[0, 0, 1], [0, 0, 2]]}) == Decomposition(
+        [Summand.free(0, 0)] * 3)
+    for bad in ({"free": [[0, 0, 2.5]]}, {"antipodal": [[1, 0, -1]]}, {"free": [[0, 0, True]]},
+                {"free": [[0, 0, "1"]]}, {"free": [[0, 0, 2], [0, 0, -1]]}):
+        with pytest.raises(ValueError):
+            Decomposition.from_json_obj(bad)
 
 
 # -- rendering ---------------------------------------------------------------

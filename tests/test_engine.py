@@ -3,6 +3,7 @@
 import pytest
 
 from c2surf.bigraded import Decomposition, Summand
+from c2surf.checks import verify_decomposition
 from c2surf.engine import (
     TransformError,
     closed_form,
@@ -62,6 +63,53 @@ def test_sphere_and_trivial_base_cases():
 def test_closed_form_rejects_invalid_profiles():
     with pytest.raises(ProfileError):
         closed_form(InvariantProfile(NONFREE, 1, 2, 0))
+
+
+def test_closed_form_rejects_non_integer_fields():
+    # Never coerced: 2.5 used to give S(1,0)M2^2.5, 4.0 gave S(1,0)A0^2.0.
+    for pr in [InvariantProfile(TRIVIAL, 2.5), InvariantProfile(NONFREE, 4.0, 2, 0),
+               InvariantProfile(NONFREE, 2, True, 0), InvariantProfile(NONFREE, 4, 2, "0"),
+               InvariantProfile(FREE_SPHERE, 2.0)]:
+        with pytest.raises(ProfileError, match="must be an integer"):
+            closed_form(pr)
+        with pytest.raises(ProfileError, match="must be an integer"):
+            verify_decomposition(Decomposition([M2]), pr)
+    # An unhashable field cannot key the memo; it is still named as bad input.
+    with pytest.raises(ProfileError, match="unknown kind"):
+        closed_form(InvariantProfile([NONFREE], 0, 2, 0))
+
+
+def test_closed_form_memo_matches_a_fresh_computation():
+    profiles = enumerate_profiles(20)
+    assert len(profiles) == 614
+    closed_form.cache_clear()
+    for pr in profiles:
+        closed_form(pr)
+    hits = closed_form.cache_info().hits
+    memo = [closed_form(pr) for pr in profiles]
+    assert closed_form.cache_info().hits == hits + len(profiles)
+    closed_form.cache_clear()
+    fresh = [closed_form(pr) for pr in profiles]
+    assert closed_form.cache_info().hits == 0
+    for m, f in zip(memo, fresh):
+        assert m is not f
+        assert m == f and str(m) == str(f) and m.to_json_obj() == f.to_json_obj()
+
+
+def test_closed_form_memo_caches_no_error_and_is_bounded():
+    bad = InvariantProfile(NONFREE, 1, 2, 0)
+    for _ in range(2):
+        with pytest.raises(ProfileError):
+            closed_form(bad)
+    floaty, whole = InvariantProfile(NONFREE, 4.0, 2, 0), InvariantProfile(NONFREE, 4, 2, 0)
+    assert floaty == whole and hash(floaty) == hash(whole)
+    with pytest.raises(ProfileError):
+        closed_form(floaty)
+    assert str(closed_form(whole)) == "M2 + S(2,2)M2 + S(1,0)A0^2"
+    with pytest.raises(ProfileError):
+        closed_form(floaty)
+    assert str(closed_form(whole)) == "M2 + S(2,2)M2 + S(1,0)A0^2"
+    assert closed_form.cache_info().maxsize is not None
 
 
 def test_kind_separation():
