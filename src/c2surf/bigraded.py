@@ -204,6 +204,36 @@ class Summand(_SummandFields):
         rel = self._relative(b)
         return m2_tau_rank(rel) if self.n is None else an_tau_rank(self.n, rel)
 
+    def row_support(self, q: int) -> range:
+        """The p where this summand is nonzero (of dimension 1) in weight q.
+
+        Finite in every weight: A_n fills its n+1 columns, M2 meets weight
+        r >= 0 in the top cone at 0 <= p <= r, weight r <= -2 in the bottom
+        cone at r+2 <= p <= 0, and weight -1 nowhere (r relative to the
+        shift).
+
+        >>> list(Summand.free(1, 0).row_support(2)), list(Summand.free(0, 3).row_support(0))
+        ([1, 2, 3], [-1, 0])
+        """
+        (a, b), n = self
+        if n is not None:
+            return range(a, a + n + 1)
+        r = q - b
+        if r >= 0:
+            return range(a, a + r + 1)
+        return range(a + r + 2, a + 1)
+
+    def underlying_degrees(self) -> tuple[int, ...]:
+        """The degrees p of the singular classes this summand restricts to
+        under the forgetful map: ``(a,)`` for ``S(a,b)M2``, the point, and
+        ``(a, a + n)`` for ``S(a,0)A_n``, an n-sphere.
+
+        >>> Summand.free(1, 3).underlying_degrees(), Summand.antipodal(1, 0).underlying_degrees()
+        ((1,), (1, 1))
+        """
+        (a, _), n = self
+        return (a,) if n is None else (a, a + n)
+
     def sort_key(self):
         # Free summands before antipodal ones, then (p, q, n) lexicographic.
         # Fields are read by position: this runs once per summand per sort.

@@ -5,7 +5,10 @@ identities that are theorems about the actual Bredon cohomology:
 
 * quotient row   -- the weight-zero row equals the singular cohomology of
   the orbit space, which we recompute from an honest cellular model via
-  GF(2) ranks (never from the closed Betti formula).
+  GF(2) ranks (never from the closed Betti formula).  Every summand's
+  weight-zero row has finite support (``Summand.row_support``), so the row
+  is compared exactly: over the union of those supports and p in [0, 2],
+  wherever the summands sit.
 * rho localization -- inverting rho leaves only the free summands, and
   matches the singular cohomology of the fixed set; concretely the
   multiset {p - q} over free summands equals the multiset of fixed-set
@@ -16,22 +19,19 @@ identities that are theorems about the actual Bredon cohomology:
   ``h^p_sing = dim(p,q+1) + dim(p,q) - rk rho(p-1,q) - rk rho(p,q)``.
   Only the rank identity is asserted; the maps themselves are never
   materialized (the decomposition already determines the rho ranks).
-  The right-hand side is additive over the direct sum, so it is read off
-  one cached residual table per distinct summand, weighted by its
-  multiplicity.
+  The right-hand side is additive over the direct sum and, summand by
+  summand, independent of q: it counts the singular classes the summand
+  restricts to (``Summand.underlying_degrees``).  So the identity is read
+  from that per-p count, in O(#summands), and reported at every bidegree
+  of the window.
 * top class      -- a nonfree closed surface has exactly one free summand
   in topological dimension >= 2, in weight 1 if some circle is fixed,
   weight 2 if only points are, weight 0 if the action is trivial.
-* beta recovery  -- dimension-one generator count: each free summand with
-  p = 1 contributes one singular 1-class, each antipodal summand A_n the
-  classes of an n-sphere in dimensions p and p + n.
+* beta recovery  -- dimension-one generator count: the p = 1 entry of the
+  same per-p count of underlying classes, against beta.
 
-The default sweep window is p in [-2, 6], q in [-8, 8].  The window only
-bounds the forgetful-LES sweep; it does not cover every input.  The
-closed forms have shifts 0 <= p <= 2 and n <= 2, but an arbitrary
-decomposition may put a summand beyond it (an added ``S(10,0)A0`` passes
-every check), so these checks are not exact outside the window.
-ROADMAP.md's "Exact checks in one dimension" item tracks the fix.
+The default window p in [-2, 6], q in [-8, 8] bounds only where the
+forgetful-LES identity is reported; the other checks read every summand.
 """
 
 from __future__ import annotations
@@ -41,15 +41,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .bigraded import (
-    Bidegree,
-    Decomposition,
-    Summand,
-    an_dim,
-    an_rho_rank,
-    m2_dim,
-    m2_rho_rank,
-)
+from .bigraded import Bidegree, Decomposition
 from .engine import closed_form
 from .f2linalg import betti_f2, surface_with_boundary_model
 from .surfaces import (
@@ -62,10 +54,7 @@ from .surfaces import (
     invariants,
     quotient_sing,
     underlying_sing,
-    validate_profile,
 )
-
-QUOTIENT_ROW_RANGE = (-1, 0, 1, 2, 3)
 
 
 @dataclass(frozen=True)
@@ -123,8 +112,9 @@ def _cell_model_betti(beta_closed: int, circles: int) -> SingProfile:
 def check_quotient_row(d: Decomposition, pr: InvariantProfile) -> list[Violation]:
     """The q = 0 row of the decomposition against the orbit-space Betti
     numbers, independently recomputed from a cellular model (built once
-    per model shape and cached)."""
-    validate_profile(pr)
+    per model shape and cached).  The row is the multiplicity-weighted sum
+    of the summands' weight-zero supports, compared over those supports
+    and p in [0, 2]: exact, since both sides vanish everywhere else."""
     arithmetic = quotient_sing(pr)
     circles = pr.fixed_circles if pr.kind == NONFREE else 0
     betti = _cell_model_betti(2 - arithmetic.euler() - circles, circles)
@@ -133,11 +123,14 @@ def check_quotient_row(d: Decomposition, pr: InvariantProfile) -> list[Violation
         out.append(Violation("quotient-row", "cell model vs chi arithmetic",
                              (arithmetic.h0, arithmetic.h1, arithmetic.h2),
                              (betti.h0, betti.h1, betti.h2)))
-    for p in QUOTIENT_ROW_RANGE:
+    row = {0: 0, 1: 0, 2: 0}
+    for s, c in d.items():
+        for p in s.row_support(0):
+            row[p] = row.get(p, 0) + c
+    for p in sorted(row):
         expected = betti.at(p)
-        actual = d.dim_at((p, 0))
-        if actual != expected:
-            out.append(Violation("quotient-row", f"({p},0)", expected, actual))
+        if row[p] != expected:
+            out.append(Violation("quotient-row", f"({p},0)", expected, row[p]))
     return out
 
 
@@ -147,7 +140,6 @@ def check_rho_localization(d: Decomposition, pr: InvariantProfile) -> list[Viola
     Inverting rho turns S(p,q)M2 into a rank-one module remembering only
     p - q, and kills every rho-nilpotent antipodal summand.
     """
-    validate_profile(pr)
     fixed = fixed_sing(pr)
     expected = sorted([0] * fixed.h0 + [1] * fixed.h1 + [2] * fixed.h2)
     actual = sorted(shift.p - shift.q for shift in d.free_shifts())
@@ -156,56 +148,35 @@ def check_rho_localization(d: Decomposition, pr: InvariantProfile) -> list[Viola
     return []
 
 
-@lru_cache(maxsize=1024)
-def _les_residuals(s: Summand, window: Window) -> tuple[tuple[int, int], ...]:
-    """One summand's ``dim(p,q+1) + dim(p,q) - rk rho(p-1,q) - rk rho(p,q)``
-    over the window: its nonzero entries as ``(index, value)`` pairs, the
-    index counting bidegrees in ``window.bidegrees()`` order."""
-    # Evaluate dim and rho once on the relative grid p in [pmin-1, pmax],
-    # q in [qmin, qmax+1]; each residual then reads four grid entries.
-    ps = range(window.pmin - s.shift.p - 1, window.pmax - s.shift.p + 1)
-    qs = range(window.qmin - s.shift.q, window.qmax - s.shift.q + 2)
-    grid = [[(p, q) for q in qs] for p in ps]
-    if s.n is None:
-        dims = [[m2_dim(b) for b in row] for row in grid]
-        rhos = [[m2_rho_rank(b) for b in row] for row in grid]
-    else:
-        dims = [[an_dim(s.n, b) for b in row] for row in grid]
-        rhos = [[an_rho_rank(s.n, b) for b in row] for row in grid]
-    height = len(qs) - 1
-    out = []
-    for i in range(1, len(ps)):
-        dim, left, rho = dims[i], rhos[i - 1], rhos[i]
-        for j in range(height):
-            value = dim[j + 1] + dim[j] - left[j] - rho[j]
-            if value:
-                out.append(((i - 1) * height + j, value))
-    return tuple(out)
+def _underlying_classes(d: Decomposition) -> dict[int, int]:
+    """Per p, the singular p-classes the summands restrict to
+    (``Summand.underlying_degrees``), weighted by multiplicity."""
+    count: dict[int, int] = {}
+    for s, c in d.items():
+        for p in s.underlying_degrees():
+            count[p] = count.get(p, 0) + c
+    return count
 
 
 def check_forgetful_les(d: Decomposition, sing: SingProfile,
                         window: Window = DEFAULT_LES_WINDOW) -> list[Violation]:
-    """The forgetful-sequence rank identity at every bidegree of the window."""
-    height = window.qmax - window.qmin + 1
-    actual = [0] * ((window.pmax - window.pmin + 1) * height)
-    for s, c in d.items():
-        for i, value in _les_residuals(s, window):
-            actual[i] += c * value
+    """The forgetful-sequence rank identity at every bidegree of the window.
+
+    Its right-hand side at (p, q) is the count of underlying classes at p,
+    whatever q is, so a wrong count at p fails at every q of the window.
+    """
+    count = _underlying_classes(d)
     out = []
-    i = 0
     for p in range(window.pmin, window.pmax + 1):
-        expected = sing.at(p)
-        for q in range(window.qmin, window.qmax + 1):
-            if actual[i] != expected:
-                out.append(Violation("forgetful-les", str(Bidegree(p, q)),
-                                     expected, actual[i]))
-            i += 1
+        expected, actual = sing.at(p), count.get(p, 0)
+        if actual != expected:
+            out.extend(Violation("forgetful-les", str(Bidegree(p, q)), expected, actual)
+                       for q in range(window.qmin, window.qmax + 1))
     return out
 
 
 def check_top_class(d: Decomposition, pr: InvariantProfile) -> list[Violation]:
     """Uniqueness and position of the free summand in dimension >= 2."""
-    validate_profile(pr)
     if pr.kind not in (NONFREE, TRIVIAL):
         raise ValueError("top-class check applies to nonfree and trivial actions")
     if pr.kind == TRIVIAL:
@@ -223,16 +194,7 @@ def check_top_class(d: Decomposition, pr: InvariantProfile) -> list[Violation]:
 
 def check_beta_recovery(d: Decomposition, pr: InvariantProfile) -> list[Violation]:
     """Count of singular 1-classes carried by the summands against beta."""
-    validate_profile(pr)
-    recovered = 0
-    for s, c in d.items():
-        if s.is_free:
-            recovered += c * (1 if s.shift.p == 1 else 0)
-        else:
-            # An A_n summand restricts to the cohomology of an n-sphere,
-            # one class in dimension p and one in dimension p + n.
-            recovered += c * ((1 if s.shift.p == 1 else 0)
-                              + (1 if s.shift.p + s.n == 1 else 0))
+    recovered = _underlying_classes(d).get(1, 0)
     if recovered != pr.beta:
         return [Violation("beta-recovery", "beta", pr.beta, recovered)]
     return []

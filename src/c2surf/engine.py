@@ -16,10 +16,10 @@ the point module.  The answers, by kind of action:
 The profile inequalities make every exponent a nonnegative integer.
 
 ``closed_form`` is a bounded memo (``functools.lru_cache``, thread-safe,
-1024 entries) keyed by the profile's fields *and their types*, so that
-``beta=4.0`` never finds the entry of ``beta=4``; ``validate_profile``
-runs on every miss, and an exception is never cached.  Its results are
-immutable and shared between callers.
+1024 entries) keyed by the profile's four fields.  Nothing here validates
+a profile: an ``InvariantProfile`` is valid from construction, so its
+fields are a kind name and three ints.  Results are immutable and shared
+between callers.
 
 ``transform`` implements the incremental effect of a single surgery on a
 closed-form-shaped decomposition, as an independent set of rewrite rules;
@@ -40,8 +40,7 @@ from .surfaces import (
     Op,
     ProfileError,
     SingProfile,
-    apply_op,
-    validate_profile,
+    check_op,
 )
 
 _M2 = Summand.free(0, 0)
@@ -65,21 +64,16 @@ class TransformError(ValueError):
 
 
 def closed_form(pr: InvariantProfile) -> Decomposition:
-    """The unreduced cohomology decomposition of a valid profile.
+    """The unreduced cohomology decomposition of a profile.
 
     Memoized; ``closed_form.cache_info()`` and ``closed_form.cache_clear()``
     reach the memo.
     """
-    try:
-        return _closed_form(pr.kind, pr.beta, pr.fixed_points, pr.fixed_circles)
-    except TypeError:
-        validate_profile(pr)    # an unhashable field is bad input: name it
-        raise
+    return _closed_form(pr.kind, pr.beta, pr.fixed_points, pr.fixed_circles)
 
 
-@lru_cache(maxsize=1024, typed=True)
+@lru_cache(maxsize=1024)
 def _closed_form(kind: str, beta: int, f: int, c: int) -> Decomposition:
-    validate_profile(InvariantProfile(kind, beta, f, c))
     if kind == TRIVIAL:
         return Decomposition({_M2: 1, _S10: beta, _S20: 1})
     if kind == FREE_SPHERE:
@@ -103,7 +97,6 @@ def reduced_form(pr: InvariantProfile) -> Decomposition:
     Defined for trivial and nonfree actions only; for free actions the
     antipodal summands absorb degree zero and there is no M2 to strip.
     """
-    validate_profile(pr)
     if pr.kind in (FREE_SPHERE, FREE_TORUS):
         raise ProfileError("reduced form is not defined for free actions")
     return closed_form(pr).remove(_M2)
@@ -134,8 +127,7 @@ def transform(d_y: Decomposition, pr_y: InvariantProfile, op: Op) -> Decompositi
     functor: each rule is exactly the incremental statement proved by the
     corresponding cofiber sequence.
     """
-    validate_profile(pr_y)
-    apply_op(pr_y, op)          # raises WordError if the surgery is illegal
+    check_op(pr_y, op)
     free_kind = pr_y.kind in (FREE_SPHERE, FREE_TORUS)
 
     if op.token in ("CS", "DCC"):

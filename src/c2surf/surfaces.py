@@ -183,12 +183,21 @@ _PROFILE_KEYS = frozenset({"kind", "beta", "F", "C"})
 @dataclass(frozen=True)
 class InvariantProfile:
     """The data the cohomology depends on: kind, beta, and the fixed-set
-    counts (isolated points, circles)."""
+    counts (isolated points, circles).
+
+    Every instance is valid: construction runs ``validate_profile`` and
+    raises ``ProfileError`` for a triple that no closed C2-surface
+    realizes, or for a field that is not an int.  Downstream code never
+    validates a profile again.
+    """
 
     kind: str
     beta: int
     fixed_points: int = 0
     fixed_circles: int = 0
+
+    def __post_init__(self):
+        validate_profile(self)
 
     def sort_key(self):
         return (self.beta, _KIND_RANK[self.kind], self.fixed_points, self.fixed_circles)
@@ -212,9 +221,7 @@ class InvariantProfile:
         if unknown:
             raise ProfileError(f"unknown profile key(s) {', '.join(unknown)}"
                                " (want kind, beta, F, C)")
-        pr = cls(kind, beta, f, c)
-        validate_profile(pr)
-        return pr
+        return cls(kind, beta, f, c)
 
 
 def validate_profile(pr: InvariantProfile) -> None:
@@ -226,11 +233,9 @@ def validate_profile(pr: InvariantProfile) -> None:
     ``2.5``, ``4.0`` and ``"2"`` are rejected, never coerced.
     """
     f, c, beta = pr.fixed_points, pr.fixed_circles, pr.beta
-    # Plain ints skip the loop: every check validates its profile again.
-    if not (type(beta) is type(f) is type(c) is int):
-        for name, value in (("beta", beta), ("F", f), ("C", c)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ProfileError(f"profile field {name} must be an integer, got {value!r}")
+    for name, value in (("beta", beta), ("F", f), ("C", c)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ProfileError(f"profile field {name} must be an integer, got {value!r}")
     if pr.kind not in KINDS:
         raise ProfileError(f"unknown kind {pr.kind!r}")
     if beta < 0 or f < 0 or c < 0:
@@ -277,11 +282,21 @@ def base_profile(base: Base) -> InvariantProfile:
     return _BASE_PROFILES[base.token]
 
 
-def apply_op(pr: InvariantProfile, op: Op, op_index: int | None = None) -> InvariantProfile:
-    """Fold one surgery into a profile; raises WordError when the surgery
-    needs structure the current action does not have."""
+def check_op(pr: InvariantProfile, op: Op, op_index: int | None = None) -> None:
+    """Raise WordError when the surgery needs structure the current action
+    does not have."""
     if pr.kind == TRIVIAL:
         raise WordError("surgery on trivial action", op_index)
+    if op.token not in OP_TOKENS:
+        raise WordError(f"unknown op {op.token!r}", op_index)
+    if op.token == "FM" and pr.fixed_points == 0:
+        raise WordError("FM needs an isolated fixed point", op_index)
+
+
+def apply_op(pr: InvariantProfile, op: Op, op_index: int | None = None) -> InvariantProfile:
+    """Fold one surgery into a profile; raises WordError (``check_op``) when
+    the surgery is illegal."""
+    check_op(pr, op, op_index)
     f, c, beta = pr.fixed_points, pr.fixed_circles, pr.beta
     if op.token == "CS":
         # Nonequivariantly X #2 Y is Y # X # Y, so beta grows by 2 beta(Y).
@@ -293,11 +308,8 @@ def apply_op(pr: InvariantProfile, op: Op, op_index: int | None = None) -> Invar
         return InvariantProfile(NONFREE, beta + 2, f + 2, c)
     if op.token == "AT10":
         return InvariantProfile(NONFREE, beta + 2, f, c + 1)
-    if op.token == "FM":
-        if f == 0:
-            raise WordError("FM needs an isolated fixed point", op_index)
-        return InvariantProfile(NONFREE, beta + 1, f - 1, c + 1)
-    raise WordError(f"unknown op {op.token!r}", op_index)
+    # FM trades an isolated fixed point for a fixed circle.
+    return InvariantProfile(NONFREE, beta + 1, f - 1, c + 1)
 
 
 def validate_word(w: SurgeryWord) -> None:
@@ -318,7 +330,6 @@ def invariants(w: SurgeryWord) -> InvariantProfile:
     pr = base_profile(w.base)
     for i, op in enumerate(w.ops):
         pr = apply_op(pr, op, i)
-    validate_profile(pr)
     return pr
 
 
@@ -349,7 +360,6 @@ class SingProfile:
 
 def underlying_sing(pr: InvariantProfile) -> SingProfile:
     """Betti numbers of the underlying closed connected surface: (1, beta, 1)."""
-    validate_profile(pr)
     return SingProfile(1, pr.beta, 1)
 
 
@@ -359,7 +369,6 @@ def fixed_sing(pr: InvariantProfile) -> SingProfile:
     Nonfree: F points and C circles, so (F + C, C, 0).  Free: empty.
     Trivial: the fixed set is the whole surface.
     """
-    validate_profile(pr)
     if pr.kind == TRIVIAL:
         return underlying_sing(pr)
     if pr.kind == NONFREE:
@@ -375,7 +384,6 @@ def quotient_sing(pr: InvariantProfile) -> SingProfile:
     quotient, so h2 = 1 exactly when C = 0.  For the trivial action the
     quotient is the surface itself.
     """
-    validate_profile(pr)
     if pr.kind == TRIVIAL:
         return underlying_sing(pr)
     chi = 2 - pr.beta

@@ -161,8 +161,8 @@ def test_criterion_5_incremental_equals_closed():
 
 
 def test_criterion_6_mutation_sensitivity():
-    pool = ([Summand.free(p, q) for p in range(3) for q in range(3)]
-            + [Summand.antipodal(p, n) for p in range(3) for n in range(3)])
+    pool = ([Summand.free(p, q) for p in range(-4, 13) for q in range(-4, 13)]
+            + [Summand.antipodal(p, n) for p in range(-4, 13) for n in range(5)])
     tried = 0
     for pr in enumerate_profiles(8):
         d = closed_form(pr)

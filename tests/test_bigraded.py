@@ -119,6 +119,20 @@ def test_an_is_tau_periodic(n, b):
     assert an_dim(n, b) == an_dim(n, Bidegree(b.p, 0))
 
 
+@given(st.integers(-15, 15), st.integers(-15, 15), st.none() | small_n,
+       st.integers(-40, 40))
+def test_row_support_matches_the_dimensions(a, b, n, q):
+    s = Summand(Bidegree(a, b), n)
+    # Weight b - 1 is relative weight -1, where M2 has an empty row.
+    for weight in (q, b - 1):
+        support = s.row_support(weight)
+        for p in [*range(-40, 41), *support]:
+            rel = (p - a, weight - s.shift.q)
+            dim = m2_dim(rel) if n is None else an_dim(n, rel)
+            assert (p in support) == (dim == 1), (s, p, weight)
+    assert not Summand.free(a, b).row_support(b - 1)
+
+
 # -- summands and decompositions ---------------------------------------------
 
 

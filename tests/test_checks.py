@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from _oracles import naive_forgetful_les
-from c2surf import checks
 from c2surf.bigraded import Bidegree, Decomposition, Summand
 from c2surf.checks import (
     DEFAULT_LES_WINDOW,
@@ -125,9 +124,6 @@ def windows(draw):
 def test_forgetful_les_matches_the_naive_sweep(d, sing, window):
     want = naive_forgetful_les(d, sing, window)
     assert check_forgetful_les(d, sing, window) == want
-    checks._les_residuals.cache_clear()
-    assert check_forgetful_les(d, sing, window) == want    # every table cold
-    assert check_forgetful_les(d, sing, window) == want    # every table warm
 
 
 def test_top_class_positions():
@@ -152,6 +148,20 @@ def test_beta_recovery():
     assert check_beta_recovery(closed_form(X2_PROFILE), X2_PROFILE) == []
     for pr in enumerate_profiles(8):
         assert check_beta_recovery(closed_form(pr), pr) == []
+
+
+S22_PROFILE = InvariantProfile(NONFREE, 0, 2, 0)
+
+
+def test_far_antipodal_summands_are_rejected():
+    # Each added summand sits outside the LES window and the old fixed
+    # quotient-row range p in [-1, 3], and used to pass every check.
+    for extra in (Summand.antipodal(10, 0), Summand.antipodal(7, 3),
+                  Summand.antipodal(-6, 0)):
+        wrong = closed_form(S22_PROFILE).direct_sum(Decomposition([extra]))
+        violations = verify_decomposition(wrong, S22_PROFILE)
+        assert violations, extra
+        assert check_quotient_row(wrong, S22_PROFILE), extra
 
 
 def test_verify_all_worked_examples():
@@ -184,8 +194,8 @@ def test_fail_fast_stops_early():
     assert fast and len(fast) <= len(full)
 
 
-MUTATION_POOL = ([Summand.free(p, q) for p in range(3) for q in range(3)]
-                 + [Summand.antipodal(p, n) for p in range(3) for n in range(3)])
+MUTATION_POOL = ([Summand.free(p, q) for p in range(-4, 13) for q in range(-4, 13)]
+                 + [Summand.antipodal(p, n) for p in range(-4, 13) for n in range(5)])
 
 
 def test_mutation_sensitivity_small_sweep():

@@ -1,5 +1,6 @@
 """Command dispatch, output formats, exit codes, and the env override."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,8 @@ import sys
 import pytest
 
 from c2surf.cli import main
+from c2surf.engine import closed_form
+from c2surf.surfaces import enumerate_profiles
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -219,3 +222,35 @@ def test_import_builds_no_parser():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+# SHA-256 of the exit code and stdout of every call of ``golden_requests``,
+# recorded with the windowed checks that preceded the exact ones: 51,849
+# lines, and no correct answer's output may move.
+GOLDEN_CLI_SHA256 = "0842013d4e6ae97a3a8eb0380e06a1f8dc0bbf6f489b32e8dca7a2329984da60"
+
+
+def golden_requests():
+    """compute and verify, as text and JSON, on every profile with beta <= 20;
+    verify with each of its free summands dropped; then catalog 40."""
+    for pr in enumerate_profiles(20):
+        text = json.dumps(pr.to_json_obj(), separators=(",", ":"))
+        yield from (["compute", text], ["compute", "--json", text],
+                    ["verify", text], ["verify", "--json", text])
+        for s, _ in closed_form(pr).items():
+            if s.is_free:
+                yield ["verify", "--inject", f"drop:{s.shift.p},{s.shift.q}", text]
+    yield ["catalog", "40"]
+
+
+def test_cli_output_matches_the_golden_hash(capsys, monkeypatch):
+    monkeypatch.delenv("ESC_WINDOW", raising=False)
+    digest = hashlib.sha256()
+    lines = 0
+    for argv in golden_requests():
+        code = main(argv)
+        record = f"{code}\n{capsys.readouterr().out}"
+        digest.update(record.encode())
+        lines += record.count("\n")
+    assert lines == 51849
+    assert digest.hexdigest() == GOLDEN_CLI_SHA256

@@ -67,14 +67,13 @@ def test_closed_form_rejects_invalid_profiles():
 
 def test_closed_form_rejects_non_integer_fields():
     # Never coerced: 2.5 used to give S(1,0)M2^2.5, 4.0 gave S(1,0)A0^2.0.
-    for pr in [InvariantProfile(TRIVIAL, 2.5), InvariantProfile(NONFREE, 4.0, 2, 0),
-               InvariantProfile(NONFREE, 2, True, 0), InvariantProfile(NONFREE, 4, 2, "0"),
-               InvariantProfile(FREE_SPHERE, 2.0)]:
+    for fields in [(TRIVIAL, 2.5), (NONFREE, 4.0, 2, 0), (NONFREE, 2, True, 0),
+                   (NONFREE, 4, 2, "0"), (FREE_SPHERE, 2.0)]:
         with pytest.raises(ProfileError, match="must be an integer"):
-            closed_form(pr)
+            closed_form(InvariantProfile(*fields))
         with pytest.raises(ProfileError, match="must be an integer"):
-            verify_decomposition(Decomposition([M2]), pr)
-    # An unhashable field cannot key the memo; it is still named as bad input.
+            verify_decomposition(Decomposition([M2]), InvariantProfile(*fields))
+    # An unhashable kind is named as bad input, never reaching the memo.
     with pytest.raises(ProfileError, match="unknown kind"):
         closed_form(InvariantProfile([NONFREE], 0, 2, 0))
 
@@ -97,17 +96,16 @@ def test_closed_form_memo_matches_a_fresh_computation():
 
 
 def test_closed_form_memo_caches_no_error_and_is_bounded():
-    bad = InvariantProfile(NONFREE, 1, 2, 0)
     for _ in range(2):
         with pytest.raises(ProfileError):
-            closed_form(bad)
-    floaty, whole = InvariantProfile(NONFREE, 4.0, 2, 0), InvariantProfile(NONFREE, 4, 2, 0)
-    assert floaty == whole and hash(floaty) == hash(whole)
+            closed_form(InvariantProfile(NONFREE, 1, 2, 0))
+    # A float field never reaches the memo, before or after its int twin does.
+    whole = InvariantProfile(NONFREE, 4, 2, 0)
     with pytest.raises(ProfileError):
-        closed_form(floaty)
+        closed_form(InvariantProfile(NONFREE, 4.0, 2, 0))
     assert str(closed_form(whole)) == "M2 + S(2,2)M2 + S(1,0)A0^2"
     with pytest.raises(ProfileError):
-        closed_form(floaty)
+        closed_form(InvariantProfile(NONFREE, 4.0, 2, 0))
     assert str(closed_form(whole)) == "M2 + S(2,2)M2 + S(1,0)A0^2"
     assert closed_form.cache_info().maxsize is not None
 

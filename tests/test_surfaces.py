@@ -10,6 +10,7 @@ import c2surf.surfaces
 from c2surf.surfaces import (
     FREE_SPHERE,
     FREE_TORUS,
+    KINDS,
     NONFREE,
     TRIVIAL,
     Base,
@@ -20,6 +21,7 @@ from c2surf.surfaces import (
     ProfileError,
     SurgeryWord,
     WordError,
+    _enumeration_ops,
     apply_op,
     base_profile,
     enumerate_profiles,
@@ -178,6 +180,38 @@ def test_profile_json_round_trip():
         InvariantProfile.from_json_obj({"kind": "nonfree"})
 
 
+def test_construction_accepts_exactly_the_realizable_profiles():
+    accepted = set()
+    for kind in (*KINDS, "spherical"):
+        for beta, f, c in itertools.product(range(-1, 11), range(-1, 13), range(-1, 13)):
+            try:
+                accepted.add(InvariantProfile(kind, beta, f, c))
+            except ProfileError:
+                pass
+    assert accepted == profiles_by_scan(10)
+    for fields in [(TRIVIAL, 2.5), (TRIVIAL, "2"), (TRIVIAL, True), (NONFREE, 4, 2.0, 0),
+                   (NONFREE, 2, 2, False), (NONFREE, 4, None, 0)]:
+        with pytest.raises(ProfileError, match="must be an integer"):
+            InvariantProfile(*fields)
+
+
+def test_apply_op_yields_valid_profiles():
+    # A legal surgery on a realizable profile lands on a realizable one:
+    # apply_op raises WordError or returns, never ProfileError.
+    ops = _enumeration_ops(12) + [Op("CS", ClosedSurface(True, 0))]
+    reachable = profiles_by_scan(12 + 12)   # no op raises beta by more than 12
+    for pr in profiles_by_scan(12):
+        for op in ops:
+            try:
+                nxt = apply_op(pr, op)
+            except WordError:
+                continue
+            assert nxt in reachable, (pr, op)
+    # A surface of non-integer genus gives a non-integer beta: rejected.
+    with pytest.raises(ProfileError, match="must be an integer"):
+        apply_op(InvariantProfile(FREE_SPHERE, 0), Op("CS", ClosedSurface(True, 1.0)))
+
+
 # -- singular profiles --------------------------------------------------------
 
 
@@ -231,7 +265,9 @@ def test_enumerate_smallest_catalogs():
     one = set(enumerate_profiles(1))
     assert one - zero == {InvariantProfile(TRIVIAL, 1),
                           InvariantProfile(NONFREE, 1, 1, 1)}
-    assert InvariantProfile(NONFREE, 1, 3, 0) not in set(enumerate_profiles(12))
+    fields = {(pr.kind, pr.beta, pr.fixed_points, pr.fixed_circles)
+              for pr in enumerate_profiles(12)}
+    assert (NONFREE, 1, 3, 0) not in fields
 
 
 def test_enumeration_paths_agree():
