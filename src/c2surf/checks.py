@@ -39,7 +39,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .bigraded import Bidegree, Decomposition
 from .engine import closed_form
@@ -87,8 +87,14 @@ class Window:
 DEFAULT_LES_WINDOW = Window(-2, 6, -8, 8)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
+    """One failed identity: the check, where it failed, and both sides.
+
+    A ``NamedTuple``, so a ``Violation`` equals the plain 4-tuple
+    ``(check, location, expected, actual)``, as a ``Bidegree`` equals its
+    ``(p, q)``.
+    """
+
     check: str
     location: str
     expected: object

@@ -17,7 +17,10 @@ syntax as ``--window``) overrides the default windows.  stdout carries
 data; diagnostics go to stderr.
 
 The argument parser is built once per process, on the first ``main`` call
-(not at import), and reused: ``parse_args`` keeps no state between calls.
+(not at import), and declares every flag.  A plain argv does not enter it:
+``_match`` reads the grammar off the parser and builds the namespace
+``parse_args`` would give.  Every other argv goes to argparse, which keeps
+its own help, usage and error text.
 """
 
 from __future__ import annotations
@@ -177,11 +180,107 @@ def _preprocess(argv: list[str]) -> list[str]:
     return out
 
 
+def _is_plain(action: argparse.Action) -> bool:
+    """Whether ``_match`` can stand in for argparse on this action: a
+    store_true switch, or one value stored as given or as an int."""
+    return (type(action) in (argparse._StoreAction, argparse._StoreTrueAction)
+            and action.nargs in (None, 0) and action.type in (None, int)
+            and action.choices is None)
+
+
+@functools.cache
+def _plain_grammar() -> dict:
+    """Per subcommand of ``_build_parser()``: option string -> action, the
+    positional actions in order, and the namespace before any token is read.
+    A subcommand with an action that is not plain is left out, and so left
+    to argparse; ``-h`` is left out of every table."""
+    parser = _build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    grammar = {}
+    for name, sub in commands.choices.items():
+        actions = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+        if all(map(_is_plain, actions)):
+            grammar[name] = ({s: a for a in actions for s in a.option_strings},
+                             [a for a in actions if not a.option_strings],
+                             {commands.dest: name, **{a.dest: a.default for a in actions}})
+    return grammar
+
+
+def _plain_value(action: argparse.Action, text: str):
+    """``text`` as argparse stores it for ``action``, or None if argparse's
+    own handling is needed: a "--" value (which argparse strips, differently
+    across versions) or an int that is not plain ASCII digits."""
+    if text == "--":
+        return None
+    if action.type is int:
+        if not (text.isascii() and text.isdigit()):
+            return None
+        try:
+            return int(text)
+        except ValueError:          # more digits than int() accepts
+            return None
+    return text
+
+
+def _match(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace ``parse_args(argv)`` returns, for a plain argv; else None.
+
+    Plain: a subcommand, then its switches and ``--opt VALUE`` /
+    ``--opt=VALUE`` options spelled in full, in any order, and exactly its
+    positionals.  Any other token starting with "-" (``-h``, an abbreviation,
+    ``--``, an unknown flag, a negative number), a ``--opt VALUE`` whose
+    value starts with "-", or a missing or extra positional is declined, so
+    argparse still owns help, usage and error text.
+    """
+    grammar = _plain_grammar().get(argv[0]) if argv else None
+    if grammar is None:
+        return None
+    options, positionals, defaults = grammar
+    values = dict(defaults)
+    texts = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            texts.append(token)
+            continue
+        name, eq, text = token.partition("=")
+        action = options.get(name)
+        if action is None:
+            return None
+        if action.nargs == 0:
+            if eq:
+                return None
+            values[action.dest] = action.const
+            continue
+        if not eq:
+            text = next(tokens, "-")    # a missing value is argparse's error too
+            if text.startswith("-"):
+                return None
+        value = _plain_value(action, text)
+        if value is None:
+            return None
+        values[action.dest] = value
+    if len(texts) != len(positionals):
+        return None
+    for action, text in zip(positionals, texts):
+        value = _plain_value(action, text)
+        if value is None:
+            return None
+        values[action.dest] = value
+    return argparse.Namespace(**values)
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser()
-    args = parser.parse_args(_preprocess(argv))
+    argv = _preprocess(argv)
+    args = _match(argv)
+    if args is None:
+        args = _build_parser().parse_args(argv)
+        # Before Python 3.13, argparse stores an option value "--" as [].
+        for dest, value in vars(args).items():
+            if value == []:
+                setattr(args, dest, "--")
     handler = {"compute": _cmd_compute, "verify": _cmd_verify,
                "catalog": _cmd_catalog}[args.command]
     try:

@@ -1,14 +1,17 @@
 """Command dispatch, output formats, exit codes, and the env override."""
 
+import argparse
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from c2surf.cli import main
+from c2surf.cli import _build_parser, _match, _preprocess, main
 from c2surf.engine import closed_form
 from c2surf.surfaces import enumerate_profiles
 
@@ -123,6 +126,18 @@ def test_verify_json_report(capsys):
     assert report and set(report[0]) == {"check", "location", "expected", "actual"}
 
 
+def test_double_dash_window_is_bad_input(capsys):
+    # argparse before Python 3.13 stores the value "--" as [], which used to
+    # end in an AttributeError traceback; every version must reject it.
+    for argv in (["verify", "--window", "--", "S22"], ["verify", "--window=--", "S22"],
+                 ["compute", "--grid", "--window=--", "S22"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == "error: bad window '--' (want pmin:pmax,qmin:qmax)\n", argv
+    code, out, err = run(capsys, "verify", "--inject=--", "S22")
+    assert (code, out, err) == (2, "", "error: bad injection '--' (want drop:p,q)\n")
+
+
 def test_esc_window_env_override(capsys, monkeypatch):
     monkeypatch.setenv("ESC_WINDOW", "0:1,0:1")
     code, out, _ = run(capsys, "verify", "S22")
@@ -210,6 +225,18 @@ def test_parser_reuse_keeps_calls_independent(capsys, monkeypatch):
     assert exc.value.code == 2
     assert "usage:" in capsys.readouterr().err
     assert run(capsys, "compute", x) == fresh_process(["compute", x])
+    # Argvs the plain matcher declines keep argparse's own answer, byte for
+    # byte; usage lines wrap at the terminal width, so pin it.
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in (["compute"], ["compute", "--js", "S22"], ["verify", "--inject", "--", "S22"],
+                 ["catalog", "x"], ["frob"]):
+        assert _match(_preprocess(argv)) is None, argv
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == fresh_process(argv), argv
 
 
 def test_import_builds_no_parser():
@@ -254,3 +281,70 @@ def test_cli_output_matches_the_golden_hash(capsys, monkeypatch):
         lines += record.count("\n")
     assert lines == 51849
     assert digest.hexdigest() == GOLDEN_CLI_SHA256
+
+
+# Pieces of argvs for the matcher-against-argparse test: every subcommand,
+# every flag in full, abbreviated and in "=" form, and the tokens argparse
+# treats specially.  A tuple is a run of tokens.
+COMMANDS = ("compute", "verify", "catalog")
+OPTION_PIECES = (
+    "--json", "--grid", "--reduced", "--window", "--inject", "--help",
+    "--js", "--gr", "--red", "--win", "--w", "--inj", "--he",
+    "--json=", "--json=1", "--js=1", "--window=0:2,0:2", "--window=", "--window=--",
+    "--win=0:1,0:1", "--window=-2:6,-8:8", "--inject=drop:1,1", "--inject=--",
+    "--inj=drop:1,1", "--inject=-x", ("--window", "-2:6,-8:8"), ("--window", "--"),
+    ("--inject", "drop:1,1"), ("--inject", "-1"), ("--inject", "-h"), ("--inject", "--json"),
+)
+VALUE_PIECES = (
+    "S22", "12", "--", "-h", "-1", "-", "", " ", "S21 + AT10", "S22 + XX",
+    '{"kind":"trivial","beta":1}', "{", "drop:1,1", "-2:6,-8:8", "0:1,0:1",
+    "0", "007", "+3", " 4", "4 ", "1_0", "\u0663", "x", "a=b",
+)
+ARGV_PIECES = COMMANDS + ("frob",) + OPTION_PIECES + VALUE_PIECES
+pieces = st.sampled_from(ARGV_PIECES)
+options = st.lists(st.sampled_from(OPTION_PIECES), max_size=3)
+# A subcommand, options, one value, options and a last piece; the first, the
+# value and the last are sometimes any piece at all, so that the matcher
+# often accepts and often declines.
+argvs = st.tuples(st.sampled_from(COMMANDS) | pieces, options,
+                  st.sampled_from(VALUE_PIECES) | pieces, options,
+                  st.lists(pieces, max_size=1)).map(
+    lambda t: [token for piece in (t[0], *t[1], t[2], *t[3], *t[4])
+               for token in ((piece,) if isinstance(piece, str) else piece)])
+
+
+@settings(max_examples=400)
+@given(argvs)
+@example(["compute", "--json", "--window=-2:6,-8:8", "S22", "--grid"])
+@example(["verify", "--window=--", "S22"])
+@example(["verify", "--inject", "-h", "S22"])
+@example(["compute", "--json=1", "S22"])
+@example(["catalog", "12", "12"])
+def test_matcher_agrees_with_argparse(argv):
+    argv = _preprocess(argv)
+    namespace = _match(argv)
+    if namespace is not None:
+        # argparse exiting here (SystemExit) fails the test too.
+        assert vars(namespace) == vars(_build_parser().parse_args(argv))
+
+
+def readme_examples():
+    with open(os.path.join(os.path.dirname(SRC), "README.md")) as f:
+        return [shlex.split(line, comments=True)[1:] for line in f
+                if line.startswith("c2surf ")]
+
+
+def test_plain_requests_skip_argparse(capsys, monkeypatch):
+    # With parse_args unusable, every README example and golden request must
+    # still be answered: the matcher must not silently decline them all.
+    def refuse(self, args=None, namespace=None):
+        raise AssertionError(f"argparse entered for {args!r}")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    examples = readme_examples()
+    assert len(examples) >= 8
+    for argv in examples:
+        assert main(argv) in (0, 1), argv
+    capsys.readouterr()
+    for argv in golden_requests():
+        assert _match(_preprocess(argv)) is not None, argv
