@@ -3,8 +3,11 @@
 Computes, for any closed surface with a C2-action described by a surgery
 word or by its invariant triple (beta, F, C), the full bigraded mod-2
 Bredon cohomology as an explicit direct sum of shifted point modules and
-antipodal-sphere modules, and verifies every answer against independent
-singular-cohomology oracles built on GF(2) linear algebra.
+antipodal-sphere modules, and checks every answer against identities with
+the mod-2 Betti numbers of the surface, its fixed set and its orbit space
+(``checks``).  Those Betti numbers come from closed formulas in the
+profile; the GF(2) cell models of ``f2linalg`` back the orbit-space
+formula in the tests.
 """
 
 from .bigraded import (
@@ -37,7 +40,6 @@ from .f2linalg import (
     ChainComplex,
     F2Matrix,
     betti_f2,
-    f2_rank,
     polygon_model,
     surface_with_boundary_model,
 )
@@ -62,7 +64,6 @@ from .surfaces import (
     quotient_sing,
     underlying_sing,
     validate_profile,
-    validate_word,
     witnessed_profiles,
 )
 

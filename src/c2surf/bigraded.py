@@ -415,12 +415,7 @@ def _sorted_items(counts: dict) -> tuple:
     return tuple([(s, counts[s]) for s in sorted(counts, key=Summand.sort_key)])
 
 
-def _glyph(value: int) -> str:
-    if value == 0:
-        return "."
-    if value > 9:
-        return "+"
-    return str(value)
+_GLYPHS = ".123456789"           # render_grid's cell for a total below 10
 
 
 @lru_cache(maxsize=1024)
@@ -452,5 +447,5 @@ def render_grid(d: Decomposition, p_range: tuple[int, int], q_range: tuple[int, 
     for s, c in d.items():
         for i in _grid_cells(s, pmin, pmax, qmin, qmax):
             totals[i] += c
-    glyphs = [_glyph(v) for v in totals]
-    return "\n".join("".join(glyphs[i:i + width]) for i in range(0, len(glyphs), width))
+    glyphs = "".join([_GLYPHS[v] if v < 10 else "+" for v in totals])
+    return "\n".join([glyphs[i:i + width] for i in range(0, len(glyphs), width)])

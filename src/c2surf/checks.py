@@ -4,11 +4,11 @@ A candidate cohomology decomposition for a profile must satisfy several
 identities that are theorems about the actual Bredon cohomology:
 
 * quotient row   -- the weight-zero row equals the singular cohomology of
-  the orbit space, which we recompute from an honest cellular model via
-  GF(2) ranks (never from the closed Betti formula).  Every summand's
-  weight-zero row has finite support (``Summand.row_support``), so the row
-  is compared exactly: over the union of those supports and p in [0, 2],
-  wherever the summands sit.
+  the orbit space, as ``quotient_sing`` gives it from the Euler
+  characteristic and the fixed circles.  Every summand's weight-zero row
+  has finite support (``Summand.row_support``), so the row is compared
+  exactly: over the union of those supports and p in [0, 2], wherever the
+  summands sit.
 * rho localization -- inverting rho leaves only the free summands, and
   matches the singular cohomology of the fixed set; concretely the
   multiset {p - q} over free summands equals the multiset of fixed-set
@@ -38,12 +38,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .bigraded import Bidegree, Decomposition
 from .engine import closed_form
-from .f2linalg import betti_f2, surface_with_boundary_model
 from .surfaces import (
     NONFREE,
     TRIVIAL,
@@ -108,31 +106,17 @@ class Violation(NamedTuple):
         return f"{self.check} at {self.location}: expected {self.expected}, got {self.actual}"
 
 
-@lru_cache(maxsize=256)
-def _cell_model_betti(beta_closed: int, circles: int) -> SingProfile:
-    # Capping the boundary circles gives a closed surface; its h1 pins the
-    # polygon model, from which the punctured model is rebuilt honestly.
-    return betti_f2(surface_with_boundary_model(beta_closed, circles))
-
-
 def check_quotient_row(d: Decomposition, pr: InvariantProfile) -> list[Violation]:
     """The q = 0 row of the decomposition against the orbit-space Betti
-    numbers, independently recomputed from a cellular model (built once
-    per model shape and cached).  The row is the multiplicity-weighted sum
+    numbers of ``quotient_sing``.  The row is the multiplicity-weighted sum
     of the summands' weight-zero supports, compared over those supports
     and p in [0, 2]: exact, since both sides vanish everywhere else."""
-    arithmetic = quotient_sing(pr)
-    circles = pr.fixed_circles if pr.kind == NONFREE else 0
-    betti = _cell_model_betti(2 - arithmetic.euler() - circles, circles)
-    out = []
-    if betti != arithmetic:
-        out.append(Violation("quotient-row", "cell model vs chi arithmetic",
-                             (arithmetic.h0, arithmetic.h1, arithmetic.h2),
-                             (betti.h0, betti.h1, betti.h2)))
+    betti = quotient_sing(pr)
     row = {0: 0, 1: 0, 2: 0}
     for s, c in d.items():
         for p in s.row_support(0):
             row[p] = row.get(p, 0) + c
+    out = []
     for p in sorted(row):
         expected = betti.at(p)
         if row[p] != expected:

@@ -8,8 +8,9 @@ Three subcommands:
 * ``verify INPUT``   -- run all structural checks; exit 0 on pass.
 * ``catalog BETA_MAX`` -- one verified row per realizable profile.
 
-Exit codes: 0 ok, 1 verification failure, 2 bad input (see README); any
-other exception is a program error and propagates.
+Exit codes: 0 ok, 1 verification failure, 2 bad input, 141 stdout closed
+by its reader (see README); any other exception is a program error and
+propagates.
 INPUT starting with '{' is parsed as a profile JSON object
 ``{"kind":..., "beta":..., "F":..., "C":...}``; anything else as a word.
 The environment variable ``ESC_WINDOW`` (same ``pmin:pmax,qmin:qmax``
@@ -49,6 +50,7 @@ DEFAULT_GRID_WINDOW = Window(-4, 6, -6, 6)
 OK = 0
 VERIFY_FAILED = 1
 BAD_INPUT = 2
+BROKEN_PIPE = 141       # 128 + SIGPIPE, as a shell reports ``yes | head -1``
 
 
 class _InputError(ValueError):
@@ -60,7 +62,8 @@ def _parse_input(text: str) -> InvariantProfile:
     if text.startswith("{"):
         try:
             obj = json.loads(text)
-        except ValueError as exc:       # JSONDecodeError, or an over-long integer
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError, an over-long integer, or nesting too deep
             raise _InputError(f"bad profile JSON: {exc}") from None
         return InvariantProfile.from_json_obj(obj)
     return invariants(parse_word(text))
@@ -284,7 +287,15 @@ def main(argv: list[str] | None = None) -> int:
     handler = {"compute": _cmd_compute, "verify": _cmd_verify,
                "catalog": _cmd_catalog}[args.command]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (``c2surf catalog 40 | head -1``).  Point
+        # fd 1 at devnull so that the flush at shutdown prints nothing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return BROKEN_PIPE
     except (ParseError, WordError, ProfileError, _InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT

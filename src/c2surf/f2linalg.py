@@ -1,9 +1,9 @@
 """Bit-packed linear algebra over GF(2) and small cellular chain complexes.
 
-This is the substrate for the singular-cohomology oracle: ranks of
-boundary matrices give mod-2 Betti numbers, independently of any closed
-Betti formula.  Matrices store one Python int per row, so a row is an
-arbitrary-width bitset and row reduction runs on machine words.
+Ranks of boundary matrices give mod-2 Betti numbers, independently of
+any closed Betti formula; the tests compare the surface models here with
+``surfaces.quotient_sing``.  Matrices store one Python int per row, so a
+row is an arbitrary-width bitset and row reduction runs on machine words.
 
 ``rank`` never mutates its input (rows are immutable ints).
 """
@@ -54,9 +54,6 @@ class F2Matrix:
     def entry(self, i: int, j: int) -> int:
         return (self.data[i] >> j) & 1
 
-    def to_rows(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.cols)] for r in self.data]
-
     def rank(self) -> int:
         """Rank over GF(2) by word-level elimination; the input is untouched."""
         pivots: dict[int, int] = {}
@@ -95,10 +92,6 @@ class F2Matrix:
 
     def __repr__(self) -> str:
         return f"F2Matrix({self.rows}x{self.cols})"
-
-
-def f2_rank(m: F2Matrix) -> int:
-    return m.rank()
 
 
 class ChainComplex:

@@ -312,17 +312,9 @@ def apply_op(pr: InvariantProfile, op: Op, op_index: int | None = None) -> Invar
     return InvariantProfile(NONFREE, beta + 1, f - 1, c + 1)
 
 
-def validate_word(w: SurgeryWord) -> None:
-    """Check a word describes a surface; raises WordError at the offending op."""
-    if w.base.token == "triv" and w.ops:
-        raise WordError("surgery on trivial action", 0)
-    pr = base_profile(w.base)
-    for i, op in enumerate(w.ops):
-        pr = apply_op(pr, op, i)
-
-
 def invariants(w: SurgeryWord) -> InvariantProfile:
-    """Fold a validated word down to its invariant profile.
+    """Fold a word down to its invariant profile; raises WordError
+    (``check_op``) at the first op the action so far cannot take.
 
     The per-op deltas commute, so the result is insensitive to the order
     of the ops (whenever each order validates prefix by prefix).

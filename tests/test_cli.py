@@ -94,6 +94,11 @@ def test_compute_invalid_profile_exit_code(capsys):
         code, out, err = run(capsys, "compute", text)
         assert code == 2 and out == ""
         assert f"unknown profile key(s) {key}" in err
+    # Nesting too deep for the JSON decoder is bad input, not a traceback.
+    for text in ['{"kind":' + "[" * 5000, '{"kind":' + '{"a":' * 5000]:
+        code, out, err = run(capsys, "compute", text)
+        assert code == 2 and out == ""
+        assert "bad profile JSON" in err
 
 
 def test_verify_pass_and_inject(capsys):
@@ -199,6 +204,20 @@ def test_module_entry_point_subprocess():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "M2 + S(1,1)M2 + S(2,1)M2"
+
+
+def test_closed_stdout_pipe_exits_141_without_a_traceback():
+    # catalog 40 prints about 400 KB, more than a pipe buffer holds, so the
+    # program is still writing when the reader closes the pipe.
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.Popen([sys.executable, "-m", "c2surf", "catalog", "40"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"triv:T[0]\t")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert b"Traceback" not in err, err.decode()
 
 
 def fresh_process(argv):

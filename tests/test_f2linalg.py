@@ -8,30 +8,29 @@ from c2surf.f2linalg import (
     ChainComplex,
     F2Matrix,
     betti_f2,
-    f2_rank,
     polygon_model,
     surface_with_boundary_model,
 )
-from c2surf.surfaces import SingProfile
+from c2surf.surfaces import TRIVIAL, SingProfile, profiles_by_scan, quotient_sing
 
 from _oracles import naive_rank, random_matrix
 
 
 def test_rank_trivial_cases():
-    assert f2_rank(F2Matrix.identity(4)) == 4
-    assert f2_rank(F2Matrix.zeros(3, 5)) == 0
-    assert f2_rank(F2Matrix.from_rows([[1, 1], [1, 1]])) == 1
+    assert F2Matrix.identity(4).rank() == 4
+    assert F2Matrix.zeros(3, 5).rank() == 0
+    assert F2Matrix.from_rows([[1, 1], [1, 1]]).rank() == 1
 
 
 def test_rank_handles_empty_shapes():
-    assert f2_rank(F2Matrix.zeros(0, 7)) == 0
-    assert f2_rank(F2Matrix.zeros(7, 0)) == 0
+    assert F2Matrix.zeros(0, 7).rank() == 0
+    assert F2Matrix.zeros(7, 0).rank() == 0
 
 
 def test_rank_does_not_mutate_input():
     m = F2Matrix.from_rows([[1, 0, 1], [1, 1, 0], [0, 1, 1]])
     before = list(m.data)
-    assert f2_rank(m) == 2
+    assert m.rank() == 2
     assert m.data == before
 
 
@@ -40,7 +39,7 @@ def test_rank_against_naive_reference():
     for _ in range(250):
         rows = random_matrix(rng, max_side=40)
         m = F2Matrix.from_rows(rows, cols=len(rows[0]) if rows else 0)
-        assert f2_rank(m) == naive_rank(rows)
+        assert m.rank() == naive_rank(rows)
 
 
 def test_matrix_validation():
@@ -109,3 +108,20 @@ def test_boundary_model_betti_and_euler_sweep():
             # The alternating sum of Betti numbers is the Euler characteristic
             # computed from raw cell counts.
             assert b.euler() == c.euler()
+
+
+def test_orbit_space_models_match_quotient_sing():
+    # X/C2 read off the profile, not off quotient_sing: X itself for the
+    # trivial action; otherwise a compact surface with one boundary circle
+    # per fixed circle and chi(X/C2) = (chi(X) + F) / 2.  Its Betti numbers,
+    # by GF(2) rank, must be quotient_sing's on every profile up to beta 40.
+    profiles = profiles_by_scan(40)
+    assert len(profiles) == 3624
+    for pr in profiles:
+        if pr.kind == TRIVIAL:
+            model = surface_with_boundary_model(pr.beta, 0)
+        else:
+            chi_q = (2 - pr.beta + pr.fixed_points) // 2
+            model = surface_with_boundary_model(2 - chi_q - pr.fixed_circles,
+                                                pr.fixed_circles)
+        assert betti_f2(model) == quotient_sing(pr), pr

@@ -33,7 +33,6 @@ from c2surf.surfaces import (
     quotient_sing,
     underlying_sing,
     validate_profile,
-    validate_word,
     witnessed_profiles,
 )
 
@@ -84,21 +83,22 @@ def test_invariants_worked_examples():
 
 
 def test_validate_rejects_surgery_on_trivial_base():
-    with pytest.raises(WordError, match="trivial"):
-        validate_word(parse_word("triv:T[2] + AT11"))
+    with pytest.raises(WordError, match="trivial") as err:
+        invariants(parse_word("triv:T[2] + AT11"))
+    assert err.value.op_index == 0
 
 
 def test_validate_rejects_fm_without_fixed_point():
     with pytest.raises(WordError, match="isolated fixed point"):
-        validate_word(parse_word("S21 + FM"))
+        invariants(parse_word("S21 + FM"))
     with pytest.raises(WordError):
-        validate_word(parse_word("S2a + FM"))
+        invariants(parse_word("S2a + FM"))
 
 
 def test_validate_rejects_third_fm_when_points_exhausted():
-    validate_word(parse_word("S22 + FM + FM"))        # F: 2 -> 1 -> 0, legal
+    invariants(parse_word("S22 + FM + FM"))           # F: 2 -> 1 -> 0, legal
     with pytest.raises(WordError) as err:
-        validate_word(parse_word("S22 + FM + FM + FM"))
+        invariants(parse_word("S22 + FM + FM + FM"))
     assert err.value.op_index == 2
 
 
@@ -285,7 +285,6 @@ def test_every_scanned_profile_is_valid():
 
 def test_witness_words_fold_back_to_their_profiles():
     for pr, word in profiles_by_words(8).items():
-        validate_word(word)
         assert invariants(word) == pr
 
 
