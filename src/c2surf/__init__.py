@@ -14,12 +14,6 @@ from .bigraded import (
     Bidegree,
     Decomposition,
     Summand,
-    an_dim,
-    an_rho_rank,
-    an_tau_rank,
-    m2_dim,
-    m2_rho_rank,
-    m2_tau_rank,
     render_grid,
 )
 from .checks import (

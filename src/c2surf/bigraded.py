@@ -15,11 +15,12 @@ families:
   isomorphic to ``tau^{-1} M2 / (rho^{n+1})``: the n+1 full columns
   ``0 <= p <= n``, with tau acting invertibly and rho nilpotent.
 
-Dimensions and generator-multiplication ranks are total functions of the
-bidegree (the modules are unbounded in the weight q).  Windows exist only
-for rendering and verification sweeps: ``render_grid`` sums, weighted by
-multiplicity, one cached table of dimensions per distinct summand and
-window, since dimension is additive over the direct sum.
+Where each summand is nonzero is written once, in ``Summand.row_support``
+(the finite run of p where it is nonzero in a weight q); dimensions, the
+rho and tau ranks (``Decomposition.rank_at``) and grids all read it.
+Windows exist only for rendering: ``render_grid`` sums, weighted by
+multiplicity, one cached table per distinct summand and window, since
+dimension is additive over the direct sum.
 
 ``Bidegree`` and ``Summand`` are ``NamedTuple``s, so they hash and compare
 like plain tuples and compare equal to them: ``Bidegree(1, 2) == (1, 2)``.
@@ -32,9 +33,10 @@ All values are immutable and every operation is a pure function (the
 table cache is a thread-safe ``functools.lru_cache``), so the whole module
 is safe to use from concurrent threads without locking.
 
->>> m2_dim(Bidegree(0, 0)), m2_dim(Bidegree(1, 0)), m2_dim(Bidegree(0, -2))
+>>> point = Summand.free(0, 0)
+>>> point.dim_at((0, 0)), point.dim_at((1, 0)), point.dim_at((0, -2))
 (1, 0, 1)
->>> an_dim(2, Bidegree(2, -7))
+>>> Summand.antipodal(0, 2).dim_at((2, -7))
 1
 """
 
@@ -64,82 +66,6 @@ class Bidegree(NamedTuple):
 
 
 ZERO = Bidegree(0, 0)
-
-
-# ---------------------------------------------------------------------------
-# The point module M2.
-#
-# Top cone: rho^p tau^(q-p) for p >= 0, q >= p.
-# Bottom cone: theta/(rho^i tau^j) in bidegree (-i, -2-i-j), i.e. the
-# region p <= 0, q <= p - 2.  The two regions are disjoint.
-#
-# Every function of a bidegree below reads it by position, so it takes a
-# Bidegree or a plain (p, q) tuple alike; the hot paths pass plain tuples,
-# which are far cheaper to build than a Bidegree.
-
-
-def m2_dim(b: Bidegree) -> int:
-    """Dimension (0 or 1) of the point module in bidegree ``b``.
-
-    >>> [m2_dim(Bidegree(0, q)) for q in range(-4, 3)]
-    [1, 1, 1, 0, 1, 1, 1]
-    """
-    p, q = b
-    if p >= 0 and q >= p:
-        return 1
-    if p <= 0 and q <= p - 2:
-        return 1
-    return 0
-
-
-def m2_rho_rank(b: Bidegree) -> int:
-    """Rank of multiplication by rho from bidegree ``b`` to ``b + (1, 1)``.
-
-    Within each cone a generator multiplies injectively, so the rank is 1
-    exactly when source and target groups are both nonzero.  On the bottom
-    cone, rho sends theta/(rho^i tau^j) to theta/(rho^(i-1) tau^j), which
-    dies only when i = 0, i.e. in the column p = 0.
-    """
-    p, q = b
-    if p >= 0 and q >= p:
-        return 1
-    if p <= -1 and q <= p - 2:
-        return 1
-    return 0
-
-
-def m2_tau_rank(b: Bidegree) -> int:
-    """Rank of multiplication by tau from bidegree ``b`` to ``b + (0, 1)``.
-
-    tau kills theta/(rho^i) (the top edge of the bottom cone, q = p - 2)
-    because the target group there is zero; everywhere else it is nonzero
-    wherever the source is.
-    """
-    p, q = b
-    if p >= 0 and q >= p:
-        return 1
-    if p <= 0 and q <= p - 3:
-        return 1
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# The antipodal modules A_n = tau^{-1} M2 / (rho^{n+1}).
-
-
-def an_dim(n: int, b: Bidegree) -> int:
-    """Dimension of A_n in bidegree ``b``: the n+1 columns 0 <= p <= n."""
-    return 1 if 0 <= b[0] <= n else 0
-
-
-def an_rho_rank(n: int, b: Bidegree) -> int:
-    """rho maps column p isomorphically to column p+1, until rho^{n+1} = 0."""
-    return 1 if 0 <= b[0] <= n - 1 else 0
-
-
-def an_tau_rank(n: int, b: Bidegree) -> int:
-    """tau acts invertibly on A_n, hence rank 1 on every nonzero column."""
-    return 1 if 0 <= b[0] <= n else 0
 
 
 # ---------------------------------------------------------------------------
@@ -188,21 +114,14 @@ class Summand(_SummandFields):
     def is_free(self) -> bool:
         return self.n is None
 
-    def _relative(self, b) -> tuple[int, int]:
-        shift = self.shift
-        return (b[0] - shift[0], b[1] - shift[1])
-
     def dim_at(self, b) -> int:
-        rel = self._relative(b)
-        return m2_dim(rel) if self.n is None else an_dim(self.n, rel)
+        """Dimension (0 or 1) in bidegree ``b``, a ``Bidegree`` or a plain
+        (p, q) tuple.
 
-    def rho_rank_at(self, b) -> int:
-        rel = self._relative(b)
-        return m2_rho_rank(rel) if self.n is None else an_rho_rank(self.n, rel)
-
-    def tau_rank_at(self, b) -> int:
-        rel = self._relative(b)
-        return m2_tau_rank(rel) if self.n is None else an_tau_rank(self.n, rel)
+        >>> [Summand.free(0, 0).dim_at((0, q)) for q in range(-4, 3)]
+        [1, 1, 1, 0, 1, 1, 1]
+        """
+        return int(b[0] in self.row_support(b[1]))
 
     def row_support(self, q: int) -> range:
         """The p where this summand is nonzero (of dimension 1) in weight q.
@@ -302,10 +221,6 @@ class Decomposition:
     def count(self, summand: Summand) -> int:
         return dict(self.items()).get(summand, 0)
 
-    def free_shifts(self) -> list[Bidegree]:
-        """Shifts of the free summands, with multiplicity, sorted by (p, q)."""
-        return [s.shift for s, c in self._items if s.is_free for _ in range(c)]
-
     # -- pointwise evaluation ----------------------------------------------
 
     def dim_at(self, b) -> int:
@@ -315,14 +230,22 @@ class Decomposition:
     def rank_at(self, b, generator: str) -> int:
         """Rank of multiplication by ``generator`` ("rho" or "tau") at ``b``.
 
-        Valid because the module really is the direct sum: the map splits
-        summand by summand.
+        The map splits summand by summand, and in each summand it is
+        injective wherever its target group is nonzero, so its rank there
+        is the source dimension times the target dimension.  In M2 both
+        generators multiply injectively inside each cone, and no cone maps
+        into the other.  On the bottom cone rho sends theta/(rho^i tau^j)
+        to theta/(rho^(i-1) tau^j), which dies only at i = 0, the column
+        p = 0, where the target is zero; tau likewise kills only
+        theta/(rho^i), on the edge q = p - 2, whose target is zero.  In A_n
+        rho maps column p isomorphically onto column p+1 until rho^{n+1} = 0
+        leaves column n without a target, and tau is invertible.
         """
-        if generator == "rho":
-            return sum(c * s.rho_rank_at(b) for s, c in self._items)
-        if generator == "tau":
-            return sum(c * s.tau_rank_at(b) for s, c in self._items)
-        raise ValueError(f"unknown generator {generator!r}")
+        step = _STEPS.get(generator)
+        if step is None:
+            raise ValueError(f"unknown generator {generator!r}")
+        target = (b[0] + step[0], b[1] + step[1])
+        return sum(c * s.dim_at(b) * s.dim_at(target) for s, c in self._items)
 
     # -- algebra -------------------------------------------------------------
 
@@ -403,6 +326,9 @@ class Decomposition:
         return cls(counts)
 
 
+_STEPS = {"rho": (1, 1), "tau": (0, 1)}      # each generator's bidegree
+
+
 def _check_multiplicity(c) -> None:
     if not isinstance(c, int) or isinstance(c, bool):
         raise ValueError(f"multiplicity must be an integer, got {c!r}")
@@ -422,12 +348,16 @@ _GLYPHS = ".123456789"           # render_grid's cell for a total below 10
 def _grid_cells(s: Summand, pmin: int, pmax: int, qmin: int, qmax: int) -> tuple[int, ...]:
     """Where one summand is nonzero (its dimension is then 1) over the
     window, as cell indices in ``render_grid`` order: rows from the top
-    weight down, columns left to right in p."""
+    weight down, columns left to right in p.  Each row is the summand's
+    row support clipped to [pmin, pmax]."""
     width = pmax - pmin + 1
-    return tuple(row * width + col
-                 for row, q in enumerate(range(qmax, qmin - 1, -1))
-                 for col, p in enumerate(range(pmin, pmax + 1))
-                 if s.dim_at((p, q)))
+    cells: list[int] = []
+    for row, q in enumerate(range(qmax, qmin - 1, -1)):
+        support = s.row_support(q)
+        first = row * width - pmin             # the index of p = 0 in this row
+        cells.extend(range(first + max(support.start, pmin),
+                           first + min(support.stop, pmax + 1)))
+    return tuple(cells)
 
 
 def render_grid(d: Decomposition, p_range: tuple[int, int], q_range: tuple[int, int]) -> str:

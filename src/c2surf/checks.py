@@ -24,9 +24,10 @@ identities that are theorems about the actual Bredon cohomology:
   restricts to (``Summand.underlying_degrees``).  So the identity is read
   from that per-p count, in O(#summands), and reported at every bidegree
   of the window.
-* top class      -- a nonfree closed surface has exactly one free summand
-  in topological dimension >= 2, in weight 1 if some circle is fixed,
-  weight 2 if only points are, weight 0 if the action is trivial.
+* top class      -- the free summands in topological dimension >= 2: a
+  nonfree closed surface has exactly one, in weight 1 if some circle is
+  fixed, weight 2 if only points are, weight 0 if the action is trivial;
+  a free action has none, as it has no free summands at all.
 * beta recovery  -- dimension-one generator count: the p = 1 entry of the
   same per-p count of underlying classes, against beta.
 
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .bigraded import Bidegree, Decomposition
 from .engine import closed_form
@@ -65,11 +66,6 @@ class Window:
     def __post_init__(self):
         if self.pmin > self.pmax or self.qmin > self.qmax:
             raise ValueError(f"inverted window {self}")
-
-    def bidegrees(self) -> Iterator[Bidegree]:
-        for p in range(self.pmin, self.pmax + 1):
-            for q in range(self.qmin, self.qmax + 1):
-                yield Bidegree(p, q)
 
     def __str__(self) -> str:
         return f"{self.pmin}:{self.pmax},{self.qmin}:{self.qmax}"
@@ -128,14 +124,29 @@ def check_rho_localization(d: Decomposition, pr: InvariantProfile) -> list[Viola
     """Free-summand diagonal degrees against the fixed-set degrees.
 
     Inverting rho turns S(p,q)M2 into a rank-one module remembering only
-    p - q, and kills every rho-nilpotent antipodal summand.
+    p - q, and kills every rho-nilpotent antipodal summand.  Both sides are
+    compared as counts per degree.
     """
     fixed = fixed_sing(pr)
-    expected = sorted([0] * fixed.h0 + [1] * fixed.h1 + [2] * fixed.h2)
-    actual = sorted(shift.p - shift.q for shift in d.free_shifts())
+    expected = {k: fixed.at(k) for k in (0, 1, 2) if fixed.at(k)}
+    actual: dict[int, int] = {}
+    for s, c in d.items():
+        if s.is_free:
+            k = s.shift.p - s.shift.q
+            actual[k] = actual.get(k, 0) + c
     if expected != actual:
-        return [Violation("rho-localization", "fixed-set degrees", expected, actual)]
+        return [Violation("rho-localization", "fixed-set degrees",
+                          _multiset(expected), _multiset(actual))]
     return []
+
+
+def _multiset(counts: dict) -> list:
+    """The sorted list holding each key of ``counts`` as often as it counts:
+    built only to report a violation."""
+    out: list = []
+    for k in sorted(counts):
+        out += [k] * counts[k]
+    return out
 
 
 def _underlying_classes(d: Decomposition) -> dict[int, int]:
@@ -166,19 +177,21 @@ def check_forgetful_les(d: Decomposition, sing: SingProfile,
 
 
 def check_top_class(d: Decomposition, pr: InvariantProfile) -> list[Violation]:
-    """Uniqueness and position of the free summand in dimension >= 2."""
-    if pr.kind not in (NONFREE, TRIVIAL):
-        raise ValueError("top-class check applies to nonfree and trivial actions")
+    """Uniqueness and position of the free summand in dimension >= 2, and
+    its absence for a free action, compared as counts per shift."""
     if pr.kind == TRIVIAL:
-        want = Bidegree(2, 0)
+        want = {Bidegree(2, 0): 1}
+    elif pr.kind != NONFREE:
+        want = {}
     elif pr.fixed_circles > 0:
-        want = Bidegree(2, 1)
+        want = {Bidegree(2, 1): 1}
     else:
-        want = Bidegree(2, 2)
-    tops = [shift for shift in d.free_shifts() if shift.p >= 2]
-    if tops != [want]:
+        want = {Bidegree(2, 2): 1}
+    tops = {s.shift: c for s, c in d.items() if s.is_free and s.shift.p >= 2}
+    if tops != want:
         return [Violation("top-class", "free summands with p >= 2",
-                          [str(want)], [str(t) for t in tops])]
+                          [str(b) for b in _multiset(want)],
+                          [str(b) for b in _multiset(tops)])]
     return []
 
 
@@ -206,7 +219,7 @@ def verify_decomposition(d: Decomposition, pr: InvariantProfile,
         return out
     if run(check_forgetful_les(d, underlying_sing(pr), window)):
         return out
-    if pr.kind in (NONFREE, TRIVIAL) and run(check_top_class(d, pr)):
+    if run(check_top_class(d, pr)):
         return out
     run(check_beta_recovery(d, pr))
     return out

@@ -9,7 +9,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-from c2surf.bigraded import Bidegree, Summand, an_dim, m2_dim
 from c2surf.checks import Violation
 
 
@@ -36,54 +35,95 @@ def naive_rank(rows: list[list[int]]) -> int:
     return rank
 
 
+# The basic modules written out as inequalities, at a bidegree (p, q)
+# relative to the summand's shift.  M2: the top cone rho^p tau^(q-p), and
+# the bottom cone theta/(rho^i tau^j) at (-i, -2-i-j); rho kills the column
+# p = 0 of the bottom cone and tau its edge q = p - 2.  A_n: the n+1 columns
+# 0 <= p <= n, rho^(n+1) = 0 and tau invertible.
+
+
+def m2_dim(p, q):
+    return int(0 <= p <= q or q + 2 <= p <= 0)
+
+
+def m2_rho_rank(p, q):
+    return int(0 <= p <= q or q + 2 <= p <= -1)
+
+
+def m2_tau_rank(p, q):
+    return int(0 <= p <= q or q + 3 <= p <= 0)
+
+
+def an_dim(n, p):
+    return int(0 <= p <= n)
+
+
+def an_rho_rank(n, p):
+    return int(0 <= p < n)
+
+
+def reference(pairs, p, q) -> tuple[int, int, int]:
+    """Dimension, rho rank and tau rank at (p, q) of the sum of ``pairs``,
+    ``(((a, b), n), count)`` as ``Decomposition.items`` gives them, each
+    summand read from the inequalities above."""
+    total = [0, 0, 0]
+    for ((a, b), n), c in pairs:
+        x, y = p - a, q - b
+        if n is None:
+            values = m2_dim(x, y), m2_rho_rank(x, y), m2_tau_rank(x, y)
+        else:
+            values = an_dim(n, x), an_rho_rank(n, x), an_dim(n, x)
+        total = [t + c * v for t, v in zip(total, values)]
+    return tuple(total)
+
+
 def naive_forgetful_les(d, sing, window) -> list[Violation]:
-    """The forgetful-sequence rank identity swept bidegree by bidegree,
-    each side read from ``Decomposition.dim_at``/``rank_at``.  It shares
-    only the per-module functions (``m2_dim`` and the like) with
-    ``check_forgetful_les``, not its cached per-summand tables."""
+    """The forgetful-sequence rank identity swept bidegree by bidegree, each
+    side read from ``reference``: it shares no module geometry with
+    ``check_forgetful_les`` or with ``c2surf.bigraded``."""
+    items = list(d.items())
     out = []
-    for b in window.bidegrees():
-        expected = sing.at(b.p)
-        actual = (d.dim_at(Bidegree(b.p, b.q + 1)) + d.dim_at(b)
-                  - d.rank_at(Bidegree(b.p - 1, b.q), "rho")
-                  - d.rank_at(b, "rho"))
-        if actual != expected:
-            out.append(Violation("forgetful-les", str(b), expected, actual))
+    for p in range(window.pmin, window.pmax + 1):
+        for q in range(window.qmin, window.qmax + 1):
+            expected = sing.at(p)
+            dim, rho, _ = reference(items, p, q)
+            actual = (reference(items, p, q + 1)[0] + dim
+                      - reference(items, p - 1, q)[1] - rho)
+            if actual != expected:
+                out.append(Violation("forgetful-les", f"({p},{q})", expected, actual))
     return out
 
 
 def naive_render_grid(d, p_range, q_range) -> str:
-    """The dimension grid drawn cell by cell, every summand evaluated with
-    ``m2_dim``/``an_dim`` at every bidegree.  It shares only those two
-    functions with ``render_grid``, not its cached per-summand tables."""
+    """The dimension grid drawn cell by cell, every bidegree read from
+    ``reference``: it shares no module geometry with ``render_grid``."""
     (pmin, pmax), (qmin, qmax) = p_range, q_range
+    items = list(d.items())
     rows = []
     for q in range(qmax, qmin - 1, -1):
         row = ""
         for p in range(pmin, pmax + 1):
-            total = 0
-            for s, c in d.items():
-                rel = Bidegree(p - s.shift.p, q - s.shift.q)
-                total += c * (m2_dim(rel) if s.n is None else an_dim(s.n, rel))
+            total = reference(items, p, q)[0]
             row += "." if total == 0 else "+" if total >= 10 else str(total)
         rows.append(row)
     return "\n".join(rows)
 
 
-def naive_items(pairs) -> list[tuple[Summand, int]]:
-    """The ``(summand, count)`` pairs of a decomposition, from
-    ``((p, q, n), count)`` pairs (n None for M2, counts may repeat a summand
-    or be negative), summed in a ``Counter`` and ordered by the documented
-    rule: free summands by (p, q), then antipodal ones by (p, n), an
-    antipodal weight being 0.  Nonpositive totals are dropped."""
+def naive_items(pairs) -> list[tuple[tuple, int]]:
+    """The ``(((p, q), n), count)`` pairs of a decomposition, which compare
+    equal to its ``(summand, count)`` pairs, from ``((p, q, n), count)``
+    pairs (n None for M2, counts may repeat a summand or be negative),
+    summed in a ``Counter`` and ordered by the documented rule: free
+    summands by (p, q), then antipodal ones by (p, n), an antipodal weight
+    being 0.  Nonpositive totals are dropped."""
     counts = Counter()
     for (p, q, n), c in pairs:
         counts[p, 0 if n is not None else q, n] += c
     counts = +counts
     free = sorted((p, q) for p, q, n in counts if n is None)
     anti = sorted((p, n) for p, q, n in counts if n is not None)
-    return ([(Summand.free(p, q), counts[p, q, None]) for p, q in free]
-            + [(Summand.antipodal(p, n), counts[p, 0, n]) for p, n in anti])
+    return ([(((p, q), None), counts[p, q, None]) for p, q in free]
+            + [(((p, 0), n), counts[p, 0, n]) for p, n in anti])
 
 
 def naive_render(items) -> tuple[str, dict]:

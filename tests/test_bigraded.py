@@ -13,12 +13,6 @@ from c2surf.bigraded import (
     Bidegree,
     Decomposition,
     Summand,
-    an_dim,
-    an_rho_rank,
-    an_tau_rank,
-    m2_dim,
-    m2_rho_rank,
-    m2_tau_rank,
     render_grid,
 )
 
@@ -27,9 +21,15 @@ from c2surf.surfaces import enumerate_profiles
 
 from _oracles import (
     GOLDEN_M2_SQUARE,
+    an_dim,
+    an_rho_rank,
+    m2_dim,
+    m2_rho_rank,
+    m2_tau_rank,
     naive_items,
     naive_render,
     naive_render_grid,
+    reference,
     theta_divided_positions,
 )
 
@@ -43,12 +43,18 @@ def test_doctests():
 
 # -- the point module -------------------------------------------------------
 
+POINT = Summand.free(0, 0)
+
+
+def rank(summand, b, generator):
+    return Decomposition([summand]).rank_at(b, generator)
+
 
 def test_m2_dim_known_values():
-    assert m2_dim(Bidegree(0, 0)) == 1
-    assert m2_dim(Bidegree(1, 0)) == 0
-    assert m2_dim(Bidegree(0, -2)) == 1   # theta
-    assert m2_dim(Bidegree(-1, -3)) == 1  # theta/rho
+    for b, want in (((0, 0), 1), ((1, 0), 0),
+                    ((0, -2), 1),      # theta
+                    ((-1, -3), 1)):    # theta/rho
+        assert POINT.dim_at(b) == m2_dim(*b) == want
 
 
 def test_m2_bottom_cone_matches_divided_element_enumeration():
@@ -59,19 +65,21 @@ def test_m2_bottom_cone_matches_divided_element_enumeration():
     assert (-1, -3) in spots
     for p in range(-3, 1):
         for q in range(-7, -1):
-            assert m2_dim(Bidegree(p, q)) == (1 if (p, q) in spots else 0)
+            assert POINT.dim_at(Bidegree(p, q)) == (1 if (p, q) in spots else 0)
 
 
 def test_m2_rho_rank_examples():
-    assert m2_rho_rank(Bidegree(-1, -3)) == 1   # theta/rho -> theta
-    assert m2_rho_rank(Bidegree(0, -3)) == 0    # target (1,-2) vanishes
-    assert m2_rho_rank(Bidegree(0, 0)) == 1
+    for b, want in (((-1, -3), 1),    # theta/rho -> theta
+                    ((0, -3), 0),     # target (1,-2) vanishes
+                    ((0, 0), 1)):
+        assert rank(POINT, b, "rho") == m2_rho_rank(*b) == want
 
 
 def test_m2_tau_rank_examples():
-    assert m2_tau_rank(Bidegree(0, -2)) == 0    # tau * theta = 0
-    assert m2_tau_rank(Bidegree(0, -3)) == 1    # theta/tau -> theta
-    assert m2_tau_rank(Bidegree(2, 5)) == 1
+    for b, want in (((0, -2), 0),     # tau * theta = 0
+                    ((0, -3), 1),     # theta/tau -> theta
+                    ((2, 5), 1)):
+        assert rank(POINT, b, "tau") == m2_tau_rank(*b) == want
 
 
 @given(bidegrees)
@@ -79,44 +87,48 @@ def test_m2_cones_are_disjoint(b):
     top = b.p >= 0 and b.q >= b.p
     bottom = b.p <= 0 and b.q <= b.p - 2
     assert not (top and bottom)
-    assert m2_dim(b) == int(top or bottom)
+    assert POINT.dim_at(b) == m2_dim(*b) == int(top or bottom)
 
 
 @given(bidegrees)
 def test_m2_rank_is_source_times_target(b):
     # Cone generators act injectively inside each cone, so rank equals
-    # the product of source and target dimensions.
-    assert m2_rho_rank(b) == m2_dim(b) * m2_dim(b + Bidegree(1, 1))
-    assert m2_tau_rank(b) == m2_dim(b) * m2_dim(b + Bidegree(0, 1))
+    # the product of source and target dimensions: the reference's own
+    # rank inequalities agree, and so does rank_at.
+    assert rank(POINT, b, "rho") == m2_rho_rank(*b) == m2_dim(*b) * m2_dim(b.p + 1, b.q + 1)
+    assert rank(POINT, b, "tau") == m2_tau_rank(*b) == m2_dim(*b) * m2_dim(b.p, b.q + 1)
 
 
 # -- the antipodal modules ---------------------------------------------------
 
 
 def test_an_dim_examples():
+    a0 = Summand.antipodal(0, 0)
     for q in range(-6, 7):
-        assert an_dim(0, Bidegree(0, q)) == 1
-        assert an_dim(0, Bidegree(1, q)) == 0
-    assert an_dim(2, Bidegree(3, 0)) == 0
-    assert an_dim(5, Bidegree(4, -3)) == 1
+        assert a0.dim_at(Bidegree(0, q)) == an_dim(0, 0) == 1
+        assert a0.dim_at(Bidegree(1, q)) == an_dim(0, 1) == 0
+    assert Summand.antipodal(0, 2).dim_at(Bidegree(3, 0)) == an_dim(2, 3) == 0
+    assert Summand.antipodal(0, 5).dim_at(Bidegree(4, -3)) == an_dim(5, 4) == 1
 
 
 def test_an_rank_examples():
-    assert an_rho_rank(0, Bidegree(0, 5)) == 0   # rho kills A0
-    assert an_rho_rank(2, Bidegree(1, -4)) == 1
-    assert an_rho_rank(1, Bidegree(1, 0)) == 0   # rho^2 = 0 in A1
-    assert an_tau_rank(1, Bidegree(1, -9)) == 1
+    assert rank(Summand.antipodal(0, 0), (0, 5), "rho") == an_rho_rank(0, 0) == 0  # rho kills A0
+    assert rank(Summand.antipodal(0, 2), (1, -4), "rho") == an_rho_rank(2, 1) == 1
+    assert rank(Summand.antipodal(0, 1), (1, 0), "rho") == an_rho_rank(1, 1) == 0  # rho^2 = 0 in A1
+    assert rank(Summand.antipodal(0, 1), (1, -9), "tau") == an_dim(1, 1) == 1
 
 
 @given(small_n, bidegrees)
 def test_an_rank_is_source_times_target(n, b):
-    assert an_rho_rank(n, b) == an_dim(n, b) * an_dim(n, b + Bidegree(1, 1))
-    assert an_tau_rank(n, b) == an_dim(n, b) * an_dim(n, b + Bidegree(0, 1))
+    an = Summand.antipodal(0, n)
+    assert rank(an, b, "rho") == an_rho_rank(n, b.p) == an_dim(n, b.p) * an_dim(n, b.p + 1)
+    assert rank(an, b, "tau") == an_dim(n, b.p) == an_dim(n, b.p) * an_dim(n, b.p)
 
 
 @given(small_n, bidegrees)
 def test_an_is_tau_periodic(n, b):
-    assert an_dim(n, b) == an_dim(n, Bidegree(b.p, 0))
+    an = Summand.antipodal(0, n)
+    assert an.dim_at(b) == an.dim_at(Bidegree(b.p, 0)) == an_dim(n, b.p)
 
 
 @given(st.integers(-15, 15), st.integers(-15, 15), st.none() | small_n,
@@ -127,9 +139,8 @@ def test_row_support_matches_the_dimensions(a, b, n, q):
     for weight in (q, b - 1):
         support = s.row_support(weight)
         for p in [*range(-40, 41), *support]:
-            rel = (p - a, weight - s.shift.q)
-            dim = m2_dim(rel) if n is None else an_dim(n, rel)
-            assert (p in support) == (dim == 1), (s, p, weight)
+            dim = reference([(s, 1)], p, weight)[0]
+            assert (p in support) == (dim == 1) == (s.dim_at((p, weight)) == 1), (s, p, weight)
     assert not Summand.free(a, b).row_support(b - 1)
 
 
@@ -146,7 +157,7 @@ def test_dim_at_examples():
     # Oracle: evaluate the four summands pointwise with m2_dim.
     x1 = x1_decomposition()
     for b in [(1, 0), (1, 1)]:
-        manual = sum(m2_dim(Bidegree(*b) - s.shift) for s, _ in x1.items())
+        manual = sum(m2_dim(*(Bidegree(*b) - s.shift)) for s, _ in x1.items())
         assert x1.dim_at(b) == manual
     assert x1.dim_at((1, 0)) == 1
     assert x1.dim_at((1, 1)) == 3
@@ -191,18 +202,12 @@ def test_canonicalize_is_idempotent_and_preserves_evaluation():
     assert again == d and list(again.items()) == list(d.items())
     assert Decomposition([s for s, c in d.items() for _ in range(c)]) == d
     # Evaluation agrees with the summands as given, weight shifts included.
+    given = [(((sp, sq), n), 1) for sp, sq, n in raw]
     for p in range(-4, 5):
         for q in range(-6, 7):
             b = Bidegree(p, q)
-            want = [0, 0, 0]
-            for sp, sq, n in raw:
-                rel = Bidegree(p - sp, q - sq)
-                if n is None:
-                    got = (m2_dim(rel), m2_rho_rank(rel), m2_tau_rank(rel))
-                else:
-                    got = (an_dim(n, rel), an_rho_rank(n, rel), an_tau_rank(n, rel))
-                want = [w + g for w, g in zip(want, got)]
-            assert [d.dim_at(b), d.rank_at(b, "rho"), d.rank_at(b, "tau")] == want
+            want = reference(given, p, q)
+            assert (d.dim_at(b), d.rank_at(b, "rho"), d.rank_at(b, "tau")) == want
 
 
 def test_suspend_examples():
@@ -225,6 +230,11 @@ summand_strategy = st.one_of(
               st.integers(-3, 3)),
 )
 decompositions = st.lists(summand_strategy, max_size=6).map(Decomposition)
+wide_summands = st.one_of(
+    st.builds(Summand.free, st.integers(-10, 15), st.integers(-12, 12)),
+    st.builds(Summand.antipodal, st.integers(-10, 15), st.integers(0, 4)))
+wide_decompositions = st.dictionaries(wide_summands, st.integers(1, 3),
+                                      max_size=8).map(Decomposition)
 
 
 summand_specs = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
@@ -266,6 +276,12 @@ def test_direct_sum_is_pointwise_additive(d1, d2, b):
     assert total.rank_at(b, "tau") == d1.rank_at(b, "tau") + d2.rank_at(b, "tau")
 
 
+@given(wide_decompositions, bidegrees)
+def test_evaluation_matches_the_reference(d, b):
+    want = reference(list(d.items()), *b)
+    assert (d.dim_at(b), d.rank_at(b, "rho"), d.rank_at(b, "tau")) == want
+
+
 @given(decompositions, bidegrees)
 def test_rank_soundness(d, b):
     for generator, step in (("rho", Bidegree(1, 1)), ("tau", Bidegree(0, 1))):
@@ -295,7 +311,8 @@ def assert_like_oracle(d: Decomposition, pairs) -> None:
     assert str(d) == text and d.to_json_obj() == obj
     # An equal decomposition built another way: summands one by one,
     # in reverse order.
-    ref = Decomposition([s for s, c in reversed(want) for _ in range(c)])
+    ref = Decomposition([Summand(Bidegree(*shift), n)
+                         for (shift, n), c in reversed(want) for _ in range(c)])
     assert d == ref and hash(d) == hash(ref)
 
 
@@ -372,7 +389,7 @@ def test_value_types_keep_their_semantics():
     assert hash(Summand.antipodal(3, 1, q=5)) == hash(Summand.antipodal(3, 1))
     assert Summand.antipodal(3, 1)._replace(shift=Bidegree(3, 4)).shift == (3, 0)
     assert str(Summand.free(1, 2)) == "S(1,2)M2" and str(Summand.antipodal(0, 2)) == "A2"
-    assert m2_dim((0, -2)) == m2_dim(Bidegree(0, -2)) == 1
+    assert POINT.dim_at((0, -2)) == POINT.dim_at(Bidegree(0, -2)) == 1
     with pytest.raises(ValueError):
         Summand.antipodal(0, -1)
     with pytest.raises(AttributeError):
@@ -429,13 +446,6 @@ def test_render_grid_rejects_inverted_window():
         render_grid(Decomposition([]), (2, 0), (0, 1))
     with pytest.raises(ValueError):
         render_grid(Decomposition([]), (0, 1), (4, -4))
-
-
-wide_summands = st.one_of(
-    st.builds(Summand.free, st.integers(-10, 15), st.integers(-12, 12)),
-    st.builds(Summand.antipodal, st.integers(-10, 15), st.integers(0, 4)))
-wide_decompositions = st.dictionaries(wide_summands, st.integers(1, 3),
-                                      max_size=8).map(Decomposition)
 
 
 @st.composite

@@ -62,15 +62,19 @@ def test_quotient_row_worked_examples():
     assert [s2a.dim_at((p, 0)) for p in (0, 1, 2)] == [1, 1, 1]
 
 
+def free_diagonals(d):
+    """The sorted p - q of the free summands, with multiplicity."""
+    return sorted(s.shift.p - s.shift.q for s, c in d.items() if s.is_free
+                  for _ in range(c))
+
+
 def test_rho_localization_worked_examples():
     assert check_rho_localization(closed_form(X1_PROFILE), X1_PROFILE) == []
     # X1's free shifts (0,0),(1,0),(1,1),(2,1) have p-q multiset {0,0,1,1},
     # matching two fixed circles.
-    shifts = closed_form(X1_PROFILE).free_shifts()
-    assert sorted(s.p - s.q for s in shifts) == [0, 0, 1, 1]
+    assert free_diagonals(closed_form(X1_PROFILE)) == [0, 0, 1, 1]
     # X2: eight isolated points, eight zeros.
-    shifts = closed_form(X2_PROFILE).free_shifts()
-    assert sorted(s.p - s.q for s in shifts) == [0] * 8
+    assert free_diagonals(closed_form(X2_PROFILE)) == [0] * 8
     assert check_rho_localization(closed_form(X2_PROFILE), X2_PROFILE) == []
     free = InvariantProfile(FREE_SPHERE, 6)
     assert check_rho_localization(closed_form(free), free) == []
@@ -133,9 +137,12 @@ def test_top_class_positions():
     trivial = InvariantProfile(TRIVIAL, 2)
     assert check_top_class(closed_form(trivial), trivial) == []
     assert closed_form(trivial).count(Summand.free(2, 0)) == 1
-    with pytest.raises(ValueError):
-        check_top_class(closed_form(InvariantProfile(FREE_SPHERE, 0)),
-                        InvariantProfile(FREE_SPHERE, 0))
+    # A free action has no free summands, so none with p >= 2.
+    sphere = InvariantProfile(FREE_SPHERE, 0)
+    assert check_top_class(closed_form(sphere), sphere) == []
+    assert check_top_class(closed_form(sphere) + Decomposition([Summand.free(2, 2)]),
+                           sphere) == [("top-class", "free summands with p >= 2",
+                                        [], ["(2,2)"])]
 
 
 def test_top_class_detects_misplacement():

@@ -112,6 +112,15 @@ def test_verify_pass_and_inject(capsys):
     assert code == 2
 
 
+def test_verify_counts_a_huge_multiplicity(capsys):
+    # The checks compare counts, never a list with one entry per summand.
+    big = 10 ** 20
+    code, out, _ = run(capsys, "verify", json.dumps({"kind": "nonfree", "beta": big,
+                                                     "F": big, "C": 0}))
+    assert code == 0
+    assert out.startswith("ok:") and f"S(1,1)M2^{big - 2}" in out
+
+
 def test_verify_window_flag_with_negative_values(capsys):
     # Both "--window=-2:6,-8:8" and the two-token spelling must work.
     code, out, _ = run(capsys, "verify", "--window=-2:6,-8:8", "S2a")
@@ -347,10 +356,22 @@ def test_matcher_agrees_with_argparse(argv):
         assert vars(namespace) == vars(_build_parser().parse_args(argv))
 
 
-def readme_examples():
+def readme_text():
     with open(os.path.join(os.path.dirname(SRC), "README.md")) as f:
-        return [shlex.split(line, comments=True)[1:] for line in f
-                if line.startswith("c2surf ")]
+        return f.read()
+
+
+def readme_examples():
+    return [shlex.split(line, comments=True)[1:] for line in readme_text().splitlines()
+            if line.startswith("c2surf ")]
+
+
+def test_readme_library_block_runs(capsys):
+    section = readme_text().split("## Library", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "verify_word" in block
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "M2 + S(1,1)M2 + S(2,1)M2\n"
 
 
 def test_plain_requests_skip_argparse(capsys, monkeypatch):
