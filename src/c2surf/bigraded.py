@@ -260,12 +260,6 @@ class Decomposition:
 
     __add__ = direct_sum
 
-    def suspend(self, s) -> "Decomposition":
-        # A translation keeps distinct summands distinct and keeps their
-        # order (antipodal weights stay 0), so nothing is merged or sorted.
-        return Decomposition._from_items(tuple(
-            (Summand(summand.shift + s, summand.n), c) for summand, c in self._items))
-
     def remove(self, summand: Summand, count: int = 1) -> "Decomposition":
         """A copy with ``count`` copies of ``summand`` removed.
 

@@ -38,7 +38,6 @@ forgetful-LES identity is reported; the other checks read every summand.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .bigraded import Bidegree, Decomposition
@@ -56,16 +55,28 @@ from .surfaces import (
 )
 
 
-@dataclass(frozen=True)
-class Window:
+class _WindowFields(NamedTuple):
     pmin: int
     pmax: int
     qmin: int
     qmax: int
 
-    def __post_init__(self):
-        if self.pmin > self.pmax or self.qmin > self.qmax:
-            raise ValueError(f"inverted window {self}")
+
+class Window(_WindowFields):
+    """A box of bidegrees, pmin <= p <= pmax and qmin <= q <= qmax; never
+    inverted, ``_replace`` and ``_make`` included."""
+
+    __slots__ = ()
+
+    def __new__(cls, pmin: int, pmax: int, qmin: int, qmax: int) -> "Window":
+        window = tuple.__new__(cls, (pmin, pmax, qmin, qmax))
+        if pmin > pmax or qmin > qmax:
+            raise ValueError(f"inverted window {window}")
+        return window
+
+    @classmethod
+    def _make(cls, iterable) -> "Window":
+        return cls(*iterable)
 
     def __str__(self) -> str:
         return f"{self.pmin}:{self.pmax},{self.qmin}:{self.qmax}"

@@ -28,8 +28,13 @@ fixed point for a fixed circle via an equivariant Moebius band, DCC adds
 dual cross caps, and CS(Y) forms the equivariant connected sum with two
 conjugate copies of the nonequivariant surface Y.
 
-Everything here is pure and immutable; enumeration partitions cleanly
-over bases and depths if a caller wants to parallelize.
+Everything here is pure and immutable.  The value types are
+``NamedTuple``s: they hash and compare like plain tuples, and the ones
+with a rule to keep (``ClosedSurface``, ``InvariantProfile``) check it in
+``__new__``, which ``_replace`` and ``_make`` go through too.  A surgery
+is one step on the integer fields ``(kind, beta, F, C)``: ``invariants``
+folds a word on them, and the catalog's breadth-first search runs on
+them, so each builds one ``InvariantProfile`` per distinct result.
 
 >>> invariants(parse_word("S21 + AT10"))
 InvariantProfile(kind='nonfree', beta=2, fixed_points=0, fixed_circles=2)
@@ -38,7 +43,7 @@ InvariantProfile(kind='nonfree', beta=2, fixed_points=0, fixed_circles=2)
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 TRIVIAL = "trivial"
 FREE_SPHERE = "free-sphere"
@@ -49,7 +54,6 @@ KINDS = (TRIVIAL, FREE_SPHERE, FREE_TORUS, NONFREE)
 _KIND_RANK = {k: i for i, k in enumerate(KINDS)}
 
 BASE_TOKENS = ("S22", "S21", "S2a", "T1a", "T1r")
-OP_TOKENS = ("AT11", "AT10", "FM", "DCC", "CS")
 
 
 class ParseError(ValueError):
@@ -77,19 +81,28 @@ class RealizabilityError(ValueError):
     """The two profile generators (words vs. inequality scan) disagree."""
 
 
-@dataclass(frozen=True)
-class ClosedSurface:
-    """A nonequivariant closed surface: T[g] (orientable, genus g >= 0)
-    or N[s] (nonorientable, cross-cap number s >= 1)."""
-
+class _SurfaceFields(NamedTuple):
     orientable: bool
     genus: int
 
-    def __post_init__(self):
-        if self.orientable and self.genus < 0:
+
+class ClosedSurface(_SurfaceFields):
+    """A nonequivariant closed surface: T[g] (orientable, genus g >= 0)
+    or N[s] (nonorientable, cross-cap number s >= 1)."""
+
+    __slots__ = ()
+
+    def __new__(cls, orientable: bool, genus: int) -> "ClosedSurface":
+        if orientable and genus < 0:
             raise ValueError("orientable genus must be >= 0")
-        if not self.orientable and self.genus < 1:
+        if not orientable and genus < 1:
             raise ValueError("nonorientable genus must be >= 1")
+        return tuple.__new__(cls, (orientable, genus))
+
+    @classmethod
+    def _make(cls, iterable) -> "ClosedSurface":
+        # ``_replace`` goes through here; keep the genus rule too.
+        return cls(*iterable)
 
     @property
     def beta(self) -> int:
@@ -113,8 +126,7 @@ def parse_surface(token: str, position: int = 0) -> ClosedSurface:
         raise ParseError(str(exc), position) from None
 
 
-@dataclass(frozen=True)
-class Base:
+class Base(NamedTuple):
     token: str                      # one of BASE_TOKENS, or "triv"
     surface: ClosedSurface | None = None
 
@@ -122,17 +134,15 @@ class Base:
         return f"triv:{self.surface}" if self.token == "triv" else self.token
 
 
-@dataclass(frozen=True)
-class Op:
-    token: str                      # one of OP_TOKENS
+class Op(NamedTuple):
+    token: str                      # AT11, AT10, FM, DCC or CS
     surface: ClosedSurface | None = None   # only for CS
 
     def __str__(self) -> str:
         return f"CS({self.surface})" if self.token == "CS" else self.token
 
 
-@dataclass(frozen=True)
-class SurgeryWord:
+class SurgeryWord(NamedTuple):
     base: Base
     ops: tuple[Op, ...] = ()
 
@@ -180,24 +190,35 @@ def parse_word(text: str) -> SurgeryWord:
 _PROFILE_KEYS = frozenset({"kind", "beta", "F", "C"})
 
 
-@dataclass(frozen=True)
-class InvariantProfile:
-    """The data the cohomology depends on: kind, beta, and the fixed-set
-    counts (isolated points, circles).
-
-    Every instance is valid: construction runs ``validate_profile`` and
-    raises ``ProfileError`` for a triple that no closed C2-surface
-    realizes, or for a field that is not an int.  Downstream code never
-    validates a profile again.
-    """
-
+class _ProfileFields(NamedTuple):
     kind: str
     beta: int
     fixed_points: int = 0
     fixed_circles: int = 0
 
-    def __post_init__(self):
-        validate_profile(self)
+
+class InvariantProfile(_ProfileFields):
+    """The data the cohomology depends on: kind, beta, and the fixed-set
+    counts (isolated points, circles).
+
+    Every instance is valid: construction (``_replace`` and ``_make``
+    included) runs ``validate_profile`` and raises ``ProfileError`` for a
+    triple that no closed C2-surface realizes, or for a field that is not
+    an int.  Downstream code never validates a profile again.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, beta: int, fixed_points: int = 0,
+                fixed_circles: int = 0) -> "InvariantProfile":
+        pr = tuple.__new__(cls, (kind, beta, fixed_points, fixed_circles))
+        validate_profile(pr)
+        return pr
+
+    @classmethod
+    def _make(cls, iterable) -> "InvariantProfile":
+        # ``_replace`` goes through here; keep every instance valid.
+        return cls(*iterable)
 
     def sort_key(self):
         return (self.beta, _KIND_RANK[self.kind], self.fixed_points, self.fixed_circles)
@@ -282,55 +303,68 @@ def base_profile(base: Base) -> InvariantProfile:
     return _BASE_PROFILES[base.token]
 
 
+def _step(kind: str, beta: int, f: int, c: int, op: Op,
+          op_index: int | None = None) -> tuple[str, int, int, int]:
+    """One surgery on the fields ``(kind, beta, F, C)`` of a profile: the
+    fields after it, or WordError when the action so far cannot take it.
+
+    Every surgery path (``check_op``, ``apply_op``, ``invariants`` and the
+    catalog search) is this step.  On the fields of a valid profile a legal
+    surgery gives the fields of a valid profile; callers that need an
+    ``InvariantProfile`` build it, once, from the fields they end on.
+    """
+    if kind == TRIVIAL:
+        raise WordError("surgery on trivial action", op_index)
+    token = op.token
+    if token == "CS":
+        # Nonequivariantly X #2 Y is Y # X # Y, so beta grows by 2 beta(Y).
+        return kind, beta + 2 * op.surface.beta, f, c
+    if token == "DCC":
+        # Dual cross caps are the connected sum with a projective plane.
+        return kind, beta + 2, f, c
+    if token == "AT11":
+        return NONFREE, beta + 2, f + 2, c
+    if token == "AT10":
+        return NONFREE, beta + 2, f, c + 1
+    if token == "FM":
+        # FM trades an isolated fixed point for a fixed circle.
+        if f == 0:
+            raise WordError("FM needs an isolated fixed point", op_index)
+        return NONFREE, beta + 1, f - 1, c + 1
+    raise WordError(f"unknown op {token!r}", op_index)
+
+
 def check_op(pr: InvariantProfile, op: Op, op_index: int | None = None) -> None:
     """Raise WordError when the surgery needs structure the current action
     does not have."""
-    if pr.kind == TRIVIAL:
-        raise WordError("surgery on trivial action", op_index)
-    if op.token not in OP_TOKENS:
-        raise WordError(f"unknown op {op.token!r}", op_index)
-    if op.token == "FM" and pr.fixed_points == 0:
-        raise WordError("FM needs an isolated fixed point", op_index)
+    _step(*pr, op, op_index)
 
 
 def apply_op(pr: InvariantProfile, op: Op, op_index: int | None = None) -> InvariantProfile:
     """Fold one surgery into a profile; raises WordError (``check_op``) when
     the surgery is illegal."""
-    check_op(pr, op, op_index)
-    f, c, beta = pr.fixed_points, pr.fixed_circles, pr.beta
-    if op.token == "CS":
-        # Nonequivariantly X #2 Y is Y # X # Y, so beta grows by 2 beta(Y).
-        return InvariantProfile(pr.kind, beta + 2 * op.surface.beta, f, c)
-    if op.token == "DCC":
-        # Dual cross caps are the connected sum with a projective plane.
-        return InvariantProfile(pr.kind, beta + 2, f, c)
-    if op.token == "AT11":
-        return InvariantProfile(NONFREE, beta + 2, f + 2, c)
-    if op.token == "AT10":
-        return InvariantProfile(NONFREE, beta + 2, f, c + 1)
-    # FM trades an isolated fixed point for a fixed circle.
-    return InvariantProfile(NONFREE, beta + 1, f - 1, c + 1)
+    return InvariantProfile(*_step(*pr, op, op_index))
 
 
 def invariants(w: SurgeryWord) -> InvariantProfile:
     """Fold a word down to its invariant profile; raises WordError
     (``check_op``) at the first op the action so far cannot take.
 
+    The ops fold on integer fields, and one profile is built at the end.
     The per-op deltas commute, so the result is insensitive to the order
     of the ops (whenever each order validates prefix by prefix).
     """
-    pr = base_profile(w.base)
+    fields = base_profile(w.base)
     for i, op in enumerate(w.ops):
-        pr = apply_op(pr, op, i)
-    return pr
+        fields = _step(*fields, op, i)
+    return InvariantProfile(*fields) if w.ops else fields
 
 
 # ---------------------------------------------------------------------------
 # Singular cohomology profiles of the three associated plain spaces.
 
 
-@dataclass(frozen=True)
-class SingProfile:
+class SingProfile(NamedTuple):
     """Mod-2 Betti numbers (h0, h1, h2) of a space of dimension <= 2."""
 
     h0: int
@@ -395,21 +429,26 @@ def quotient_sing(pr: InvariantProfile) -> SingProfile:
 # sphere are skipped), so the search terminates within beta_max steps.
 
 
-def profiles_by_scan(beta_max: int) -> set[InvariantProfile]:
-    out: set[InvariantProfile] = set()
+def _scanned_fields(beta_max: int) -> set[tuple[str, int, int, int]]:
+    """The ``(kind, beta, F, C)`` fields the realizability inequalities allow."""
+    out = set()
     for beta in range(beta_max + 1):
-        out.add(InvariantProfile(TRIVIAL, beta))
+        out.add((TRIVIAL, beta, 0, 0))
         if beta % 2 == 0:
-            out.add(InvariantProfile(FREE_SPHERE, beta))
+            out.add((FREE_SPHERE, beta, 0, 0))
             if beta >= 2:
-                out.add(InvariantProfile(FREE_TORUS, beta))
+                out.add((FREE_TORUS, beta, 0, 0))
             for f in range(2, beta + 3, 2):
                 if beta >= f - 2:
-                    out.add(InvariantProfile(NONFREE, beta, f, 0))
+                    out.add((NONFREE, beta, f, 0))
         for c in range(1, (beta + 2) // 2 + 1):
             for f in range(beta % 2, beta + 3 - 2 * c, 2):
-                out.add(InvariantProfile(NONFREE, beta, f, c))
+                out.add((NONFREE, beta, f, c))
     return out
+
+
+def profiles_by_scan(beta_max: int) -> set[InvariantProfile]:
+    return set(map(InvariantProfile._make, _scanned_fields(beta_max)))
 
 
 def _enumeration_ops(beta_budget: int) -> list[Op]:
@@ -421,48 +460,58 @@ def _enumeration_ops(beta_budget: int) -> list[Op]:
 
 def profiles_by_words(beta_max: int) -> dict[InvariantProfile, SurgeryWord]:
     """All profiles reachable by words with beta <= beta_max, each with the
-    first witness found (deterministic breadth-first order)."""
-    witnesses: dict[InvariantProfile, SurgeryWord] = {}
+    first witness found (deterministic breadth-first order).
+
+    The search runs on ``(kind, beta, F, C)`` tuples, with one op list for
+    the whole budget: an op too big for what a profile has left already
+    takes beta past ``beta_max``.  Each distinct profile gets one
+    ``InvariantProfile`` and one ``SurgeryWord``, at the end.
+    """
+    found: dict[tuple, tuple[Base, tuple[Op, ...]]] = {}
     for beta in range(beta_max + 1):
         surf = ClosedSurface(True, beta // 2) if beta % 2 == 0 else ClosedSurface(False, beta)
-        word = SurgeryWord(Base("triv", surf))
-        witnesses.setdefault(invariants(word), word)
+        found.setdefault((TRIVIAL, beta, 0, 0), (Base("triv", surf), ()))
     queue = []
     for token in BASE_TOKENS:
-        word = SurgeryWord(Base(token))
-        pr = invariants(word)
-        if pr.beta <= beta_max and pr not in witnesses:
-            witnesses[pr] = word
-            queue.append((pr, word))
+        fields = tuple(_BASE_PROFILES[token])
+        if fields[1] <= beta_max and fields not in found:
+            witness = (Base(token), ())
+            found[fields] = witness
+            queue.append((fields, witness))
+    ops = _enumeration_ops(beta_max)
     while queue:
         next_queue = []
-        for pr, word in queue:
-            for op in _enumeration_ops(beta_max - pr.beta):
+        for fields, (base, word_ops) in queue:
+            for op in ops:
                 try:
-                    nxt = apply_op(pr, op)
+                    nxt = _step(*fields, op)
                 except WordError:
                     continue
-                if nxt.beta > beta_max or nxt in witnesses:
+                if nxt[1] > beta_max or nxt in found:
                     continue
-                nxt_word = SurgeryWord(word.base, word.ops + (op,))
-                witnesses[nxt] = nxt_word
-                next_queue.append((nxt, nxt_word))
+                witness = (base, word_ops + (op,))
+                found[nxt] = witness
+                next_queue.append((nxt, witness))
         queue = next_queue
-    return witnesses
+    return {InvariantProfile(*fields): SurgeryWord(base, word_ops)
+            for fields, (base, word_ops) in found.items()}
 
 
 def witnessed_profiles(beta_max: int) -> dict[InvariantProfile, SurgeryWord]:
     """All valid profiles with beta <= beta_max, sorted, each mapped to its
     first witness word.  Produced by both generators; a discrepancy raises
     RealizabilityError (it must be reported, never silently accepted)."""
-    scanned = profiles_by_scan(beta_max)
+    scanned = _scanned_fields(beta_max)
     witnesses = profiles_by_words(beta_max)
+    # A profile equals its plain fields tuple and hashes like it, so the
+    # scan is compared as fields; every scanned one is then a word's profile.
     if scanned != witnesses.keys():
-        missing = sorted(scanned - witnesses.keys(), key=InvariantProfile.sort_key)
+        missing = sorted(map(InvariantProfile._make, scanned - witnesses.keys()),
+                         key=InvariantProfile.sort_key)
         extra = sorted(witnesses.keys() - scanned, key=InvariantProfile.sort_key)
         raise RealizabilityError(
             f"profile generators disagree: scan-only={missing} word-only={extra}")
-    return {pr: witnesses[pr] for pr in sorted(scanned, key=InvariantProfile.sort_key)}
+    return {pr: witnesses[pr] for pr in sorted(witnesses, key=InvariantProfile.sort_key)}
 
 
 def enumerate_profiles(beta_max: int) -> list[InvariantProfile]:

@@ -10,6 +10,16 @@ import random
 from collections import Counter
 
 from c2surf.checks import Violation
+from c2surf.surfaces import (
+    BASE_TOKENS,
+    Base,
+    ClosedSurface,
+    Op,
+    SurgeryWord,
+    WordError,
+    apply_op,
+    base_profile,
+)
 
 
 def naive_rank(rows: list[list[int]]) -> int:
@@ -139,6 +149,45 @@ def naive_render(items) -> tuple[str, dict]:
         else:
             anti.append([p, n, c])
     return " + ".join(words) or "0", {"free": free, "antipodal": anti}
+
+
+def naive_profiles_by_words(beta_max: int) -> dict:
+    """``profiles_by_words`` as an object-level breadth-first search: every
+    step builds an ``InvariantProfile`` through ``apply_op``, and each queue
+    entry lists only the ops its remaining beta budget allows.  It shares
+    the surgery step with the implementation, but not the search: not the
+    integer keys, the one op list per call, or the late construction."""
+    witnesses = {}
+    for beta in range(beta_max + 1):
+        surf = ClosedSurface(True, beta // 2) if beta % 2 == 0 else ClosedSurface(False, beta)
+        word = SurgeryWord(Base("triv", surf))
+        witnesses.setdefault(base_profile(word.base), word)
+    queue = []
+    for token in BASE_TOKENS:
+        word = SurgeryWord(Base(token))
+        pr = base_profile(word.base)
+        if pr.beta <= beta_max and pr not in witnesses:
+            witnesses[pr] = word
+            queue.append((pr, word))
+    while queue:
+        next_queue = []
+        for pr, word in queue:
+            budget = beta_max - pr.beta
+            ops = [Op("AT11"), Op("AT10"), Op("FM"), Op("DCC")]
+            ops += [Op("CS", ClosedSurface(True, g)) for g in range(1, budget // 4 + 1)]
+            ops += [Op("CS", ClosedSurface(False, s)) for s in range(1, budget // 2 + 1)]
+            for op in ops:
+                try:
+                    nxt = apply_op(pr, op)
+                except WordError:
+                    continue
+                if nxt.beta > beta_max or nxt in witnesses:
+                    continue
+                nxt_word = SurgeryWord(word.base, word.ops + (op,))
+                witnesses[nxt] = nxt_word
+                next_queue.append((nxt, nxt_word))
+        queue = next_queue
+    return witnesses
 
 
 def random_matrix(rng: random.Random, max_side: int = 64) -> list[list[int]]:

@@ -279,6 +279,17 @@ def test_import_builds_no_parser():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_loads_no_dataclasses():
+    # dataclasses pulls in inspect and ast: milliseconds at every start.
+    # -S keeps a site .pth file from importing it first.
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import c2surf.cli, sys; print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
 # SHA-256 of the exit code and stdout of every call of ``golden_requests``,
 # recorded with the windowed checks that preceded the exact ones: 51,849
 # lines, and no correct answer's output may move.

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import c2surf.surfaces
+from _oracles import naive_profiles_by_words
+from c2surf.checks import Window
 from c2surf.surfaces import (
     FREE_SPHERE,
     FREE_TORUS,
@@ -19,6 +21,8 @@ from c2surf.surfaces import (
     Op,
     ParseError,
     ProfileError,
+    RealizabilityError,
+    SingProfile,
     SurgeryWord,
     WordError,
     _enumeration_ops,
@@ -128,6 +132,48 @@ def test_invariants_are_op_order_insensitive(word, rng):
     assert pr == pr2
 
 
+# Words whose ops may be illegal anywhere: trivial bases, FM without a
+# fixed point, and an op token outside the grammar.
+any_words_strategy = st.builds(
+    SurgeryWord,
+    st.one_of(words_strategy.map(lambda w: w.base),
+              st.builds(Base, st.just("triv"),
+                        st.builds(ClosedSurface, st.just(True), st.integers(0, 2)))),
+    st.lists(st.one_of(
+        st.sampled_from([Op("AT11"), Op("AT10"), Op("FM"), Op("DCC"), Op("XX")]),
+        st.builds(Op, st.just("CS"),
+                  st.builds(ClosedSurface, st.booleans(), st.integers(1, 3))),
+    ), max_size=6).map(tuple),
+)
+
+
+@given(any_words_strategy)
+def test_invariants_is_the_fold_of_apply_op(word):
+    # invariants folds integer fields; apply_op builds a profile per op.
+    # Both give the same profile, or the same WordError at the same op.
+    expected = base_profile(word.base)
+    try:
+        for i, op in enumerate(word.ops):
+            expected = apply_op(expected, op, i)
+    except WordError as exc:
+        with pytest.raises(WordError) as err:
+            invariants(word)
+        assert (err.value.op_index, str(err.value)) == (exc.op_index, str(exc))
+        return
+    assert invariants(word) == expected
+    assert type(invariants(word)) is InvariantProfile
+
+
+def test_invariants_validates_one_profile_per_word(monkeypatch):
+    calls = []
+    real = c2surf.surfaces.validate_profile
+    monkeypatch.setattr(c2surf.surfaces, "validate_profile",
+                        lambda pr: calls.append(pr) or real(pr))
+    profile = invariants(parse_word("S22 + FM + AT11 + CS(N[2]) + DCC + AT10"))
+    assert calls == [profile]
+    assert profile == InvariantProfile(NONFREE, 11, 3, 2)
+
+
 @given(words_strategy)
 def test_valid_words_fold_to_valid_profiles(word):
     try:
@@ -210,6 +256,8 @@ def test_apply_op_yields_valid_profiles():
     # A surface of non-integer genus gives a non-integer beta: rejected.
     with pytest.raises(ProfileError, match="must be an integer"):
         apply_op(InvariantProfile(FREE_SPHERE, 0), Op("CS", ClosedSurface(True, 1.0)))
+    with pytest.raises(ProfileError, match="must be an integer"):
+        invariants(SurgeryWord(Base("S2a"), (Op("CS", ClosedSurface(True, 1.0)),)))
 
 
 # -- singular profiles --------------------------------------------------------
@@ -288,6 +336,26 @@ def test_witness_words_fold_back_to_their_profiles():
         assert invariants(word) == pr
 
 
+def test_word_search_matches_the_object_level_search():
+    for beta_max in range(25):
+        want = naive_profiles_by_words(beta_max)
+        got = profiles_by_words(beta_max)
+        assert got == want
+        assert list(got.items()) == list(want.items()), beta_max
+        assert all(type(pr) is InvariantProfile and type(w) is SurgeryWord
+                   for pr, w in got.items())
+
+
+def test_generator_disagreement_is_reported(monkeypatch):
+    words = profiles_by_words(4)
+    dropped = InvariantProfile(NONFREE, 4, 2, 2)
+    del words[dropped]
+    monkeypatch.setattr(c2surf.surfaces, "profiles_by_words", lambda beta_max: words)
+    with pytest.raises(RealizabilityError) as err:
+        witnessed_profiles(4)
+    assert f"scan-only=[{dropped!r}] word-only=[]" in str(err.value)
+
+
 def test_witnessed_profiles_sort_the_word_witnesses():
     witnesses = witnessed_profiles(6)
     assert list(witnesses) == sorted(profiles_by_scan(6), key=InvariantProfile.sort_key)
@@ -298,3 +366,53 @@ def test_expected_witnesses():
     witnesses = profiles_by_words(2)
     assert str(witnesses[InvariantProfile(NONFREE, 1, 1, 1)]) == "S22 + FM"
     assert str(witnesses[InvariantProfile(NONFREE, 2, 0, 2)]) == "S21 + AT10"
+
+
+# -- value semantics ------------------------------------------------------------
+
+
+VALUES = [
+    (ClosedSurface(False, 2), "ClosedSurface(orientable=False, genus=2)"),
+    (Base("triv", ClosedSurface(True, 1)),
+     "Base(token='triv', surface=ClosedSurface(orientable=True, genus=1))"),
+    (Op("AT10"), "Op(token='AT10', surface=None)"),
+    (SurgeryWord(Base("S22"), (Op("FM"),)),
+     "SurgeryWord(base=Base(token='S22', surface=None), ops=(Op(token='FM', surface=None),))"),
+    (InvariantProfile(NONFREE, 2, 0, 2),
+     "InvariantProfile(kind='nonfree', beta=2, fixed_points=0, fixed_circles=2)"),
+    (SingProfile(1, 4, 1), "SingProfile(h0=1, h1=4, h2=1)"),
+    (Window(-2, 6, -8, 8), "Window(pmin=-2, pmax=6, qmin=-8, qmax=8)"),
+]
+
+
+@pytest.mark.parametrize("value, text", VALUES, ids=lambda v: type(v).__name__)
+def test_value_types_keep_their_semantics(value, text):
+    assert repr(value) == text
+    again = type(value)(*value)
+    assert again == value and hash(again) == hash(value) and again is not value
+    assert type(value)._make(value) == value and value._replace() == value
+    for field in value._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+def test_replace_and_make_reject_what_the_constructor_rejects():
+    profile = InvariantProfile(NONFREE, 0, 2, 0)
+    with pytest.raises(ProfileError, match=r"\(mod 2\)"):
+        profile._replace(beta=1)
+    with pytest.raises(ProfileError, match=r"\(mod 2\)"):
+        InvariantProfile._make((NONFREE, 1, 2, 0))
+    assert profile._replace(beta=2) == InvariantProfile(NONFREE, 2, 2, 0)
+    window = Window(-2, 6, -8, 8)
+    with pytest.raises(ValueError, match="inverted window 7:6,-8:8"):
+        window._replace(pmin=7)
+    with pytest.raises(ValueError, match="inverted window"):
+        Window._make((0, 0, 1, 0))
+    with pytest.raises(ValueError, match="nonorientable genus"):
+        ClosedSurface(False, 0)
+    with pytest.raises(ValueError, match="nonorientable genus"):
+        ClosedSurface(False, 2)._replace(genus=0)
+    with pytest.raises(ValueError, match="orientable genus"):
+        ClosedSurface._make((True, -1))

@@ -1,0 +1,107 @@
+"""Time the layers of c2surf and write them to BENCH_11.json.
+
+Run from anywhere, with no arguments, on the source of this checkout:
+
+    python3 tools/bench_layers.py
+
+Each figure is the minimum, in seconds, of 7 repeats of:
+
+* ``witnessed_profiles(20)`` and ``witnessed_profiles(40)``: the catalog's
+  enumeration, both generators and their comparison;
+* ``verify_decomposition`` over the 614 profiles with beta <= 20, their
+  closed forms computed beforehand;
+* an in-process ``catalog 40``, with stdout sent to a null sink;
+* a cold ``python -m c2surf compute S22``: a new interpreter, so mostly
+  start-up and imports.
+
+The record, written at the root of the checkout, also names the Python
+version, the CPUs this process may run on (``nproc``) and the commit
+(marked "-dirty" when the tree has uncommitted changes).
+Standard library only; not a CI gate, and separate from ``perfbench/``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+OUT = ROOT / "BENCH_11.json"
+REPEATS = 7
+
+sys.path.insert(0, str(SRC))
+
+from c2surf import cli  # noqa: E402
+from c2surf.checks import verify_decomposition  # noqa: E402
+from c2surf.engine import closed_form  # noqa: E402
+from c2surf.surfaces import enumerate_profiles, witnessed_profiles  # noqa: E402
+
+
+def best_of(fn) -> float:
+    """The shortest of ``REPEATS`` timed calls of ``fn``, in seconds."""
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def verify_all(cases) -> None:
+    for d, pr in cases:
+        if verify_decomposition(d, pr):
+            raise AssertionError(f"closed form of {pr} fails its checks")
+
+
+def catalog_40() -> None:
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        code = cli.main(["catalog", "40"])
+    if code != 0:
+        raise AssertionError(f"catalog 40 exited {code}")
+
+
+def cold_compute() -> None:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    subprocess.run([sys.executable, "-m", "c2surf", "compute", "S22"], env=env,
+                   check=True, stdout=subprocess.DEVNULL)
+
+
+def commit() -> str | None:
+    """The checked-out commit, with "-dirty" when the tree has changes."""
+    try:
+        proc = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
+                              cwd=ROOT, capture_output=True, text=True)
+    except OSError:
+        return None
+    return proc.stdout.strip() or None
+
+
+def main() -> None:
+    cases = [(closed_form(pr), pr) for pr in enumerate_profiles(20)]
+    if len(cases) != 614:
+        raise AssertionError(f"expected 614 profiles with beta <= 20, got {len(cases)}")
+    timings = {
+        "witnessed_profiles(20)": best_of(lambda: witnessed_profiles(20)),
+        "witnessed_profiles(40)": best_of(lambda: witnessed_profiles(40)),
+        "verify_decomposition x614 (beta <= 20)": best_of(lambda: verify_all(cases)),
+        "catalog 40 (in-process)": best_of(catalog_40),
+        "python -m c2surf compute S22 (cold)": best_of(cold_compute),
+    }
+    nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    record = {"commit": commit(), "python": platform.python_version(), "nproc": nproc,
+              "repeats": REPEATS, "statistic": "min", "unit": "s", "timings": timings}
+    OUT.write_text(json.dumps(record, indent=2) + "\n")
+    for name, seconds in timings.items():
+        print(f"{name:40s} {seconds * 1e3:10.2f} ms")
+    print(f"wrote {OUT}")
+
+
+if __name__ == "__main__":
+    main()
