@@ -11,8 +11,8 @@ identities that are theorems about the actual Bredon cohomology:
   summands sit.
 * rho localization -- inverting rho leaves only the free summands, and
   matches the singular cohomology of the fixed set; concretely the
-  multiset {p - q} over free summands equals the multiset of fixed-set
-  degrees with multiplicity.
+  count of free summands per p - q equals the count of fixed-set classes
+  per degree.
 * forgetful long exact sequence -- exactness of
   ``H^(p-1,q) --rho--> H^(p,q+1) --> H^p_sing --> H^(p,q)`` forces, at
   every bidegree,
@@ -23,7 +23,7 @@ identities that are theorems about the actual Bredon cohomology:
   summand, independent of q: it counts the singular classes the summand
   restricts to (``Summand.underlying_degrees``).  So the identity is read
   from that per-p count, in O(#summands), and reported at every bidegree
-  of the window.
+  of ``DEFAULT_LES_WINDOW``.
 * top class      -- the free summands in topological dimension >= 2: a
   nonfree closed surface has exactly one, in weight 1 if some circle is
   fixed, weight 2 if only points are, weight 0 if the action is trivial;
@@ -31,8 +31,19 @@ identities that are theorems about the actual Bredon cohomology:
 * beta recovery  -- dimension-one generator count: the p = 1 entry of the
   same per-p count of underlying classes, against beta.
 
-The default window p in [-2, 6], q in [-8, 8] bounds only where the
-forgetful-LES identity is reported; the other checks read every summand.
+``verify_decomposition`` runs the five in that order.  Its window, p in
+[-2, 6] and q in [-8, 8], is fixed, and it only bounds where the
+forgetful-LES identity is reported: it never changes a verdict.  The
+other checks read every summand, and a summand with an underlying degree
+outside p in [-2, 6] fails one of them, whatever else the decomposition
+holds.  Such a degree lies in the summand's weight-zero support, which
+the quotient row allows only in [0, 2], unless the summand is S(a,1)M2,
+with an empty weight-zero row: then a - 1 is no fixed-set degree, which
+fails rho localization, and a >= 7 also fails the top class.
+
+A violation reports counts, never one list entry per summand: rho
+localization as sorted ``[k, count]`` pairs, the top class as sorted
+``[p, q, count]`` triples, the shape of the decomposition wire format.
 """
 
 from __future__ import annotations
@@ -136,7 +147,7 @@ def check_rho_localization(d: Decomposition, pr: InvariantProfile) -> list[Viola
 
     Inverting rho turns S(p,q)M2 into a rank-one module remembering only
     p - q, and kills every rho-nilpotent antipodal summand.  Both sides are
-    compared as counts per degree.
+    compared, and reported, as counts per degree.
     """
     fixed = fixed_sing(pr)
     expected = {k: fixed.at(k) for k in (0, 1, 2) if fixed.at(k)}
@@ -147,17 +158,9 @@ def check_rho_localization(d: Decomposition, pr: InvariantProfile) -> list[Viola
             actual[k] = actual.get(k, 0) + c
     if expected != actual:
         return [Violation("rho-localization", "fixed-set degrees",
-                          _multiset(expected), _multiset(actual))]
+                          [[k, expected[k]] for k in sorted(expected)],
+                          [[k, actual[k]] for k in sorted(actual)])]
     return []
-
-
-def _multiset(counts: dict) -> list:
-    """The sorted list holding each key of ``counts`` as often as it counts:
-    built only to report a violation."""
-    out: list = []
-    for k in sorted(counts):
-        out += [k] * counts[k]
-    return out
 
 
 def _underlying_classes(d: Decomposition) -> dict[int, int]:
@@ -201,8 +204,8 @@ def check_top_class(d: Decomposition, pr: InvariantProfile) -> list[Violation]:
     tops = {s.shift: c for s, c in d.items() if s.is_free and s.shift.p >= 2}
     if tops != want:
         return [Violation("top-class", "free summands with p >= 2",
-                          [str(b) for b in _multiset(want)],
-                          [str(b) for b in _multiset(tops)])]
+                          [[*b, want[b]] for b in sorted(want)],
+                          [[*b, tops[b]] for b in sorted(tops)])]
     return []
 
 
@@ -214,33 +217,18 @@ def check_beta_recovery(d: Decomposition, pr: InvariantProfile) -> list[Violatio
     return []
 
 
-def verify_decomposition(d: Decomposition, pr: InvariantProfile,
-                         window: Window = DEFAULT_LES_WINDOW,
-                         fail_fast: bool = False) -> list[Violation]:
-    """Run every applicable check on a candidate decomposition."""
-    out: list[Violation] = []
-
-    def run(violations):
-        out.extend(violations)
-        return fail_fast and out
-
-    if run(check_quotient_row(d, pr)):
-        return out
-    if run(check_rho_localization(d, pr)):
-        return out
-    if run(check_forgetful_les(d, underlying_sing(pr), window)):
-        return out
-    if run(check_top_class(d, pr)):
-        return out
-    run(check_beta_recovery(d, pr))
-    return out
+def verify_decomposition(d: Decomposition, pr: InvariantProfile) -> list[Violation]:
+    """Every violation of the five checks, in order, on a candidate
+    decomposition."""
+    return (check_quotient_row(d, pr) + check_rho_localization(d, pr)
+            + check_forgetful_les(d, underlying_sing(pr)) + check_top_class(d, pr)
+            + check_beta_recovery(d, pr))
 
 
-def verify_profile(pr: InvariantProfile,
-                   window: Window = DEFAULT_LES_WINDOW) -> list[Violation]:
-    return verify_decomposition(closed_form(pr), pr, window)
+def verify_profile(pr: InvariantProfile) -> list[Violation]:
+    return verify_decomposition(closed_form(pr), pr)
 
 
-def verify_word(w: SurgeryWord, window: Window = DEFAULT_LES_WINDOW) -> list[Violation]:
+def verify_word(w: SurgeryWord) -> list[Violation]:
     """Fold the word, compute the closed form, and run all checks."""
-    return verify_profile(invariants(w), window)
+    return verify_profile(invariants(w))

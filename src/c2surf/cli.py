@@ -5,7 +5,9 @@ Three subcommands:
 * ``compute INPUT``  -- decomposition of a surgery word or profile JSON,
   as text (default), canonical JSON (``--json``) or an ASCII dimension
   grid (``--grid``).
-* ``verify INPUT``   -- run all structural checks; exit 0 on pass.
+* ``verify INPUT``   -- run all structural checks; exit 0 on pass.  The
+  ok line names the fixed forgetful-LES window, ``-2:6,-8:8``, which never
+  changes the verdict (see ``checks``).
 * ``catalog BETA_MAX`` -- one verified row per realizable profile.
 
 Exit codes: 0 ok, 1 verification failure, 2 bad input, 141 stdout closed
@@ -13,9 +15,10 @@ by its reader (see README); any other exception is a program error and
 propagates.
 INPUT starting with '{' is parsed as a profile JSON object
 ``{"kind":..., "beta":..., "F":..., "C":...}``; anything else as a word.
-The environment variable ``ESC_WINDOW`` (same ``pmin:pmax,qmin:qmax``
-syntax as ``--window``) overrides the default windows.  stdout carries
-data; diagnostics go to stderr.
+``compute --grid`` draws the window ``--window`` gives, else the one in the
+environment variable ``ESC_WINDOW`` (same ``pmin:pmax,qmin:qmax`` syntax),
+else ``-4:6,-6:6``; ``--window`` without ``--grid`` is bad input.  stdout
+carries data; diagnostics go to stderr.
 
 The argument parser is built once per process, on the first ``main`` call
 (not at import), and declares every flag.  A plain argv does not enter it:
@@ -69,10 +72,10 @@ def _parse_input(text: str) -> InvariantProfile:
     return invariants(parse_word(text))
 
 
-def _pick_window(flag_value: str | None, fallback: Window) -> Window:
+def _grid_window(flag_value: str | None) -> Window:
     text = flag_value if flag_value is not None else os.environ.get("ESC_WINDOW") or None
     if text is None:
-        return fallback
+        return DEFAULT_GRID_WINDOW
     try:
         return Window.parse(text)
     except ValueError as exc:
@@ -80,10 +83,12 @@ def _pick_window(flag_value: str | None, fallback: Window) -> Window:
 
 
 def _cmd_compute(args) -> int:
+    if args.window is not None and not args.grid:
+        raise _InputError("--window needs --grid")
     profile = _parse_input(args.input)
     decomposition = reduced_form(profile) if args.reduced else closed_form(profile)
     if args.grid:
-        window = _pick_window(args.window, DEFAULT_GRID_WINDOW)
+        window = _grid_window(args.window)
         print(render_grid(decomposition, (window.pmin, window.pmax),
                           (window.qmin, window.qmax)))
     elif args.json:
@@ -113,15 +118,14 @@ def _cmd_verify(args) -> int:
     decomposition = closed_form(profile)
     if args.inject:
         decomposition = _apply_injection(decomposition, args.inject)
-    window = _pick_window(args.window, DEFAULT_LES_WINDOW)
-    violations = verify_decomposition(decomposition, profile, window)
+    violations = verify_decomposition(decomposition, profile)
     if args.json:
         print(json.dumps([v.to_json_obj() for v in violations], separators=(",", ":")))
     elif violations:
         for v in violations:
             print(f"FAIL: {v}")
     else:
-        print(f"ok: {profile} [window {window}] {decomposition}")
+        print(f"ok: {profile} [window {DEFAULT_LES_WINDOW}] {decomposition}")
     return VERIFY_FAILED if violations else OK
 
 
@@ -154,12 +158,12 @@ def _build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--grid", action="store_true", help="ASCII dimension grid")
     compute.add_argument("--reduced", action="store_true",
                          help="strip the unshifted M2 summand (nonfree/trivial only)")
-    compute.add_argument("--window", metavar="P0:P1,Q0:Q1", default=None)
+    compute.add_argument("--window", metavar="P0:P1,Q0:Q1", default=None,
+                         help="grid window (with --grid)")
 
     verify = sub.add_parser("verify", help="check a decomposition against the oracles")
     verify.add_argument("input", help="surgery word or profile JSON")
     verify.add_argument("--json", action="store_true", help="JSON violation report")
-    verify.add_argument("--window", metavar="P0:P1,Q0:Q1", default=None)
     verify.add_argument("--inject", metavar="drop:P,Q", default=None,
                         help="corrupt the decomposition first (testing hook)")
 

@@ -16,7 +16,8 @@ the point module.  The answers, by kind of action:
 The profile inequalities make every exponent a nonnegative integer.
 
 ``closed_form`` is a bounded memo (``functools.lru_cache``, thread-safe,
-1024 entries) keyed by the profile's four fields.  Nothing here validates
+1024 entries) keyed by the profile itself, a ``NamedTuple`` that hashes
+and compares as its four fields.  Nothing here validates
 a profile: an ``InvariantProfile`` is valid from construction, so its
 fields are a kind name and three ints.  Results are immutable and shared
 between callers.
@@ -63,17 +64,10 @@ class TransformError(ValueError):
     """A rewrite rule applied to a decomposition it does not match."""
 
 
-def closed_form(pr: InvariantProfile) -> Decomposition:
-    """The unreduced cohomology decomposition of a profile.
-
-    Memoized; ``closed_form.cache_info()`` and ``closed_form.cache_clear()``
-    reach the memo.
-    """
-    return _closed_form(pr.kind, pr.beta, pr.fixed_points, pr.fixed_circles)
-
-
 @lru_cache(maxsize=1024)
-def _closed_form(kind: str, beta: int, f: int, c: int) -> Decomposition:
+def closed_form(pr: InvariantProfile) -> Decomposition:
+    """The unreduced cohomology decomposition of a profile (memoized)."""
+    kind, beta, f, c = pr
     if kind == TRIVIAL:
         return Decomposition({_M2: 1, _S10: beta, _S20: 1})
     if kind == FREE_SPHERE:
@@ -85,10 +79,6 @@ def _closed_form(kind: str, beta: int, f: int, c: int) -> Decomposition:
         return Decomposition({_M2: 1, _S11: f - 2, _A0_1: (beta - f) // 2 + 1, _S22: 1})
     return Decomposition({_M2: 1, _S11: f + c - 1, _S10: c - 1,
                           _A0_1: (beta - f) // 2 + 1 - c, _S21: 1})
-
-
-closed_form.cache_info = _closed_form.cache_info
-closed_form.cache_clear = _closed_form.cache_clear
 
 
 def reduced_form(pr: InvariantProfile) -> Decomposition:

@@ -170,7 +170,7 @@ def test_criterion_6_mutation_sensitivity():
         mutants += [d.direct_sum(Decomposition([s])) for s in pool]
         for mutant in mutants:
             tried += 1
-            assert verify_decomposition(mutant, pr, fail_fast=True), \
+            assert verify_decomposition(mutant, pr), \
                 f"silently accepted {mutant} for {pr}"
     _report(6, f"every one of {tried} single-summand mutations broke a check")
 

@@ -113,21 +113,49 @@ def test_verify_pass_and_inject(capsys):
 
 
 def test_verify_counts_a_huge_multiplicity(capsys):
-    # The checks compare counts, never a list with one entry per summand.
+    # The checks compare and report counts, never a list with one entry per
+    # summand; a wrong answer is reported, not ended in a traceback.
     big = 10 ** 20
-    code, out, _ = run(capsys, "verify", json.dumps({"kind": "nonfree", "beta": big,
-                                                     "F": big, "C": 0}))
+    text = json.dumps({"kind": "nonfree", "beta": big, "F": big, "C": 0})
+    code, out, _ = run(capsys, "verify", text)
     assert code == 0
     assert out.startswith("ok:") and f"S(1,1)M2^{big - 2}" in out
+    code, out, err = fresh_process(["verify", "--inject", "drop:1,1", text])
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines and all(line.startswith("FAIL: ") for line in lines)
+    assert (f"FAIL: rho-localization at fixed-set degrees: expected [[0, {big}]], "
+            f"got [[0, {big - 1}]]") in lines
 
 
-def test_verify_window_flag_with_negative_values(capsys):
+def test_grid_window_flag_with_negative_values(capsys):
     # Both "--window=-2:6,-8:8" and the two-token spelling must work.
-    code, out, _ = run(capsys, "verify", "--window=-2:6,-8:8", "S2a")
+    code, out, _ = run(capsys, "compute", "--grid", "--window=-2:6,-8:8", "S2a")
     assert code == 0
-    code, out, _ = run(capsys, "verify", "--window", "-2:6,-8:8", "S2a")
-    assert code == 0
-    assert "-2:6,-8:8" in out
+    code, out2, _ = run(capsys, "compute", "--grid", "--window", "-2:6,-8:8", "S2a")
+    assert (code, out2) == (0, out)
+    assert [len(row) for row in out.splitlines()] == [9] * 17
+
+
+def test_verify_takes_no_window(capsys):
+    # The verify window is fixed; asking for another one is a usage error.
+    for argv in (["verify", "--window=0:1,0:1", "S22"], ["verify", "--window", "0:1,0:1", "S22"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "--window" in capsys.readouterr().err
+    assert fresh_process(["verify", "--window=0:1,0:1", "S22"])[0] == 2
+
+
+def test_compute_window_needs_grid(capsys):
+    # Both the plain matcher and argparse (an abbreviated flag) reach the
+    # same check: the window would otherwise be silently ignored.
+    for argv in (["compute", "--window=junk", "S22"], ["compute", "--window", "0:1,0:1", "S22"],
+                 ["compute", "--json", "--win=0:1,0:1", "S22"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: --window needs --grid\n"), argv
+    assert _match(["compute", "--win=0:1,0:1", "S22"]) is None
+    assert _match(["compute", "--window=junk", "S22"]) is not None
 
 
 def test_verify_json_report(capsys):
@@ -143,7 +171,8 @@ def test_verify_json_report(capsys):
 def test_double_dash_window_is_bad_input(capsys):
     # argparse before Python 3.13 stores the value "--" as [], which used to
     # end in an AttributeError traceback; every version must reject it.
-    for argv in (["verify", "--window", "--", "S22"], ["verify", "--window=--", "S22"],
+    for argv in (["compute", "--grid", "--window", "--", "S22"],
+                 ["compute", "--window=--", "--grid", "S22"],
                  ["compute", "--grid", "--window=--", "S22"]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
@@ -153,13 +182,19 @@ def test_double_dash_window_is_bad_input(capsys):
 
 
 def test_esc_window_env_override(capsys, monkeypatch):
+    # ESC_WINDOW sets the grid window, and leaves verify's fixed one alone.
     monkeypatch.setenv("ESC_WINDOW", "0:1,0:1")
+    code, out, _ = run(capsys, "compute", "--grid", "S22")
+    assert code == 0
+    assert out == run(capsys, "compute", "--grid", "--window=0:1,0:1", "S22")[1]
+    assert out.splitlines() == ["11", "1."]
     code, out, _ = run(capsys, "verify", "S22")
     assert code == 0
-    assert "[window 0:1,0:1]" in out
+    assert "[window -2:6,-8:8]" in out
     monkeypatch.setenv("ESC_WINDOW", "junk")
-    code, _, err = run(capsys, "verify", "S22")
+    code, _, err = run(capsys, "compute", "--grid", "S22")
     assert code == 2
+    assert run(capsys, "verify", "S22")[0] == 0
 
 
 def test_catalog_zero(capsys):
@@ -291,13 +326,15 @@ def test_import_loads_no_dataclasses():
 
 
 # SHA-256 of the exit code and stdout of every call of ``correct_requests``
-# and of ``inject_requests``, recorded with the windowed checks that preceded
-# the exact ones: 51,849 lines between them.  No correct answer's output may
-# move; the failure report is pinned separately, so that a change to its
-# format re-records only the second hash.
+# and of ``inject_requests``: 51,849 lines between them.  The first was
+# recorded with the windowed checks that preceded the exact ones, and no
+# correct answer's output may move.  The failure report is pinned
+# separately, so that a change to its format re-records only the second
+# hash; it was last re-recorded when rho localization and the top class
+# began to report counts per degree.
 CORRECT_CLI_SHA256 = "21cd7f39dd063eae8ef7e48f562268410a311459846bdd2d10332f5f8a6aa039"
 CORRECT_CLI_LINES = 8537
-INJECT_CLI_SHA256 = "d7594ace04fad5a0ddebc9c25578ca24457439f85085d54b1cea25e7a3651214"
+INJECT_CLI_SHA256 = "9b817bfc169d0d5101cccd7ee7b8129676b1d9737f294d6d4c3aff743049c48a"
 INJECT_CLI_LINES = 43312
 
 

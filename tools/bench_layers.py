@@ -1,4 +1,4 @@
-"""Time the layers of c2surf and write them to BENCH_11.json.
+"""Time the layers of c2surf and write them to BENCH_12.json.
 
 Run from anywhere, with no arguments, on the source of this checkout:
 
@@ -9,7 +9,12 @@ Each figure is the minimum, in seconds, of 7 repeats of:
 * ``witnessed_profiles(20)`` and ``witnessed_profiles(40)``: the catalog's
   enumeration, both generators and their comparison;
 * ``verify_decomposition`` over the 614 profiles with beta <= 20, their
-  closed forms computed beforehand;
+  closed forms computed beforehand (the accept path);
+* ``verify_decomposition`` over the 33,228 single-summand mutants of the
+  acceptance suite's mutation sweep (profiles with beta <= 8; every
+  removal, and every added free summand with p, q in [-4, 12] or
+  antipodal one with p in [-4, 12], n <= 4), built beforehand, each of
+  which must fail (the reject path);
 * an in-process ``catalog 40``, with stdout sent to a null sink;
 * a cold ``python -m c2surf compute S22``: a new interpreter, so mostly
   start-up and imports.
@@ -33,12 +38,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-OUT = ROOT / "BENCH_11.json"
+OUT = ROOT / "BENCH_12.json"
 REPEATS = 7
 
 sys.path.insert(0, str(SRC))
 
 from c2surf import cli  # noqa: E402
+from c2surf.bigraded import Decomposition, Summand  # noqa: E402
 from c2surf.checks import verify_decomposition  # noqa: E402
 from c2surf.engine import closed_form  # noqa: E402
 from c2surf.surfaces import enumerate_profiles, witnessed_profiles  # noqa: E402
@@ -58,6 +64,24 @@ def verify_all(cases) -> None:
     for d, pr in cases:
         if verify_decomposition(d, pr):
             raise AssertionError(f"closed form of {pr} fails its checks")
+
+
+def mutants() -> list:
+    """The single-summand mutants of the acceptance sweep, with profiles."""
+    pool = ([Summand.free(p, q) for p in range(-4, 13) for q in range(-4, 13)]
+            + [Summand.antipodal(p, n) for p in range(-4, 13) for n in range(5)])
+    cases = []
+    for pr in enumerate_profiles(8):
+        d = closed_form(pr)
+        cases += [(d.remove(s), pr) for s, _ in d.items()]
+        cases += [(d.direct_sum(Decomposition([s])), pr) for s in pool]
+    return cases
+
+
+def reject_all(cases) -> None:
+    for d, pr in cases:
+        if not verify_decomposition(d, pr):
+            raise AssertionError(f"mutant {d} of {pr} passes its checks")
 
 
 def catalog_40() -> None:
@@ -87,10 +111,14 @@ def main() -> None:
     cases = [(closed_form(pr), pr) for pr in enumerate_profiles(20)]
     if len(cases) != 614:
         raise AssertionError(f"expected 614 profiles with beta <= 20, got {len(cases)}")
+    wrong = mutants()
+    if len(wrong) != 33228:
+        raise AssertionError(f"expected 33228 mutants with beta <= 8, got {len(wrong)}")
     timings = {
         "witnessed_profiles(20)": best_of(lambda: witnessed_profiles(20)),
         "witnessed_profiles(40)": best_of(lambda: witnessed_profiles(40)),
         "verify_decomposition x614 (beta <= 20)": best_of(lambda: verify_all(cases)),
+        "verify_decomposition x33228 mutants (beta <= 8)": best_of(lambda: reject_all(wrong)),
         "catalog 40 (in-process)": best_of(catalog_40),
         "python -m c2surf compute S22 (cold)": best_of(cold_compute),
     }
@@ -99,7 +127,7 @@ def main() -> None:
               "repeats": REPEATS, "statistic": "min", "unit": "s", "timings": timings}
     OUT.write_text(json.dumps(record, indent=2) + "\n")
     for name, seconds in timings.items():
-        print(f"{name:40s} {seconds * 1e3:10.2f} ms")
+        print(f"{name:48s} {seconds * 1e3:10.2f} ms")
     print(f"wrote {OUT}")
 
 
