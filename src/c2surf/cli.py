@@ -77,9 +77,13 @@ def _grid_window(flag_value: str | None) -> Window:
     if text is None:
         return DEFAULT_GRID_WINDOW
     try:
-        return Window.parse(text)
+        window = Window.parse(text)
     except ValueError as exc:
         raise _InputError(str(exc)) from None
+    cells = (window.pmax - window.pmin + 1) * (window.qmax - window.qmin + 1)
+    if cells > sys.maxsize:
+        raise _InputError(f"window {window} has more cells than can be indexed")
+    return window
 
 
 def _cmd_compute(args) -> int:

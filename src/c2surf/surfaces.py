@@ -462,10 +462,13 @@ def profiles_by_words(beta_max: int) -> dict[InvariantProfile, SurgeryWord]:
     """All profiles reachable by words with beta <= beta_max, each with the
     first witness found (deterministic breadth-first order).
 
-    The search runs on ``(kind, beta, F, C)`` tuples, with one op list for
-    the whole budget: an op too big for what a profile has left already
-    takes beta past ``beta_max``.  Each distinct profile gets one
-    ``InvariantProfile`` and one ``SurgeryWord``, at the end.
+    The search runs on ``(kind, beta, F, C)`` tuples.  A profile tries
+    only the ops its remaining budget allows, from one list per budget
+    built up front: each ``CS`` family is in increasing beta delta, so the
+    ops left out are exactly those that would take beta past ``beta_max``,
+    and the witnesses and their order are those of the full list.  Each
+    distinct profile gets one ``InvariantProfile`` and one
+    ``SurgeryWord``, at the end.
     """
     found: dict[tuple, tuple[Base, tuple[Op, ...]]] = {}
     for beta in range(beta_max + 1):
@@ -478,11 +481,11 @@ def profiles_by_words(beta_max: int) -> dict[InvariantProfile, SurgeryWord]:
             witness = (Base(token), ())
             found[fields] = witness
             queue.append((fields, witness))
-    ops = _enumeration_ops(beta_max)
+    ops_by_budget = [_enumeration_ops(budget) for budget in range(beta_max + 1)]
     while queue:
         next_queue = []
         for fields, (base, word_ops) in queue:
-            for op in ops:
+            for op in ops_by_budget[beta_max - fields[1]]:
                 try:
                     nxt = _step(*fields, op)
                 except WordError:

@@ -154,9 +154,9 @@ def naive_render(items) -> tuple[str, dict]:
 def naive_profiles_by_words(beta_max: int) -> dict:
     """``profiles_by_words`` as an object-level breadth-first search: every
     step builds an ``InvariantProfile`` through ``apply_op``, and each queue
-    entry lists only the ops its remaining beta budget allows.  It shares
-    the surgery step with the implementation, but not the search: not the
-    integer keys, the one op list per call, or the late construction."""
+    entry lists only the ops its remaining beta budget allows, as the
+    implementation's do.  It shares the surgery step with the
+    implementation, but not the integer keys or the late construction."""
     witnesses = {}
     for beta in range(beta_max + 1):
         surf = ClosedSurface(True, beta // 2) if beta % 2 == 0 else ClosedSurface(False, beta)

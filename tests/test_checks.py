@@ -134,8 +134,21 @@ def windows(draw):
 
 @given(decompositions, sing_profiles, windows())
 def test_forgetful_les_matches_the_naive_sweep(d, sing, window):
-    want = naive_forgetful_les(d, sing, window)
-    assert check_forgetful_les(d, sing, window) == want
+    # The check is the naive sweep collapsed per p: for each p it reports,
+    # the sweep fails at every q of the window with the same two sides, and
+    # it fails at no other p, so the collapse loses nothing.
+    sweep = naive_forgetful_les(d, sing, window)
+    by_p = {}
+    for v in sweep:
+        p, q = (int(x) for x in v.location.strip("()").split(","))
+        by_p.setdefault(p, []).append((q, v.expected, v.actual))
+    got = check_forgetful_les(d, sing, window)
+    assert [v.location for v in got] == [f"p={p}" for p in sorted(by_p)]
+    qs = list(range(window.qmin, window.qmax + 1))
+    for v in got:
+        p = int(v.location.removeprefix("p="))
+        assert v.check == "forgetful-les"
+        assert by_p[p] == [(q, v.expected, v.actual) for q in qs], p
 
 
 PROFILES_TO_12 = enumerate_profiles(12)
@@ -219,7 +232,7 @@ def test_corrupted_decomposition_fails_les_and_beta_recovery():
     checks = {v.check for v in violations}
     assert "forgetful-les" in checks
     assert "beta-recovery" in checks
-    assert any(v.location == "(1,1)" for v in violations if v.check == "forgetful-les")
+    assert any(v.location == "p=1" for v in violations if v.check == "forgetful-les")
 
 
 def test_violation_serialization():

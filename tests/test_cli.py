@@ -112,6 +112,18 @@ def test_verify_pass_and_inject(capsys):
     assert code == 2
 
 
+def test_verify_reports_a_wrong_les_degree_once(capsys):
+    # The LES identity's right-hand side does not depend on q, so a wrong
+    # count at p = 1 is one line, not one per weight of the window.
+    code, out, err = run(capsys, "verify", "--inject", "drop:1,1", "S22 + AT11")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "FAIL: rho-localization at fixed-set degrees: expected [[0, 4]], got [[0, 3]]",
+        "FAIL: forgetful-les at p=1: expected 2, got 1",
+        "FAIL: beta-recovery at beta: expected 2, got 1",
+    ]
+
+
 def test_verify_counts_a_huge_multiplicity(capsys):
     # The checks compare and report counts, never a list with one entry per
     # summand; a wrong answer is reported, not ended in a traceback.
@@ -135,6 +147,20 @@ def test_grid_window_flag_with_negative_values(capsys):
     code, out2, _ = run(capsys, "compute", "--grid", "--window", "-2:6,-8:8", "S2a")
     assert (code, out2) == (0, out)
     assert [len(row) for row in out.splitlines()] == [9] * 17
+
+
+def test_grid_window_too_large_to_index_is_bad_input(capsys, monkeypatch):
+    # Each window here has more cells than sys.maxsize, so it is rejected
+    # before any grid is allocated, from the flag or from ESC_WINDOW.
+    huge = 10 ** 20
+    for text in (f"0:{huge},0:1", f"0:1,-{huge}:0", f"0:{sys.maxsize},0:1",
+                 f"-{huge}:{huge},-{huge}:{huge}"):
+        code, out, err = run(capsys, "compute", "--grid", f"--window={text}", "S22")
+        assert (code, out) == (2, ""), text
+        assert err == f"error: window {text} has more cells than can be indexed\n", text
+        monkeypatch.setenv("ESC_WINDOW", text)
+        assert run(capsys, "compute", "--grid", "S22") == (code, out, err), text
+        monkeypatch.delenv("ESC_WINDOW")
 
 
 def test_verify_takes_no_window(capsys):

@@ -346,6 +346,51 @@ def test_word_search_matches_the_object_level_search():
                    for pr, w in got.items())
 
 
+def full_list_profiles_by_words(beta_max: int) -> dict:
+    """The catalog's breadth-first search with every queue entry trying the
+    whole op list of the full budget, overshooting ops included."""
+    witnesses = {}
+    for beta in range(beta_max + 1):
+        surf = ClosedSurface(True, beta // 2) if beta % 2 == 0 else ClosedSurface(False, beta)
+        witnesses.setdefault(InvariantProfile(TRIVIAL, beta), SurgeryWord(Base("triv", surf)))
+    queue = []
+    for token in ("S22", "S21", "S2a", "T1a", "T1r"):
+        word = SurgeryWord(Base(token))
+        pr = invariants(word)
+        if pr.beta <= beta_max and pr not in witnesses:
+            witnesses[pr] = word
+            queue.append((pr, word))
+    ops = ([Op(token) for token in ("AT11", "AT10", "FM", "DCC")]
+           + [Op("CS", ClosedSurface(True, g)) for g in range(1, beta_max // 4 + 1)]
+           + [Op("CS", ClosedSurface(False, s)) for s in range(1, beta_max // 2 + 1)])
+    while queue:
+        next_queue = []
+        for pr, word in queue:
+            for op in ops:
+                try:
+                    nxt = apply_op(pr, op)
+                except WordError:
+                    continue
+                if nxt.beta <= beta_max and nxt not in witnesses:
+                    witnesses[nxt] = SurgeryWord(word.base, word.ops + (op,))
+                    next_queue.append((nxt, witnesses[nxt]))
+        queue = next_queue
+    return witnesses
+
+
+def test_budget_cut_keeps_the_full_list_witnesses():
+    # Skipping the ops that overshoot the budget left changes no witness
+    # and no position in the dict.  Beta only grows along a word, so the
+    # full-list search at a smaller bound is the one at 30 cut to that
+    # bound, in the same order, as a few smaller bounds check directly.
+    full = full_list_profiles_by_words(30)
+    for beta_max in range(31):
+        want = [(pr, w) for pr, w in full.items() if pr.beta <= beta_max]
+        if beta_max in (0, 1, 2, 9):
+            assert list(full_list_profiles_by_words(beta_max).items()) == want
+        assert list(profiles_by_words(beta_max).items()) == want, beta_max
+
+
 def test_generator_disagreement_is_reported(monkeypatch):
     words = profiles_by_words(4)
     dropped = InvariantProfile(NONFREE, 4, 2, 2)

@@ -1,4 +1,4 @@
-"""Time the layers of c2surf and write them to BENCH_12.json.
+"""Time the layers of c2surf and write them to BENCH_13.json.
 
 Run from anywhere, with no arguments, on the source of this checkout:
 
@@ -38,7 +38,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-OUT = ROOT / "BENCH_12.json"
+OUT = ROOT / "BENCH_13.json"
 REPEATS = 7
 
 sys.path.insert(0, str(SRC))
