@@ -352,16 +352,16 @@ def test_import_loads_no_dataclasses():
 
 
 # SHA-256 of the exit code and stdout of every call of ``correct_requests``
-# and of ``inject_requests``: 51,849 lines between them.  The first was
+# and of ``inject_requests``: 17,593 lines between them.  The first was
 # recorded with the windowed checks that preceded the exact ones, and no
 # correct answer's output may move.  The failure report is pinned
 # separately, so that a change to its format re-records only the second
-# hash; it was last re-recorded when rho localization and the top class
-# began to report counts per degree.
+# hash; it was last re-recorded when the forgetful-LES identity began to
+# report each wrong degree p once instead of once per weight.
 CORRECT_CLI_SHA256 = "21cd7f39dd063eae8ef7e48f562268410a311459846bdd2d10332f5f8a6aa039"
 CORRECT_CLI_LINES = 8537
-INJECT_CLI_SHA256 = "9b817bfc169d0d5101cccd7ee7b8129676b1d9737f294d6d4c3aff743049c48a"
-INJECT_CLI_LINES = 43312
+INJECT_CLI_SHA256 = "4d6451e69c6322c7dce573fb75c78384c154fd5aa4d333680922875244166233"
+INJECT_CLI_LINES = 9056
 
 
 def correct_requests():
@@ -411,7 +411,7 @@ def test_failure_reports_match_the_golden_hash(capsys, monkeypatch):
     monkeypatch.delenv("ESC_WINDOW", raising=False)
     assert output_digest(capsys, inject_requests()) == (INJECT_CLI_SHA256,
                                                         INJECT_CLI_LINES)
-    assert CORRECT_CLI_LINES + INJECT_CLI_LINES == 51849
+    assert CORRECT_CLI_LINES + INJECT_CLI_LINES == 17593
 
 
 # Pieces of argvs for the matcher-against-argparse test: every subcommand,
