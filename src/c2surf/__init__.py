@@ -18,6 +18,7 @@ from .bigraded import (
 )
 from .checks import (
     DEFAULT_LES_WINDOW,
+    Tally,
     Violation,
     Window,
     check_beta_recovery,
@@ -25,6 +26,7 @@ from .checks import (
     check_quotient_row,
     check_rho_localization,
     check_top_class,
+    tally,
     verify_decomposition,
     verify_profile,
     verify_word,

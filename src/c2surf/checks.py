@@ -1,7 +1,11 @@
 """Structural checks pitting a decomposition against singular cohomology.
 
 A candidate cohomology decomposition for a profile must satisfy several
-identities that are theorems about the actual Bredon cohomology:
+identities that are theorems about the actual Bredon cohomology.  Each is
+a count over the summands compared with a Betti-number profile, so a
+decomposition is tallied once (``tally``: four count tables, each
+summand's part read through a memo keyed by the summand) and each check
+compares one of those tables with its profile:
 
 * quotient row   -- the weight-zero row equals the singular cohomology of
   the orbit space, as ``quotient_sing`` gives it from the Euler
@@ -22,9 +26,9 @@ identities that are theorems about the actual Bredon cohomology:
   The right-hand side is additive over the direct sum and, summand by
   summand, independent of q: it counts the singular classes the summand
   restricts to (``Summand.underlying_degrees``).  So the identity is read
-  from that per-p count, in O(#summands).  A wrong count at p fails at
-  every q alike, so it is one fact, reported once, at location ``p=<p>``,
-  for each p in the p range of ``DEFAULT_LES_WINDOW``.
+  from that per-p count, the tally's ``classes``.  A wrong count at p
+  fails at every q alike, so it is one fact, reported once, at location
+  ``p=<p>``, for each p in the p range of ``DEFAULT_LES_WINDOW``.
 * top class      -- the free summands in topological dimension >= 2: a
   nonfree closed surface has exactly one, in weight 1 if some circle is
   fixed, weight 2 if only points are, weight 0 if the action is trivial;
@@ -32,15 +36,16 @@ identities that are theorems about the actual Bredon cohomology:
 * beta recovery  -- dimension-one generator count: the p = 1 entry of the
   same per-p count of underlying classes, against beta.
 
-``verify_decomposition`` runs the five in that order.  Its window, p in
-[-2, 6] and q in [-8, 8], is fixed, and it only bounds where the
-forgetful-LES identity is reported: it never changes a verdict.  The
-other checks read every summand, and a summand with an underlying degree
-outside p in [-2, 6] fails one of them, whatever else the decomposition
-holds.  Such a degree lies in the summand's weight-zero support, which
-the quotient row allows only in [0, 2], unless the summand is S(a,1)M2,
-with an empty weight-zero row: then a - 1 is no fixed-set degree, which
-fails rho localization, and a >= 7 also fails the top class.
+``verify_decomposition`` tallies the decomposition once and runs the
+five in that order.  Its window, p in [-2, 6] and q in [-8, 8], is
+fixed, and it only bounds where the forgetful-LES identity is reported:
+it never changes a verdict.  The other checks read every summand, and a
+summand with an underlying degree outside p in [-2, 6] fails one of
+them, whatever else the decomposition holds.  Such a degree lies in the
+summand's weight-zero support, which the quotient row allows only in
+[0, 2], unless the summand is S(a,1)M2, with an empty weight-zero row:
+then a - 1 is no fixed-set degree, which fails rho localization, and
+a >= 7 also fails the top class.
 
 A violation reports counts, never one list entry per summand: rho
 localization as sorted ``[k, count]`` pairs, the top class as sorted
@@ -50,9 +55,10 @@ localization as sorted ``[k, count]`` pairs, the top class as sorted
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import NamedTuple
 
-from .bigraded import Bidegree, Decomposition
+from .bigraded import Bidegree, Decomposition, Summand
 from .engine import closed_form
 from .surfaces import (
     NONFREE,
@@ -125,25 +131,67 @@ class Violation(NamedTuple):
         return f"{self.check} at {self.location}: expected {self.expected}, got {self.actual}"
 
 
-def check_quotient_row(d: Decomposition, pr: InvariantProfile) -> list[Violation]:
-    """The q = 0 row of the decomposition against the orbit-space Betti
-    numbers of ``quotient_sing``.  The row is the multiplicity-weighted sum
-    of the summands' weight-zero supports, compared over those supports
-    and p in [0, 2]: exact, since both sides vanish everywhere else."""
-    betti = quotient_sing(pr)
-    row = {0: 0, 1: 0, 2: 0}
+class Tally(NamedTuple):
+    """The counts the five checks compare, each multiplicity-weighted and
+    keyed as its check reads it: ``row``, the weight-zero row per p;
+    ``free``, the free summands per p - q; ``tops``, the free summands with
+    p >= 2 per shift; ``classes``, the underlying singular classes per p.
+    A key is present only where its count is positive."""
+
+    row: dict[int, int]
+    free: dict[int, int]
+    tops: dict[Bidegree, int]
+    classes: dict[int, int]
+
+
+@lru_cache(maxsize=1024)
+def _reads(s: Summand) -> tuple[range, int | None, Bidegree | None,
+                                 tuple[int, ...]]:
+    """What the tally reads of one summand: its weight-zero support, its
+    p - q if free, its shift if free with p >= 2, and its underlying
+    degrees.  Keyed by summand, so every decomposition shares it."""
+    shift, n = s
+    p, q = shift
+    free = n is None
+    return (s.row_support(0), p - q if free else None,
+            shift if free and p >= 2 else None, s.underlying_degrees())
+
+
+def tally(d: Decomposition) -> Tally:
+    """Every count the checks compare, in one pass over the summands."""
+    row: dict[int, int] = {}
+    free: dict[int, int] = {}
+    tops: dict[Bidegree, int] = {}
+    classes: dict[int, int] = {}
     for s, c in d.items():
-        for p in s.row_support(0):
+        support, k, top, degrees = _reads(s)
+        for p in support:
             row[p] = row.get(p, 0) + c
+        if k is not None:
+            free[k] = free.get(k, 0) + c
+            if top is not None:
+                tops[top] = c
+        for p in degrees:
+            classes[p] = classes.get(p, 0) + c
+    return Tally(row, free, tops, classes)
+
+
+def check_quotient_row(t: Tally, pr: InvariantProfile) -> list[Violation]:
+    """The q = 0 row of the decomposition against the orbit-space Betti
+    numbers of ``quotient_sing``, compared over the summands' weight-zero
+    supports and p in [0, 2]: exact, since both sides vanish everywhere
+    else."""
+    betti = quotient_sing(pr)
+    row = t.row
     out = []
-    for p in sorted(row):
-        expected = betti.at(p)
-        if row[p] != expected:
-            out.append(Violation("quotient-row", f"({p},0)", expected, row[p]))
+    for p in sorted(row.keys() | {0, 1, 2}):
+        expected, actual = betti.at(p), row.get(p, 0)
+        if actual != expected:
+            out.append(Violation("quotient-row", f"({p},0)", expected, actual))
     return out
 
 
-def check_rho_localization(d: Decomposition, pr: InvariantProfile) -> list[Violation]:
+def check_rho_localization(t: Tally, pr: InvariantProfile) -> list[Violation]:
     """Free-summand diagonal degrees against the fixed-set degrees.
 
     Inverting rho turns S(p,q)M2 into a rank-one module remembering only
@@ -152,11 +200,7 @@ def check_rho_localization(d: Decomposition, pr: InvariantProfile) -> list[Viola
     """
     fixed = fixed_sing(pr)
     expected = {k: fixed.at(k) for k in (0, 1, 2) if fixed.at(k)}
-    actual: dict[int, int] = {}
-    for s, c in d.items():
-        if s.is_free:
-            k = s.shift.p - s.shift.q
-            actual[k] = actual.get(k, 0) + c
+    actual = t.free
     if expected != actual:
         return [Violation("rho-localization", "fixed-set degrees",
                           [[k, expected[k]] for k in sorted(expected)],
@@ -164,17 +208,7 @@ def check_rho_localization(d: Decomposition, pr: InvariantProfile) -> list[Viola
     return []
 
 
-def _underlying_classes(d: Decomposition) -> dict[int, int]:
-    """Per p, the singular p-classes the summands restrict to
-    (``Summand.underlying_degrees``), weighted by multiplicity."""
-    count: dict[int, int] = {}
-    for s, c in d.items():
-        for p in s.underlying_degrees():
-            count[p] = count.get(p, 0) + c
-    return count
-
-
-def check_forgetful_les(d: Decomposition, sing: SingProfile,
+def check_forgetful_les(t: Tally, sing: SingProfile,
                         window: Window = DEFAULT_LES_WINDOW) -> list[Violation]:
     """The forgetful-sequence rank identity, one violation per wrong p of
     the window's p range, at location ``p=<p>``.
@@ -183,7 +217,7 @@ def check_forgetful_les(d: Decomposition, sing: SingProfile,
     whatever q is, so a wrong count at p fails at every q of the window
     alike, and the window's q range never changes the report.
     """
-    count = _underlying_classes(d)
+    count = t.classes
     out = []
     for p in range(window.pmin, window.pmax + 1):
         expected, actual = sing.at(p), count.get(p, 0)
@@ -192,7 +226,7 @@ def check_forgetful_les(d: Decomposition, sing: SingProfile,
     return out
 
 
-def check_top_class(d: Decomposition, pr: InvariantProfile) -> list[Violation]:
+def check_top_class(t: Tally, pr: InvariantProfile) -> list[Violation]:
     """Uniqueness and position of the free summand in dimension >= 2, and
     its absence for a free action, compared as counts per shift."""
     if pr.kind == TRIVIAL:
@@ -203,7 +237,7 @@ def check_top_class(d: Decomposition, pr: InvariantProfile) -> list[Violation]:
         want = {Bidegree(2, 1): 1}
     else:
         want = {Bidegree(2, 2): 1}
-    tops = {s.shift: c for s, c in d.items() if s.is_free and s.shift.p >= 2}
+    tops = t.tops
     if tops != want:
         return [Violation("top-class", "free summands with p >= 2",
                           [[*b, want[b]] for b in sorted(want)],
@@ -211,9 +245,9 @@ def check_top_class(d: Decomposition, pr: InvariantProfile) -> list[Violation]:
     return []
 
 
-def check_beta_recovery(d: Decomposition, pr: InvariantProfile) -> list[Violation]:
+def check_beta_recovery(t: Tally, pr: InvariantProfile) -> list[Violation]:
     """Count of singular 1-classes carried by the summands against beta."""
-    recovered = _underlying_classes(d).get(1, 0)
+    recovered = t.classes.get(1, 0)
     if recovered != pr.beta:
         return [Violation("beta-recovery", "beta", pr.beta, recovered)]
     return []
@@ -221,10 +255,11 @@ def check_beta_recovery(d: Decomposition, pr: InvariantProfile) -> list[Violatio
 
 def verify_decomposition(d: Decomposition, pr: InvariantProfile) -> list[Violation]:
     """Every violation of the five checks, in order, on a candidate
-    decomposition."""
-    return (check_quotient_row(d, pr) + check_rho_localization(d, pr)
-            + check_forgetful_les(d, underlying_sing(pr)) + check_top_class(d, pr)
-            + check_beta_recovery(d, pr))
+    decomposition, tallied once."""
+    t = tally(d)
+    return (check_quotient_row(t, pr) + check_rho_localization(t, pr)
+            + check_forgetful_les(t, underlying_sing(pr)) + check_top_class(t, pr)
+            + check_beta_recovery(t, pr))
 
 
 def verify_profile(pr: InvariantProfile) -> list[Violation]:

@@ -9,9 +9,12 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-from c2surf.checks import Violation
+from c2surf.bigraded import Bidegree
+from c2surf.checks import DEFAULT_LES_WINDOW, Violation
 from c2surf.surfaces import (
     BASE_TOKENS,
+    NONFREE,
+    TRIVIAL,
     Base,
     ClosedSurface,
     Op,
@@ -19,6 +22,9 @@ from c2surf.surfaces import (
     WordError,
     apply_op,
     base_profile,
+    fixed_sing,
+    quotient_sing,
+    underlying_sing,
 )
 
 
@@ -101,6 +107,65 @@ def naive_forgetful_les(d, sing, window) -> list[Violation]:
                       - reference(items, p - 1, q)[1] - rho)
             if actual != expected:
                 out.append(Violation("forgetful-les", f"({p},{q})", expected, actual))
+    return out
+
+
+def naive_verify(d, pr) -> list[Violation]:
+    """``verify_decomposition`` as five separate walks over the summands,
+    one per check, each building its own count: it shares no tally and no
+    per-summand memo with ``c2surf.checks``."""
+    out = []
+
+    betti = quotient_sing(pr)
+    row = {0: 0, 1: 0, 2: 0}
+    for s, c in d.items():
+        for p in s.row_support(0):
+            row[p] = row.get(p, 0) + c
+    for p in sorted(row):
+        if row[p] != betti.at(p):
+            out.append(Violation("quotient-row", f"({p},0)", betti.at(p), row[p]))
+
+    fixed = fixed_sing(pr)
+    expected = {k: fixed.at(k) for k in (0, 1, 2) if fixed.at(k)}
+    actual = {}
+    for s, c in d.items():
+        if s.is_free:
+            k = s.shift.p - s.shift.q
+            actual[k] = actual.get(k, 0) + c
+    if expected != actual:
+        out.append(Violation("rho-localization", "fixed-set degrees",
+                             [[k, expected[k]] for k in sorted(expected)],
+                             [[k, actual[k]] for k in sorted(actual)]))
+
+    sing = underlying_sing(pr)
+    classes = {}
+    for s, c in d.items():
+        for p in s.underlying_degrees():
+            classes[p] = classes.get(p, 0) + c
+    for p in range(DEFAULT_LES_WINDOW.pmin, DEFAULT_LES_WINDOW.pmax + 1):
+        actual = classes.get(p, 0)
+        if actual != sing.at(p):
+            out.append(Violation("forgetful-les", f"p={p}", sing.at(p), actual))
+
+    if pr.kind == TRIVIAL:
+        want = {Bidegree(2, 0): 1}
+    elif pr.kind != NONFREE:
+        want = {}
+    elif pr.fixed_circles > 0:
+        want = {Bidegree(2, 1): 1}
+    else:
+        want = {Bidegree(2, 2): 1}
+    tops = {s.shift: c for s, c in d.items() if s.is_free and s.shift.p >= 2}
+    if tops != want:
+        out.append(Violation("top-class", "free summands with p >= 2",
+                             [[*b, want[b]] for b in sorted(want)],
+                             [[*b, tops[b]] for b in sorted(tops)]))
+
+    recovered = 0
+    for s, c in d.items():
+        recovered += c * s.underlying_degrees().count(1)
+    if recovered != pr.beta:
+        out.append(Violation("beta-recovery", "beta", pr.beta, recovered))
     return out
 
 

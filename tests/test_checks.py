@@ -4,7 +4,8 @@ top class, beta recovery, and their sensitivity to corruption."""
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from _oracles import naive_forgetful_les
+from _oracles import naive_forgetful_les, naive_verify
+from c2surf import checks
 from c2surf.bigraded import Bidegree, Decomposition, Summand
 from c2surf.checks import (
     DEFAULT_LES_WINDOW,
@@ -14,6 +15,7 @@ from c2surf.checks import (
     check_quotient_row,
     check_rho_localization,
     check_top_class,
+    tally,
     verify_decomposition,
     verify_profile,
     verify_word,
@@ -50,15 +52,15 @@ def test_window_parsing():
 
 def test_quotient_row_worked_examples():
     x2 = closed_form(X2_PROFILE)
-    assert check_quotient_row(x2, X2_PROFILE) == []
+    assert check_quotient_row(tally(x2), X2_PROFILE) == []
     # The weight-zero row of the X2 answer really is (1, 4, 1): the top
     # class only shows up there through its theta class.
     assert [x2.dim_at((p, 0)) for p in (-1, 0, 1, 2, 3)] == [0, 1, 4, 1, 0]
     x3 = closed_form(X3_PROFILE)
-    assert check_quotient_row(x3, X3_PROFILE) == []
+    assert check_quotient_row(tally(x3), X3_PROFILE) == []
     assert [x3.dim_at((p, 0)) for p in (-1, 0, 1, 2, 3)] == [0, 1, 0, 0, 0]
     s2a = closed_form(InvariantProfile(FREE_SPHERE, 0))
-    assert check_quotient_row(s2a, InvariantProfile(FREE_SPHERE, 0)) == []
+    assert check_quotient_row(tally(s2a), InvariantProfile(FREE_SPHERE, 0)) == []
     assert [s2a.dim_at((p, 0)) for p in (0, 1, 2)] == [1, 1, 1]
 
 
@@ -69,28 +71,28 @@ def free_diagonals(d):
 
 
 def test_rho_localization_worked_examples():
-    assert check_rho_localization(closed_form(X1_PROFILE), X1_PROFILE) == []
+    assert check_rho_localization(tally(closed_form(X1_PROFILE)), X1_PROFILE) == []
     # X1's free shifts (0,0),(1,0),(1,1),(2,1) have p-q multiset {0,0,1,1},
     # matching two fixed circles.
     assert free_diagonals(closed_form(X1_PROFILE)) == [0, 0, 1, 1]
     # X2: eight isolated points, eight zeros.
     assert free_diagonals(closed_form(X2_PROFILE)) == [0] * 8
-    assert check_rho_localization(closed_form(X2_PROFILE), X2_PROFILE) == []
+    assert check_rho_localization(tally(closed_form(X2_PROFILE)), X2_PROFILE) == []
     free = InvariantProfile(FREE_SPHERE, 6)
-    assert check_rho_localization(closed_form(free), free) == []
+    assert check_rho_localization(tally(closed_form(free)), free) == []
 
 
 def test_rho_localization_reports_counts_per_degree():
     # X2 has eight fixed points; dropping an S(1,1)M2 leaves seven free
     # summands on the diagonal p - q = 0, and an added S(3,1)M2 sits at 2.
     wrong = closed_form(X2_PROFILE).remove(S11) + Decomposition([Summand.free(3, 1)])
-    assert check_rho_localization(wrong, X2_PROFILE) == [
+    assert check_rho_localization(tally(wrong), X2_PROFILE) == [
         ("rho-localization", "fixed-set degrees", [[0, 8]], [[0, 7], [2, 1]])]
 
 
 def test_rho_localization_covers_trivial_actions():
     trivial = InvariantProfile(TRIVIAL, 3)
-    assert check_rho_localization(closed_form(trivial), trivial) == []
+    assert check_rho_localization(tally(closed_form(trivial)), trivial) == []
 
 
 def test_forgetful_les_hand_values():
@@ -101,18 +103,18 @@ def test_forgetful_les_hand_values():
     got = (point.dim_at((0, 1)) + point.dim_at(b)
            - point.rank_at((-1, 0), "rho") - point.rank_at(b, "rho"))
     assert got == 1
-    assert check_forgetful_les(point, sing, Window(-4, 4, -6, 6)) == []
+    assert check_forgetful_les(tally(point), sing, Window(-4, 4, -6, 6)) == []
 
 
 def test_forgetful_les_free_orbit():
     # The free orbit: two points, so h^0_sing = 2, and rho acts as zero.
     orbit = Decomposition([Summand.antipodal(0, 0)])
-    assert check_forgetful_les(orbit, SingProfile(2, 0, 0), Window(0, 1, -5, 5)) == []
+    assert check_forgetful_les(tally(orbit), SingProfile(2, 0, 0), Window(0, 1, -5, 5)) == []
 
 
 def test_forgetful_les_third_example_full_sweep():
     x3 = closed_form(X3_PROFILE)
-    assert check_forgetful_les(x3, SingProfile(1, 1, 1), Window(-2, 5, -6, 6)) == []
+    assert check_forgetful_les(tally(x3), SingProfile(1, 1, 1), Window(-2, 5, -6, 6)) == []
 
 
 summands = st.one_of(
@@ -142,7 +144,7 @@ def test_forgetful_les_matches_the_naive_sweep(d, sing, window):
     for v in sweep:
         p, q = (int(x) for x in v.location.strip("()").split(","))
         by_p.setdefault(p, []).append((q, v.expected, v.actual))
-    got = check_forgetful_les(d, sing, window)
+    got = check_forgetful_les(tally(d), sing, window)
     assert [v.location for v in got] == [f"p={p}" for p in sorted(by_p)]
     qs = list(range(window.qmin, window.qmax + 1))
     for v in got:
@@ -170,26 +172,26 @@ def test_a_summand_outside_the_les_window_fails_another_check(extra, pr):
     assume(outside)
     right = closed_form(pr)
     for d in [extra, right + extra, *(right + Decomposition([s]) for s in outside)]:
-        assert (check_quotient_row(d, pr) or check_rho_localization(d, pr)
-                or check_top_class(d, pr)), (str(d), pr)
+        assert (check_quotient_row(tally(d), pr) or check_rho_localization(tally(d), pr)
+                or check_top_class(tally(d), pr)), (str(d), pr)
 
 
 def test_top_class_positions():
-    assert check_top_class(closed_form(X2_PROFILE), X2_PROFILE) == []
+    assert check_top_class(tally(closed_form(X2_PROFILE)), X2_PROFILE) == []
     assert closed_form(X2_PROFILE).count(Summand.free(2, 2)) == 1
-    assert check_top_class(closed_form(X1_PROFILE), X1_PROFILE) == []
+    assert check_top_class(tally(closed_form(X1_PROFILE)), X1_PROFILE) == []
     trivial = InvariantProfile(TRIVIAL, 2)
-    assert check_top_class(closed_form(trivial), trivial) == []
+    assert check_top_class(tally(closed_form(trivial)), trivial) == []
     assert closed_form(trivial).count(Summand.free(2, 0)) == 1
     # A free action has no free summands, so none with p >= 2.
     sphere = InvariantProfile(FREE_SPHERE, 0)
-    assert check_top_class(closed_form(sphere), sphere) == []
-    assert check_top_class(closed_form(sphere) + Decomposition([Summand.free(2, 2)]),
+    assert check_top_class(tally(closed_form(sphere)), sphere) == []
+    assert check_top_class(tally(closed_form(sphere) + Decomposition([Summand.free(2, 2)])),
                            sphere) == [("top-class", "free summands with p >= 2",
                                         [], [[2, 2, 1]])]
     # Counts per shift, in the [p, q, count] shape of the wire format.
     x2 = closed_form(X2_PROFILE)
-    assert check_top_class(x2 + Decomposition([Summand.free(2, 2), Summand.free(3, 0)]),
+    assert check_top_class(tally(x2 + Decomposition([Summand.free(2, 2), Summand.free(3, 0)])),
                            X2_PROFILE) == [("top-class", "free summands with p >= 2",
                                             [[2, 2, 1]], [[2, 2, 2], [3, 0, 1]])]
 
@@ -197,13 +199,13 @@ def test_top_class_positions():
 def test_top_class_detects_misplacement():
     wrong = closed_form(X2_PROFILE).remove(Summand.free(2, 2)).direct_sum(
         Decomposition([Summand.free(2, 1)]))
-    assert check_top_class(wrong, X2_PROFILE)
+    assert check_top_class(tally(wrong), X2_PROFILE)
 
 
 def test_beta_recovery():
-    assert check_beta_recovery(closed_form(X2_PROFILE), X2_PROFILE) == []
+    assert check_beta_recovery(tally(closed_form(X2_PROFILE)), X2_PROFILE) == []
     for pr in enumerate_profiles(8):
-        assert check_beta_recovery(closed_form(pr), pr) == []
+        assert check_beta_recovery(tally(closed_form(pr)), pr) == []
 
 
 S22_PROFILE = InvariantProfile(NONFREE, 0, 2, 0)
@@ -217,7 +219,7 @@ def test_far_antipodal_summands_are_rejected():
         wrong = closed_form(S22_PROFILE).direct_sum(Decomposition([extra]))
         violations = verify_decomposition(wrong, S22_PROFILE)
         assert violations, extra
-        assert check_quotient_row(wrong, S22_PROFILE), extra
+        assert check_quotient_row(tally(wrong), S22_PROFILE), extra
 
 
 def test_verify_all_worked_examples():
@@ -241,6 +243,41 @@ def test_violation_serialization():
     assert violations
     obj = violations[0].to_json_obj()
     assert set(obj) == {"check", "location", "expected", "actual"}
+
+
+PROFILES_TO_20 = enumerate_profiles(20)
+
+
+@settings(max_examples=300)
+@given(decompositions, st.sampled_from(PROFILES_TO_20))
+@example(Decomposition({S11: 10**20, Summand.antipodal(1, 0): 3}), X2_PROFILE)
+def test_verify_matches_the_per_check_walks(extra, pr):
+    # The tally is the five old walks over the summands done in one pass:
+    # every violation, its order and both its sides, agree with them, with
+    # the per-summand memo cold and warm, on the drawn decomposition, on
+    # it added to the right answer, and on the right answer itself.
+    right = closed_form(pr)
+    for d in (extra, right + extra, right):
+        want = naive_verify(d, pr)
+        checks._reads.cache_clear()
+        assert verify_decomposition(d, pr) == want, (str(d), pr)
+        assert verify_decomposition(d, pr) == want, (str(d), pr)
+
+
+def test_verify_calls_each_check_once_in_order(monkeypatch):
+    # verify_decomposition reaches the checks through their module names,
+    # so a wrapper of each one (as a tracer installs) sees every call.
+    names = ["check_quotient_row", "check_rho_localization", "check_forgetful_les",
+             "check_top_class", "check_beta_recovery"]
+    calls = []
+    for name in names:
+        def spy(*args, _name=name, _check=getattr(checks, name)):
+            calls.append(_name)
+            return _check(*args)
+        monkeypatch.setattr(checks, name, spy)
+    wrong = closed_form(X2_PROFILE).remove(S11)
+    assert verify_decomposition(wrong, X2_PROFILE) == naive_verify(wrong, X2_PROFILE)
+    assert calls == names
 
 
 MUTATION_POOL = ([Summand.free(p, q) for p in range(-4, 13) for q in range(-4, 13)]

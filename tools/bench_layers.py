@@ -1,4 +1,4 @@
-"""Time the layers of c2surf and write them to BENCH_13.json.
+"""Time the layers of c2surf and write them to BENCH_14.json.
 
 Run from anywhere, with no arguments, on the source of this checkout:
 
@@ -15,6 +15,9 @@ Each figure is the minimum, in seconds, of 7 repeats of:
   removal, and every added free summand with p, q in [-4, 12] or
   antipodal one with p in [-4, 12], n <= 4), built beforehand, each of
   which must fail (the reject path);
+* ``tally`` alone over those mutants, and each of the five checks alone
+  over their tallies, built beforehand (with ``underlying_sing`` of the
+  profile, for the forgetful-LES check);
 * an in-process ``catalog 40``, with stdout sent to a null sink;
 * a cold ``python -m c2surf compute S22``: a new interpreter, so mostly
   start-up and imports.
@@ -38,16 +41,31 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-OUT = ROOT / "BENCH_13.json"
+OUT = ROOT / "BENCH_14.json"
 REPEATS = 7
 
 sys.path.insert(0, str(SRC))
 
 from c2surf import cli  # noqa: E402
 from c2surf.bigraded import Decomposition, Summand  # noqa: E402
-from c2surf.checks import verify_decomposition  # noqa: E402
+from c2surf.checks import (  # noqa: E402
+    check_beta_recovery,
+    check_forgetful_les,
+    check_quotient_row,
+    check_rho_localization,
+    check_top_class,
+    tally,
+    verify_decomposition,
+)
 from c2surf.engine import closed_form  # noqa: E402
-from c2surf.surfaces import enumerate_profiles, witnessed_profiles  # noqa: E402
+from c2surf.surfaces import (  # noqa: E402
+    enumerate_profiles,
+    underlying_sing,
+    witnessed_profiles,
+)
+
+CHECKS = (check_quotient_row, check_rho_localization, check_forgetful_les,
+          check_top_class, check_beta_recovery)
 
 
 def best_of(fn) -> float:
@@ -82,6 +100,26 @@ def reject_all(cases) -> None:
     for d, pr in cases:
         if not verify_decomposition(d, pr):
             raise AssertionError(f"mutant {d} of {pr} passes its checks")
+
+
+def tally_all(cases) -> None:
+    for d, _ in cases:
+        tally(d)
+
+
+def check_rows(cases) -> dict:
+    """Each check alone, timed over the tallies of ``cases``."""
+    tallied = [(tally(d), pr) for d, pr in cases]
+    rows = {}
+    for check in CHECKS:
+        args = [(t, underlying_sing(pr) if check is check_forgetful_les else pr)
+                for t, pr in tallied]
+
+        def run(check=check, args=args):
+            for t, x in args:
+                check(t, x)
+        rows[f"{check.__name__} x{len(args)} mutant tallies"] = best_of(run)
+    return rows
 
 
 def catalog_40() -> None:
@@ -119,6 +157,8 @@ def main() -> None:
         "witnessed_profiles(40)": best_of(lambda: witnessed_profiles(40)),
         "verify_decomposition x614 (beta <= 20)": best_of(lambda: verify_all(cases)),
         "verify_decomposition x33228 mutants (beta <= 8)": best_of(lambda: reject_all(wrong)),
+        "tally x33228 mutants": best_of(lambda: tally_all(wrong)),
+        **check_rows(wrong),
         "catalog 40 (in-process)": best_of(catalog_40),
         "python -m c2surf compute S22 (cold)": best_of(cold_compute),
     }
