@@ -26,6 +26,7 @@ from .checks import (
     check_quotient_row,
     check_rho_localization,
     check_top_class,
+    expected,
     tally,
     verify_decomposition,
     verify_profile,

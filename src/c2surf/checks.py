@@ -2,10 +2,13 @@
 
 A candidate cohomology decomposition for a profile must satisfy several
 identities that are theorems about the actual Bredon cohomology.  Each is
-a count over the summands compared with a Betti-number profile, so a
-decomposition is tallied once (``tally``: four count tables, each
-summand's part read through a memo keyed by the summand) and each check
-compares one of those tables with its profile:
+a count over the summands compared with a Betti-number profile.  So a
+check compares two tallies of four count tables each: the candidate's
+(``tally``, one pass over its summands, each summand's part read through
+a memo keyed by the summand) and the profile's (``expected``, the tables
+a correct answer has, a memo keyed by the profile, since they depend on
+at most four integers).  Each check compares one pair of tables, and
+walks its locations only when the two differ, to report them:
 
 * quotient row   -- the weight-zero row equals the singular cohomology of
   the orbit space, as ``quotient_sing`` gives it from the Euler
@@ -37,7 +40,8 @@ compares one of those tables with its profile:
   same per-p count of underlying classes, against beta.
 
 ``verify_decomposition`` tallies the decomposition once and runs the
-five in that order.  Its window, p in [-2, 6] and q in [-8, 8], is
+five in that order, every one of them even when the two tallies are
+equal.  Its window, p in [-2, 6] and q in [-8, 8], is
 fixed, and it only bounds where the forgetful-LES identity is reported:
 it never changes a verdict.  The other checks read every summand, and a
 summand with an underlying degree outside p in [-2, 6] fails one of
@@ -101,7 +105,7 @@ class Window(_WindowFields):
 
     @classmethod
     def parse(cls, text: str) -> "Window":
-        m = re.match(r"^(-?\d+):(-?\d+),(-?\d+):(-?\d+)$", text.strip())
+        m = re.match(r"^(-?[0-9]+):(-?[0-9]+),(-?[0-9]+):(-?[0-9]+)$", text.strip())
         if not m:
             raise ValueError(f"bad window {text!r} (want pmin:pmax,qmin:qmax)")
         return cls(*(int(g) for g in m.groups()))
@@ -176,18 +180,48 @@ def tally(d: Decomposition) -> Tally:
     return Tally(row, free, tops, classes)
 
 
+@lru_cache(maxsize=1024)
+def _counts(sing: SingProfile) -> dict[int, int]:
+    """The nonzero Betti numbers of ``sing`` per degree, as a tally keys
+    them.  Keyed by the Betti numbers, so profiles share it."""
+    return {p: h for p, h in enumerate(sing) if h}
+
+
+@lru_cache(maxsize=1024)
+def expected(pr: InvariantProfile) -> Tally:
+    """The tally that a correct answer for ``pr`` has: the orbit space's
+    Betti numbers as ``row``, the fixed set's as ``free``, the top class
+    rule as ``tops`` and the surface's as ``classes``.  A nonfree surface
+    has one free summand with p >= 2, in weight 1 if some circle is fixed
+    and weight 2 if only points are; a trivial action one in weight 0; a
+    free action none.  Keyed by the profile, so a repeated profile reads
+    its tables instead of rebuilding them; every caller shares them, so
+    they are read, never changed."""
+    if pr.kind == TRIVIAL:
+        tops = {Bidegree(2, 0): 1}
+    elif pr.kind != NONFREE:
+        tops = {}
+    elif pr.fixed_circles > 0:
+        tops = {Bidegree(2, 1): 1}
+    else:
+        tops = {Bidegree(2, 2): 1}
+    return Tally(_counts(quotient_sing(pr)), _counts(fixed_sing(pr)), tops,
+                 _counts(underlying_sing(pr)))
+
+
 def check_quotient_row(t: Tally, pr: InvariantProfile) -> list[Violation]:
     """The q = 0 row of the decomposition against the orbit-space Betti
     numbers of ``quotient_sing``, compared over the summands' weight-zero
     supports and p in [0, 2]: exact, since both sides vanish everywhere
-    else."""
-    betti = quotient_sing(pr)
-    row = t.row
+    else.  Equal tables have no violation; only unequal ones are walked."""
+    want, row = expected(pr).row, t.row
+    if row == want:
+        return []
     out = []
     for p in sorted(row.keys() | {0, 1, 2}):
-        expected, actual = betti.at(p), row.get(p, 0)
-        if actual != expected:
-            out.append(Violation("quotient-row", f"({p},0)", expected, actual))
+        betti, actual = want.get(p, 0), row.get(p, 0)
+        if actual != betti:
+            out.append(Violation("quotient-row", f"({p},0)", betti, actual))
     return out
 
 
@@ -198,12 +232,10 @@ def check_rho_localization(t: Tally, pr: InvariantProfile) -> list[Violation]:
     p - q, and kills every rho-nilpotent antipodal summand.  Both sides are
     compared, and reported, as counts per degree.
     """
-    fixed = fixed_sing(pr)
-    expected = {k: fixed.at(k) for k in (0, 1, 2) if fixed.at(k)}
-    actual = t.free
-    if expected != actual:
+    want, actual = expected(pr).free, t.free
+    if want != actual:
         return [Violation("rho-localization", "fixed-set degrees",
-                          [[k, expected[k]] for k in sorted(expected)],
+                          [[k, want[k]] for k in sorted(want)],
                           [[k, actual[k]] for k in sorted(actual)])]
     return []
 
@@ -215,29 +247,26 @@ def check_forgetful_les(t: Tally, sing: SingProfile,
 
     Its right-hand side at (p, q) is the count of underlying classes at p,
     whatever q is, so a wrong count at p fails at every q of the window
-    alike, and the window's q range never changes the report.
+    alike, and the window's q range never changes the report.  A count
+    equal to ``sing`` at every p fails nowhere; only an unequal one is
+    walked over the window's p range.
     """
-    count = t.classes
+    count, want = t.classes, _counts(sing)
+    if count == want:
+        return []
     out = []
     for p in range(window.pmin, window.pmax + 1):
-        expected, actual = sing.at(p), count.get(p, 0)
-        if actual != expected:
-            out.append(Violation("forgetful-les", f"p={p}", expected, actual))
+        betti, actual = want.get(p, 0), count.get(p, 0)
+        if actual != betti:
+            out.append(Violation("forgetful-les", f"p={p}", betti, actual))
     return out
 
 
 def check_top_class(t: Tally, pr: InvariantProfile) -> list[Violation]:
     """Uniqueness and position of the free summand in dimension >= 2, and
-    its absence for a free action, compared as counts per shift."""
-    if pr.kind == TRIVIAL:
-        want = {Bidegree(2, 0): 1}
-    elif pr.kind != NONFREE:
-        want = {}
-    elif pr.fixed_circles > 0:
-        want = {Bidegree(2, 1): 1}
-    else:
-        want = {Bidegree(2, 2): 1}
-    tops = t.tops
+    its absence for a free action, compared as counts per shift (the rule
+    is ``expected``'s)."""
+    want, tops = expected(pr).tops, t.tops
     if tops != want:
         return [Violation("top-class", "free summands with p >= 2",
                           [[*b, want[b]] for b in sorted(want)],

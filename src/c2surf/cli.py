@@ -33,6 +33,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 
 from .bigraded import Decomposition, Summand, render_grid
@@ -60,11 +61,29 @@ class _InputError(ValueError):
     pass
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, with a repeated key rejected by name rather
+    than letting the last one win."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ProfileError(f"duplicate profile key {key!r}")
+        obj[key] = value
+    return obj
+
+
+# One decoder for every request: ``json.loads`` with a hook builds a new one
+# per call, which doubles the cost of reading a profile.
+_PROFILE_JSON = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def _parse_input(text: str) -> InvariantProfile:
     text = text.strip()
     if text.startswith("{"):
         try:
-            obj = json.loads(text)
+            obj = _PROFILE_JSON.decode(text)
+        except ProfileError:        # a repeated key: named, not "bad profile JSON"
+            raise
         except (ValueError, RecursionError) as exc:
             # JSONDecodeError, an over-long integer, or nesting too deep
             raise _InputError(f"bad profile JSON: {exc}") from None
@@ -103,18 +122,20 @@ def _cmd_compute(args) -> int:
 
 
 def _apply_injection(decomposition: Decomposition, directive: str) -> Decomposition:
-    """Test hook: 'drop:p,q' removes one free summand with that shift."""
-    parts = directive.split(":")
-    if len(parts) == 2 and parts[0] == "drop":
-        try:
-            p, q = (int(v) for v in parts[1].split(","))
-        except ValueError:
-            raise _InputError(f"bad injection {directive!r}") from None
-        try:
-            return decomposition.remove(Summand.free(p, q))
-        except KeyError:
-            raise _InputError(f"no free summand at ({p},{q}) to drop") from None
-    raise _InputError(f"bad injection {directive!r} (want drop:p,q)")
+    """Test hook: 'drop:p,q' removes one free summand with that shift; p
+    and q are plain ASCII integers, with no spaces or underscores."""
+    bad = _InputError(f"bad injection {directive!r} (want drop:p,q)")
+    m = re.fullmatch(r"drop:(-?[0-9]+),(-?[0-9]+)", directive)
+    if m is None:
+        raise bad
+    try:
+        p, q = map(int, m.groups())
+    except ValueError:          # more digits than int() accepts
+        raise bad from None
+    try:
+        return decomposition.remove(Summand.free(p, q))
+    except KeyError:
+        raise _InputError(f"no free summand at ({p},{q}) to drop") from None
 
 
 def _cmd_verify(args) -> int:

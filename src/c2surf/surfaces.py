@@ -113,11 +113,11 @@ class ClosedSurface(_SurfaceFields):
         return f"{'T' if self.orientable else 'N'}[{self.genus}]"
 
 
-_SURFACE_RE = re.compile(r"^([TN])\[(\d+)\]$")
+_SURFACE_RE = re.compile(r"([TN])\[([0-9]+)\]")
 
 
 def parse_surface(token: str, position: int = 0) -> ClosedSurface:
-    m = _SURFACE_RE.match(token)
+    m = _SURFACE_RE.fullmatch(token)
     if not m:
         raise ParseError(f"bad surface descriptor {token!r} (want T[g] or N[s])", position)
     try:

@@ -15,6 +15,7 @@ from c2surf.checks import (
     check_quotient_row,
     check_rho_localization,
     check_top_class,
+    expected,
     tally,
     verify_decomposition,
     verify_profile,
@@ -29,6 +30,7 @@ from c2surf.surfaces import (
     SingProfile,
     enumerate_profiles,
     parse_word,
+    witnessed_profiles,
 )
 
 M2 = Summand.free(0, 0)
@@ -254,14 +256,42 @@ PROFILES_TO_20 = enumerate_profiles(20)
 def test_verify_matches_the_per_check_walks(extra, pr):
     # The tally is the five old walks over the summands done in one pass:
     # every violation, its order and both its sides, agree with them, with
-    # the per-summand memo cold and warm, on the drawn decomposition, on
-    # it added to the right answer, and on the right answer itself.
+    # the per-summand memo and the per-profile memos cold and warm, on the
+    # drawn decomposition, on it added to the right answer, and on the
+    # right answer itself.
     right = closed_form(pr)
     for d in (extra, right + extra, right):
         want = naive_verify(d, pr)
-        checks._reads.cache_clear()
+        for memo in (checks._reads, checks.expected, checks._counts):
+            memo.cache_clear()
         assert verify_decomposition(d, pr) == want, (str(d), pr)
         assert verify_decomposition(d, pr) == want, (str(d), pr)
+
+
+def test_expected_is_the_tally_of_the_closed_form():
+    # The profile side of every check is the tally of the right answer,
+    # key for key: no zero entries, and the top class rule on every kind.
+    profiles = witnessed_profiles(40)
+    assert len(profiles) == 3624
+    for pr in profiles:
+        assert expected(pr) == tally(closed_form(pr)), pr
+
+
+def test_equal_profiles_share_one_expected_tally():
+    # The memo is keyed by the profile's value: a profile built again, or
+    # read from JSON, reads the same tables and gets the same violations.
+    wrong = closed_form(X2_PROFILE).remove(S11) + Decomposition([Summand.free(2, 1)])
+    again = InvariantProfile.from_json_obj(X2_PROFILE.to_json_obj())
+    assert again == X2_PROFILE and again is not X2_PROFILE
+    checks.expected.cache_clear()
+    first = verify_decomposition(wrong, X2_PROFILE)
+    assert first == naive_verify(wrong, X2_PROFILE)
+    assert {v.check for v in first} == {"rho-localization", "forgetful-les",
+                                        "top-class", "beta-recovery"}
+    assert verify_decomposition(wrong, again) == first
+    info = checks.expected.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert expected(again) is expected(X2_PROFILE)
 
 
 def test_verify_calls_each_check_once_in_order(monkeypatch):

@@ -94,6 +94,11 @@ def test_compute_invalid_profile_exit_code(capsys):
         code, out, err = run(capsys, "compute", text)
         assert code == 2 and out == ""
         assert f"unknown profile key(s) {key}" in err
+    # A repeated key is rejected by name, never last-wins (this one would
+    # otherwise pass as C=1).
+    for command in ("compute", "verify"):
+        code, out, err = run(capsys, command, '{"kind":"nonfree","beta":4,"F":2,"C":0,"C":1}')
+        assert (code, out, err) == (2, "", "error: duplicate profile key 'C'\n"), command
     # Nesting too deep for the JSON decoder is bad input, not a traceback.
     for text in ['{"kind":' + "[" * 5000, '{"kind":' + '{"a":' * 5000]:
         code, out, err = run(capsys, "compute", text)
@@ -205,6 +210,27 @@ def test_double_dash_window_is_bad_input(capsys):
         assert err == "error: bad window '--' (want pmin:pmax,qmin:qmax)\n", argv
     code, out, err = run(capsys, "verify", "--inject=--", "S22")
     assert (code, out, err) == (2, "", "error: bad injection '--' (want drop:p,q)\n")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["compute", "S22 + CS(T[\u0661])"],
+     "error: at position 9: bad surface descriptor 'T[\u0661]' (want T[g] or N[s])\n"),
+    (["compute", "triv:N[1_0]"],
+     "error: at position 5: bad surface descriptor 'N[1_0]' (want T[g] or N[s])\n"),
+    (["compute", "S22 + CS(T[1]\n)"],
+     "error: at position 9: bad surface descriptor 'T[1]\\n' (want T[g] or N[s])\n"),
+    (["compute", "--grid", "--window", "\u0660:\u0662,0:1", "S22"],
+     "error: bad window '\u0660:\u0662,0:1' (want pmin:pmax,qmin:qmax)\n"),
+    (["compute", "--grid", "--window=0:2,0_0:1", "S22"],
+     "error: bad window '0:2,0_0:1' (want pmin:pmax,qmin:qmax)\n"),
+    *((["verify", "--inject", text, "S22"], f"error: bad injection {text!r} (want drop:p,q)\n")
+      for text in ("drop: 1 ,1_1", "drop:\uff11,1", "drop:1," + "9" * 5000)),
+])
+def test_integers_are_plain_ascii_digits(capsys, argv, err):
+    # int() and \d accept any Unicode digit, and int() also "_" and spaces:
+    # each such token is bad input, named, never read as the number it
+    # looks like.
+    assert run(capsys, *argv) == (2, "", err)
 
 
 def test_esc_window_env_override(capsys, monkeypatch):

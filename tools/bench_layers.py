@@ -1,4 +1,4 @@
-"""Time the layers of c2surf and write them to BENCH_14.json.
+"""Time the layers of c2surf and write them to BENCH_15.json.
 
 Run from anywhere, with no arguments, on the source of this checkout:
 
@@ -15,10 +15,15 @@ Each figure is the minimum, in seconds, of 7 repeats of:
   removal, and every added free summand with p, q in [-4, 12] or
   antipodal one with p in [-4, 12], n <= 4), built beforehand, each of
   which must fail (the reject path);
+* ``expected`` alone over the 614 profiles with beta <= 20, its memos
+  cleared at the start of each repeat (the cold path of the profile
+  side);
 * ``tally`` alone over those mutants, and each of the five checks alone
   over their tallies, built beforehand (with ``underlying_sing`` of the
   profile, for the forgetful-LES check);
-* an in-process ``catalog 40``, with stdout sent to a null sink;
+* an in-process ``catalog 40``, with stdout sent to a null sink (its
+  3,624 profiles overflow the 1024-entry memos of ``closed_form`` and
+  ``expected``, so this row runs mostly cold);
 * a cold ``python -m c2surf compute S22``: a new interpreter, so mostly
   start-up and imports.
 
@@ -41,12 +46,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-OUT = ROOT / "BENCH_14.json"
+OUT = ROOT / "BENCH_15.json"
 REPEATS = 7
 
 sys.path.insert(0, str(SRC))
 
-from c2surf import cli  # noqa: E402
+from c2surf import checks, cli  # noqa: E402
 from c2surf.bigraded import Decomposition, Summand  # noqa: E402
 from c2surf.checks import (  # noqa: E402
     check_beta_recovery,
@@ -54,6 +59,7 @@ from c2surf.checks import (  # noqa: E402
     check_quotient_row,
     check_rho_localization,
     check_top_class,
+    expected,
     tally,
     verify_decomposition,
 )
@@ -100,6 +106,14 @@ def reject_all(cases) -> None:
     for d, pr in cases:
         if not verify_decomposition(d, pr):
             raise AssertionError(f"mutant {d} of {pr} passes its checks")
+
+
+def expected_cold(cases) -> None:
+    """``expected`` for each profile, with its memos cleared first."""
+    expected.cache_clear()
+    checks._counts.cache_clear()
+    for _, pr in cases:
+        expected(pr)
 
 
 def tally_all(cases) -> None:
@@ -157,6 +171,7 @@ def main() -> None:
         "witnessed_profiles(40)": best_of(lambda: witnessed_profiles(40)),
         "verify_decomposition x614 (beta <= 20)": best_of(lambda: verify_all(cases)),
         "verify_decomposition x33228 mutants (beta <= 8)": best_of(lambda: reject_all(wrong)),
+        "expected x614 (beta <= 20, cold)": best_of(lambda: expected_cold(cases)),
         "tally x33228 mutants": best_of(lambda: tally_all(wrong)),
         **check_rows(wrong),
         "catalog 40 (in-process)": best_of(catalog_40),
