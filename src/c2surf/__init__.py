@@ -47,7 +47,6 @@ from .surfaces import (
     Op,
     ParseError,
     ProfileError,
-    RealizabilityError,
     SingProfile,
     SurgeryWord,
     WordError,
@@ -56,12 +55,11 @@ from .surfaces import (
     fixed_sing,
     invariants,
     parse_word,
-    profiles_by_scan,
     profiles_by_words,
     quotient_sing,
     underlying_sing,
     validate_profile,
-    witnessed_profiles,
+    witness,
 )
 
 __version__ = "0.1.0"

@@ -8,7 +8,8 @@ Three subcommands:
 * ``verify INPUT``   -- run all structural checks; exit 0 on pass.  The
   ok line names the fixed forgetful-LES window, ``-2:6,-8:8``, which never
   changes the verdict (see ``checks``).
-* ``catalog BETA_MAX`` -- one verified row per realizable profile.
+* ``catalog BETA_MAX`` -- one verified row per realizable profile with
+  beta <= BETA_MAX (plain ASCII digits).
 
 Exit codes: 0 ok, 1 verification failure, 2 bad input, 141 stdout closed
 by its reader (see README); any other exception is a program error and
@@ -17,8 +18,9 @@ INPUT starting with '{' is parsed as a profile JSON object
 ``{"kind":..., "beta":..., "F":..., "C":...}``; anything else as a word.
 ``compute --grid`` draws the window ``--window`` gives, else the one in the
 environment variable ``ESC_WINDOW`` (same ``pmin:pmax,qmin:qmax`` syntax),
-else ``-4:6,-6:6``; ``--window`` without ``--grid`` is bad input.  stdout
-carries data; diagnostics go to stderr.
+else ``-4:6,-6:6``; ``--window`` without ``--grid``, and a window of more
+than ``MAX_GRID_CELLS`` cells, are bad input.  stdout carries data;
+diagnostics go to stderr.
 
 The argument parser is built once per process, on the first ``main`` call
 (not at import), and declares every flag.  A plain argv does not enter it:
@@ -46,10 +48,13 @@ from .surfaces import (
     WordError,
     invariants,
     parse_word,
-    witnessed_profiles,
+    profiles_by_words,
 )
 
 DEFAULT_GRID_WINDOW = Window(-4, 6, -6, 6)
+# The most cells ``compute --grid`` draws: a 316 x 316 window, far wider than
+# a screen.  A larger one is bad input, before its grid is allocated.
+MAX_GRID_CELLS = 100_000
 
 OK = 0
 VERIFY_FAILED = 1
@@ -100,8 +105,9 @@ def _grid_window(flag_value: str | None) -> Window:
     except ValueError as exc:
         raise _InputError(str(exc)) from None
     cells = (window.pmax - window.pmin + 1) * (window.qmax - window.qmin + 1)
-    if cells > sys.maxsize:
-        raise _InputError(f"window {window} has more cells than can be indexed")
+    if cells > MAX_GRID_CELLS:
+        raise _InputError(f"window {window} has {cells} cells, more than the"
+                          f" {MAX_GRID_CELLS} a grid may draw")
     return window
 
 
@@ -154,10 +160,19 @@ def _cmd_verify(args) -> int:
     return VERIFY_FAILED if violations else OK
 
 
+def _catalog_bound(text: str) -> int:
+    """The ``catalog`` bound: plain ASCII digits, so that ``١``, `` 1_0``
+    and ``-1`` are bad input rather than the number ``int()`` reads."""
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:          # more digits than int() accepts
+            pass
+    raise _InputError(f"catalog bound must be ASCII digits, got {text!r}")
+
+
 def _cmd_catalog(args) -> int:
-    if args.beta_max < 0:
-        raise _InputError(f"catalog bound must be >= 0, got {args.beta_max}")
-    witnesses = witnessed_profiles(args.beta_max)
+    witnesses = profiles_by_words(_catalog_bound(args.beta_max))
     any_failed = False
     for pr in witnesses:
         decomposition = closed_form(pr)
@@ -193,7 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="corrupt the decomposition first (testing hook)")
 
     catalog = sub.add_parser("catalog", help="verified catalog up to a beta bound")
-    catalog.add_argument("beta_max", type=int)
+    catalog.add_argument("beta_max")
     return parser
 
 
@@ -214,9 +229,9 @@ def _preprocess(argv: list[str]) -> list[str]:
 
 def _is_plain(action: argparse.Action) -> bool:
     """Whether ``_match`` can stand in for argparse on this action: a
-    store_true switch, or one value stored as given or as an int."""
+    store_true switch, or one value stored as given."""
     return (type(action) in (argparse._StoreAction, argparse._StoreTrueAction)
-            and action.nargs in (None, 0) and action.type in (None, int)
+            and action.nargs in (None, 0) and action.type is None
             and action.choices is None)
 
 
@@ -236,22 +251,6 @@ def _plain_grammar() -> dict:
                              [a for a in actions if not a.option_strings],
                              {commands.dest: name, **{a.dest: a.default for a in actions}})
     return grammar
-
-
-def _plain_value(action: argparse.Action, text: str):
-    """``text`` as argparse stores it for ``action``, or None if argparse's
-    own handling is needed: a "--" value (which argparse strips, differently
-    across versions) or an int that is not plain ASCII digits."""
-    if text == "--":
-        return None
-    if action.type is int:
-        if not (text.isascii() and text.isdigit()):
-            return None
-        try:
-            return int(text)
-        except ValueError:          # more digits than int() accepts
-            return None
-    return text
 
 
 def _match(argv: list[str]) -> argparse.Namespace | None:
@@ -288,17 +287,12 @@ def _match(argv: list[str]) -> argparse.Namespace | None:
             text = next(tokens, "-")    # a missing value is argparse's error too
             if text.startswith("-"):
                 return None
-        value = _plain_value(action, text)
-        if value is None:
+        if text == "--":                # argparse strips it, differently across versions
             return None
-        values[action.dest] = value
+        values[action.dest] = text
     if len(texts) != len(positionals):
         return None
-    for action, text in zip(positionals, texts):
-        value = _plain_value(action, text)
-        if value is None:
-            return None
-        values[action.dest] = value
+    values.update((action.dest, text) for action, text in zip(positionals, texts))
     return argparse.Namespace(**values)
 
 

@@ -33,8 +33,10 @@ Everything here is pure and immutable.  The value types are
 with a rule to keep (``ClosedSurface``, ``InvariantProfile``) check it in
 ``__new__``, which ``_replace`` and ``_make`` go through too.  A surgery
 is one step on the integer fields ``(kind, beta, F, C)``: ``invariants``
-folds a word on them, and the catalog's breadth-first search runs on
-them, so each builds one ``InvariantProfile`` per distinct result.
+folds a word on them and builds one ``InvariantProfile``, at the end.
+The catalog needs no search: ``enumerate_profiles`` scans the
+realizability inequalities, and ``witness`` writes down a shortest word
+for each profile.
 
 >>> invariants(parse_word("S21 + AT10"))
 InvariantProfile(kind='nonfree', beta=2, fixed_points=0, fixed_circles=2)
@@ -75,10 +77,6 @@ class WordError(ValueError):
 
 class ProfileError(ValueError):
     """An invariant triple that no closed C2-surface realizes."""
-
-
-class RealizabilityError(ValueError):
-    """The two profile generators (words vs. inequality scan) disagree."""
 
 
 class _SurfaceFields(NamedTuple):
@@ -308,8 +306,8 @@ def _step(kind: str, beta: int, f: int, c: int, op: Op,
     """One surgery on the fields ``(kind, beta, F, C)`` of a profile: the
     fields after it, or WordError when the action so far cannot take it.
 
-    Every surgery path (``check_op``, ``apply_op``, ``invariants`` and the
-    catalog search) is this step.  On the fields of a valid profile a legal
+    Every surgery path (``check_op``, ``apply_op`` and ``invariants``) is
+    this step.  On the fields of a valid profile a legal
     surgery gives the fields of a valid profile; callers that need an
     ``InvariantProfile`` build it, once, from the fields they end on.
     """
@@ -422,101 +420,74 @@ def quotient_sing(pr: InvariantProfile) -> SingProfile:
 
 
 # ---------------------------------------------------------------------------
-# Catalog enumeration.  Two independent generators must agree:
-#   * scan: direct enumeration of the realizability inequalities;
-#   * words: breadth-first search over surgery words.
-# Every enumerated op raises beta by at least one (connected sums with the
-# sphere are skipped), so the search terminates within beta_max steps.
-
-
-def _scanned_fields(beta_max: int) -> set[tuple[str, int, int, int]]:
-    """The ``(kind, beta, F, C)`` fields the realizability inequalities allow."""
-    out = set()
-    for beta in range(beta_max + 1):
-        out.add((TRIVIAL, beta, 0, 0))
-        if beta % 2 == 0:
-            out.add((FREE_SPHERE, beta, 0, 0))
-            if beta >= 2:
-                out.add((FREE_TORUS, beta, 0, 0))
-            for f in range(2, beta + 3, 2):
-                if beta >= f - 2:
-                    out.add((NONFREE, beta, f, 0))
-        for c in range(1, (beta + 2) // 2 + 1):
-            for f in range(beta % 2, beta + 3 - 2 * c, 2):
-                out.add((NONFREE, beta, f, c))
-    return out
-
-
-def profiles_by_scan(beta_max: int) -> set[InvariantProfile]:
-    return set(map(InvariantProfile._make, _scanned_fields(beta_max)))
-
-
-def _enumeration_ops(beta_budget: int) -> list[Op]:
-    ops = [Op("AT11"), Op("AT10"), Op("FM"), Op("DCC")]
-    ops += [Op("CS", ClosedSurface(True, g)) for g in range(1, beta_budget // 4 + 1)]
-    ops += [Op("CS", ClosedSurface(False, s)) for s in range(1, beta_budget // 2 + 1)]
-    return ops
-
-
-def profiles_by_words(beta_max: int) -> dict[InvariantProfile, SurgeryWord]:
-    """All profiles reachable by words with beta <= beta_max, each with the
-    first witness found (deterministic breadth-first order).
-
-    The search runs on ``(kind, beta, F, C)`` tuples.  A profile tries
-    only the ops its remaining budget allows, from one list per budget
-    built up front: each ``CS`` family is in increasing beta delta, so the
-    ops left out are exactly those that would take beta past ``beta_max``,
-    and the witnesses and their order are those of the full list.  Each
-    distinct profile gets one ``InvariantProfile`` and one
-    ``SurgeryWord``, at the end.
-    """
-    found: dict[tuple, tuple[Base, tuple[Op, ...]]] = {}
-    for beta in range(beta_max + 1):
-        surf = ClosedSurface(True, beta // 2) if beta % 2 == 0 else ClosedSurface(False, beta)
-        found.setdefault((TRIVIAL, beta, 0, 0), (Base("triv", surf), ()))
-    queue = []
-    for token in BASE_TOKENS:
-        fields = tuple(_BASE_PROFILES[token])
-        if fields[1] <= beta_max and fields not in found:
-            witness = (Base(token), ())
-            found[fields] = witness
-            queue.append((fields, witness))
-    ops_by_budget = [_enumeration_ops(budget) for budget in range(beta_max + 1)]
-    while queue:
-        next_queue = []
-        for fields, (base, word_ops) in queue:
-            for op in ops_by_budget[beta_max - fields[1]]:
-                try:
-                    nxt = _step(*fields, op)
-                except WordError:
-                    continue
-                if nxt[1] > beta_max or nxt in found:
-                    continue
-                witness = (base, word_ops + (op,))
-                found[nxt] = witness
-                next_queue.append((nxt, witness))
-        queue = next_queue
-    return {InvariantProfile(*fields): SurgeryWord(base, word_ops)
-            for fields, (base, word_ops) in found.items()}
-
-
-def witnessed_profiles(beta_max: int) -> dict[InvariantProfile, SurgeryWord]:
-    """All valid profiles with beta <= beta_max, sorted, each mapped to its
-    first witness word.  Produced by both generators; a discrepancy raises
-    RealizabilityError (it must be reported, never silently accepted)."""
-    scanned = _scanned_fields(beta_max)
-    witnesses = profiles_by_words(beta_max)
-    # A profile equals its plain fields tuple and hashes like it, so the
-    # scan is compared as fields; every scanned one is then a word's profile.
-    if scanned != witnesses.keys():
-        missing = sorted(map(InvariantProfile._make, scanned - witnesses.keys()),
-                         key=InvariantProfile.sort_key)
-        extra = sorted(witnesses.keys() - scanned, key=InvariantProfile.sort_key)
-        raise RealizabilityError(
-            f"profile generators disagree: scan-only={missing} word-only={extra}")
-    return {pr: witnesses[pr] for pr in sorted(witnesses, key=InvariantProfile.sort_key)}
+# Catalog enumeration: the realizability inequalities scanned in
+# ``sort_key`` order, and one witness word per profile in closed form.
 
 
 def enumerate_profiles(beta_max: int) -> list[InvariantProfile]:
-    """The keys of ``witnessed_profiles``, as a sorted list."""
-    return list(witnessed_profiles(beta_max))
+    """Every realizable profile with beta <= beta_max, in ``sort_key`` order.
+
+    The scan walks the inequalities of ``validate_profile`` directly, and
+    each profile is still validated when it is built.
+
+    >>> [pr.kind for pr in enumerate_profiles(0)]
+    ['trivial', 'free-sphere', 'nonfree', 'nonfree']
+    """
+    out = []
+    for beta in range(beta_max + 1):
+        out.append(InvariantProfile(TRIVIAL, beta))
+        if beta % 2 == 0:
+            out.append(InvariantProfile(FREE_SPHERE, beta))
+            if beta >= 2:
+                out.append(InvariantProfile(FREE_TORUS, beta))
+        for f in range(beta % 2, beta + 3, 2):
+            # C = 0 needs an even F >= 2; every C needs beta >= F + 2C - 2.
+            for c in range(0 if f and f % 2 == 0 else 1, (beta + 2 - f) // 2 + 1):
+                out.append(InvariantProfile(NONFREE, beta, f, c))
+    return out
+
+
+def _fill(r: int) -> tuple[Op, ...]:
+    """The first single op that adds an even r > 0 to beta and nothing
+    else (none for r = 0): DCC, else CS(T[r/4]), else CS(N[r/2])."""
+    if r == 0:
+        return ()
+    if r == 2:
+        return (Op("DCC"),)
+    if r % 4 == 0:
+        return (Op("CS", ClosedSurface(True, r // 4)),)
+    return (Op("CS", ClosedSurface(False, r // 2)),)
+
+
+def witness(pr: InvariantProfile) -> SurgeryWord:
+    """The first word that reaches ``pr`` in a breadth-first search over
+    words: a shortest one, and of those the least in base order
+    (``BASE_TOKENS``) and then op order (AT11, AT10, FM, DCC, CS(T[g]) by
+    g, CS(N[s]) by s).
+
+    A nonfree word makes F mod 2 FMs (each turns a point into a circle),
+    one AT11 per pair of points past the base's two and one AT10 per circle
+    past the base's and the FM's; the beta left over takes one op more.
+    From S21 the count is the same, so S22 is the base unless F = 0.
+
+    >>> str(witness(InvariantProfile(NONFREE, 9, 3, 2)))
+    'S22 + AT11 + AT10 + FM + CS(T[1])'
+    """
+    kind, beta, f, c = pr
+    if kind == TRIVIAL:
+        surface = ClosedSurface(True, beta // 2) if beta % 2 == 0 else ClosedSurface(False, beta)
+        return SurgeryWord(Base("triv", surface))
+    if kind == FREE_SPHERE:
+        return SurgeryWord(Base("S2a"), _fill(beta))
+    if kind == FREE_TORUS:
+        return SurgeryWord(Base("T1a"), _fill(beta - 2))
+    fm = f % 2
+    base, at11, at10 = ("S22", (f + fm) // 2 - 1, c - fm) if f else ("S21", 0, c - 1)
+    ops = (Op("AT11"),) * at11 + (Op("AT10"),) * at10 + (Op("FM"),) * fm
+    return SurgeryWord(Base(base), ops + _fill(beta - f - 2 * c + 2))
+
+
+def profiles_by_words(beta_max: int) -> dict[InvariantProfile, SurgeryWord]:
+    """The profiles of ``enumerate_profiles``, in its order, each mapped to
+    its ``witness``: the catalog's rows."""
+    return {pr: witness(pr) for pr in enumerate_profiles(beta_max)}

@@ -13,6 +13,7 @@ from c2surf.bigraded import Bidegree
 from c2surf.checks import DEFAULT_LES_WINDOW, Violation
 from c2surf.surfaces import (
     BASE_TOKENS,
+    KINDS,
     NONFREE,
     TRIVIAL,
     Base,
@@ -216,12 +217,19 @@ def naive_render(items) -> tuple[str, dict]:
     return " + ".join(words) or "0", {"free": free, "antipodal": anti}
 
 
-def naive_profiles_by_words(beta_max: int) -> dict:
-    """``profiles_by_words`` as an object-level breadth-first search: every
-    step builds an ``InvariantProfile`` through ``apply_op``, and each queue
-    entry lists only the ops its remaining beta budget allows, as the
-    implementation's do.  It shares the surgery step with the
-    implementation, but not the integer keys or the late construction."""
+def search_profiles_by_words(beta_max: int) -> dict:
+    """Every profile with beta <= beta_max that a surgery word reaches,
+    each with the first word found by a breadth-first search, ordered by
+    (beta, kind in ``KINDS`` order, F, C).
+
+    This is the plain definition of the catalog's witness: the trivial
+    surfaces first, then the bases in ``BASE_TOKENS`` order, then one op
+    at a time, each queue entry trying the whole op list (AT11, AT10, FM,
+    DCC, then every CS that fits the bound) through ``apply_op``.  Every op
+    raises beta, so the search stops within beta_max levels.  It shares the
+    surgery step with ``invariants``, and nothing with the scan or the
+    closed-form witnesses it checks.
+    """
     witnesses = {}
     for beta in range(beta_max + 1):
         surf = ClosedSurface(True, beta // 2) if beta % 2 == 0 else ClosedSurface(False, beta)
@@ -234,25 +242,24 @@ def naive_profiles_by_words(beta_max: int) -> dict:
         if pr.beta <= beta_max and pr not in witnesses:
             witnesses[pr] = word
             queue.append((pr, word))
+    ops = ([Op(token) for token in ("AT11", "AT10", "FM", "DCC")]
+           + [Op("CS", ClosedSurface(True, g)) for g in range(1, beta_max // 4 + 1)]
+           + [Op("CS", ClosedSurface(False, s)) for s in range(1, beta_max // 2 + 1)])
     while queue:
         next_queue = []
         for pr, word in queue:
-            budget = beta_max - pr.beta
-            ops = [Op("AT11"), Op("AT10"), Op("FM"), Op("DCC")]
-            ops += [Op("CS", ClosedSurface(True, g)) for g in range(1, budget // 4 + 1)]
-            ops += [Op("CS", ClosedSurface(False, s)) for s in range(1, budget // 2 + 1)]
             for op in ops:
                 try:
                     nxt = apply_op(pr, op)
                 except WordError:
                     continue
-                if nxt.beta > beta_max or nxt in witnesses:
-                    continue
-                nxt_word = SurgeryWord(word.base, word.ops + (op,))
-                witnesses[nxt] = nxt_word
-                next_queue.append((nxt, nxt_word))
+                if nxt.beta <= beta_max and nxt not in witnesses:
+                    witnesses[nxt] = SurgeryWord(word.base, word.ops + (op,))
+                    next_queue.append((nxt, witnesses[nxt]))
         queue = next_queue
-    return witnesses
+    order = sorted(witnesses, key=lambda pr: (pr.beta, KINDS.index(pr.kind),
+                                              pr.fixed_points, pr.fixed_circles))
+    return {pr: witnesses[pr] for pr in order}
 
 
 def random_matrix(rng: random.Random, max_side: int = 64) -> list[list[int]]:

@@ -31,8 +31,6 @@ from c2surf.surfaces import (
     enumerate_profiles,
     invariants,
     parse_word,
-    profiles_by_scan,
-    profiles_by_words,
 )
 
 from _oracles import (
@@ -42,6 +40,7 @@ from _oracles import (
     GOLDEN_M2_0_3,
     naive_rank,
     random_matrix,
+    search_profiles_by_words,
 )
 
 M2 = Summand.free(0, 0)
@@ -102,10 +101,10 @@ def test_criterion_3_figure_fidelity():
 
 def test_criterion_4_catalog_sweep():
     start = time.perf_counter()
-    worded = set(profiles_by_words(20))
-    scanned = profiles_by_scan(20)
-    assert worded == scanned, "enumeration paths disagree"
+    # Two independent generators: the breadth-first word search and the
+    # inequality scan.
     profiles = enumerate_profiles(20)
+    assert list(search_profiles_by_words(20)) == profiles, "enumeration paths disagree"
     violations = 0
     for pr in profiles:
         violations += len(verify_profile(pr))

@@ -30,7 +30,6 @@ from c2surf.surfaces import (
     SingProfile,
     enumerate_profiles,
     parse_word,
-    witnessed_profiles,
 )
 
 M2 = Summand.free(0, 0)
@@ -271,7 +270,7 @@ def test_verify_matches_the_per_check_walks(extra, pr):
 def test_expected_is_the_tally_of_the_closed_form():
     # The profile side of every check is the tally of the right answer,
     # key for key: no zero entries, and the top class rule on every kind.
-    profiles = witnessed_profiles(40)
+    profiles = enumerate_profiles(40)
     assert len(profiles) == 3624
     for pr in profiles:
         assert expected(pr) == tally(closed_form(pr)), pr

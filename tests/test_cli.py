@@ -11,7 +11,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from c2surf.cli import _build_parser, _match, _preprocess, main
+from c2surf.cli import MAX_GRID_CELLS, _build_parser, _match, _preprocess, main
 from c2surf.engine import closed_form
 from c2surf.surfaces import enumerate_profiles
 
@@ -155,14 +155,21 @@ def test_grid_window_flag_with_negative_values(capsys):
 
 
 def test_grid_window_too_large_to_index_is_bad_input(capsys, monkeypatch):
-    # Each window here has more cells than sys.maxsize, so it is rejected
-    # before any grid is allocated, from the flag or from ESC_WINDOW.
+    # A window of MAX_GRID_CELLS cells is drawn; each window here has more,
+    # the first by one cell, so it is rejected before any grid is allocated,
+    # from the flag or from ESC_WINDOW.  The default -4:6,-6:6 window (143
+    # cells) is far under the cap.
+    assert MAX_GRID_CELLS == 100_000 and 100 * 11 * 13 < MAX_GRID_CELLS
+    code, out, _ = run(capsys, "compute", "--grid", "--window=0:9,0:9999", "S22")
+    assert code == 0 and len(out.replace("\n", "")) == MAX_GRID_CELLS
     huge = 10 ** 20
-    for text in (f"0:{huge},0:1", f"0:1,-{huge}:0", f"0:{sys.maxsize},0:1",
-                 f"-{huge}:{huge},-{huge}:{huge}"):
+    for text, cells in (("0:10,0:9090", MAX_GRID_CELLS + 1), (f"0:{huge},0:1", 2 * (huge + 1)),
+                        (f"0:1,-{huge}:0", 2 * (huge + 1)),
+                        (f"-{huge}:{huge},-{huge}:{huge}", (2 * huge + 1) ** 2)):
         code, out, err = run(capsys, "compute", "--grid", f"--window={text}", "S22")
         assert (code, out) == (2, ""), text
-        assert err == f"error: window {text} has more cells than can be indexed\n", text
+        assert err == (f"error: window {text} has {cells} cells, more than the"
+                       f" {MAX_GRID_CELLS} a grid may draw\n"), text
         monkeypatch.setenv("ESC_WINDOW", text)
         assert run(capsys, "compute", "--grid", "S22") == (code, out, err), text
         monkeypatch.delenv("ESC_WINDOW")
@@ -225,6 +232,8 @@ def test_double_dash_window_is_bad_input(capsys):
      "error: bad window '0:2,0_0:1' (want pmin:pmax,qmin:qmax)\n"),
     *((["verify", "--inject", text, "S22"], f"error: bad injection {text!r} (want drop:p,q)\n")
       for text in ("drop: 1 ,1_1", "drop:\uff11,1", "drop:1," + "9" * 5000)),
+    *((["catalog", text], f"error: catalog bound must be ASCII digits, got {text!r}\n")
+      for text in ("\u0661", " 1_0", "x", "-1", "9" * 5000)),
 ])
 def test_integers_are_plain_ascii_digits(capsys, argv, err):
     # int() and \d accept any Unicode digit, and int() also "_" and spaces:
@@ -344,7 +353,7 @@ def test_parser_reuse_keeps_calls_independent(capsys, monkeypatch):
     # byte; usage lines wrap at the terminal width, so pin it.
     monkeypatch.setenv("COLUMNS", "80")
     for argv in (["compute"], ["compute", "--js", "S22"], ["verify", "--inject", "--", "S22"],
-                 ["catalog", "x"], ["frob"]):
+                 ["catalog"], ["frob"]):
         assert _match(_preprocess(argv)) is None, argv
         try:
             code = main(argv)

@@ -11,7 +11,7 @@ from c2surf.f2linalg import (
     polygon_model,
     surface_with_boundary_model,
 )
-from c2surf.surfaces import TRIVIAL, SingProfile, profiles_by_scan, quotient_sing
+from c2surf.surfaces import TRIVIAL, SingProfile, enumerate_profiles, quotient_sing
 
 from _oracles import naive_rank, random_matrix
 
@@ -115,7 +115,7 @@ def test_orbit_space_models_match_quotient_sing():
     # trivial action; otherwise a compact surface with one boundary circle
     # per fixed circle and chi(X/C2) = (chi(X) + F) / 2.  Its Betti numbers,
     # by GF(2) rank, must be quotient_sing's on every profile up to beta 40.
-    profiles = profiles_by_scan(40)
+    profiles = enumerate_profiles(40)
     assert len(profiles) == 3624
     for pr in profiles:
         if pr.kind == TRIVIAL:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import c2surf.surfaces
-from _oracles import naive_profiles_by_words
+from _oracles import search_profiles_by_words
 from c2surf.checks import Window
 from c2surf.surfaces import (
     FREE_SPHERE,
@@ -21,23 +21,20 @@ from c2surf.surfaces import (
     Op,
     ParseError,
     ProfileError,
-    RealizabilityError,
     SingProfile,
     SurgeryWord,
     WordError,
-    _enumeration_ops,
     apply_op,
     base_profile,
     enumerate_profiles,
     fixed_sing,
     invariants,
     parse_word,
-    profiles_by_scan,
     profiles_by_words,
     quotient_sing,
     underlying_sing,
     validate_profile,
-    witnessed_profiles,
+    witness,
 )
 
 
@@ -234,7 +231,7 @@ def test_construction_accepts_exactly_the_realizable_profiles():
                 accepted.add(InvariantProfile(kind, beta, f, c))
             except ProfileError:
                 pass
-    assert accepted == profiles_by_scan(10)
+    assert accepted == set(enumerate_profiles(10))
     for fields in [(TRIVIAL, 2.5), (TRIVIAL, "2"), (TRIVIAL, True), (NONFREE, 4, 2.0, 0),
                    (NONFREE, 2, 2, False), (NONFREE, 4, None, 0)]:
         with pytest.raises(ProfileError, match="must be an integer"):
@@ -244,9 +241,11 @@ def test_construction_accepts_exactly_the_realizable_profiles():
 def test_apply_op_yields_valid_profiles():
     # A legal surgery on a realizable profile lands on a realizable one:
     # apply_op raises WordError or returns, never ProfileError.
-    ops = _enumeration_ops(12) + [Op("CS", ClosedSurface(True, 0))]
-    reachable = profiles_by_scan(12 + 12)   # no op raises beta by more than 12
-    for pr in profiles_by_scan(12):
+    ops = ([Op(token) for token in ("AT11", "AT10", "FM", "DCC")]
+           + [Op("CS", ClosedSurface(True, g)) for g in range(4)]
+           + [Op("CS", ClosedSurface(False, s)) for s in range(1, 7)])
+    reachable = set(enumerate_profiles(12 + 12))   # no op raises beta by more than 12
+    for pr in enumerate_profiles(12):
         for op in ops:
             try:
                 nxt = apply_op(pr, op)
@@ -319,98 +318,54 @@ def test_enumerate_smallest_catalogs():
 
 
 def test_enumeration_paths_agree():
+    # The catalog's rows are the scan's profiles, in the scan's order.
     for beta_max in (0, 1, 5, 12):
-        worded = set(profiles_by_words(beta_max))
-        scanned = profiles_by_scan(beta_max)
-        assert worded <= scanned
-        assert worded == scanned
+        assert list(profiles_by_words(beta_max)) == enumerate_profiles(beta_max)
 
 
 def test_every_scanned_profile_is_valid():
-    for pr in profiles_by_scan(10):
+    # Built through the validating constructor, each once, in sort_key order.
+    profiles = enumerate_profiles(40)
+    assert len(profiles) == 3624
+    for pr in profiles:
+        assert type(pr) is InvariantProfile
         validate_profile(pr)
+    keys = [pr.sort_key() for pr in profiles]
+    assert keys == sorted(set(keys))
 
 
 def test_witness_words_fold_back_to_their_profiles():
-    for pr, word in profiles_by_words(8).items():
+    witnesses = profiles_by_words(80)
+    assert len(witnesses) == 24844
+    for pr, word in witnesses.items():
         assert invariants(word) == pr
 
 
 def test_word_search_matches_the_object_level_search():
-    for beta_max in range(25):
-        want = naive_profiles_by_words(beta_max)
+    # The closed-form witnesses are the breadth-first search's first words,
+    # profile for profile and in the same order.
+    for beta_max in (0, 1, 2, 9, 40):
+        want = search_profiles_by_words(beta_max)
         got = profiles_by_words(beta_max)
-        assert got == want
         assert list(got.items()) == list(want.items()), beta_max
         assert all(type(pr) is InvariantProfile and type(w) is SurgeryWord
                    for pr, w in got.items())
-
-
-def full_list_profiles_by_words(beta_max: int) -> dict:
-    """The catalog's breadth-first search with every queue entry trying the
-    whole op list of the full budget, overshooting ops included."""
-    witnesses = {}
-    for beta in range(beta_max + 1):
-        surf = ClosedSurface(True, beta // 2) if beta % 2 == 0 else ClosedSurface(False, beta)
-        witnesses.setdefault(InvariantProfile(TRIVIAL, beta), SurgeryWord(Base("triv", surf)))
-    queue = []
-    for token in ("S22", "S21", "S2a", "T1a", "T1r"):
-        word = SurgeryWord(Base(token))
-        pr = invariants(word)
-        if pr.beta <= beta_max and pr not in witnesses:
-            witnesses[pr] = word
-            queue.append((pr, word))
-    ops = ([Op(token) for token in ("AT11", "AT10", "FM", "DCC")]
-           + [Op("CS", ClosedSurface(True, g)) for g in range(1, beta_max // 4 + 1)]
-           + [Op("CS", ClosedSurface(False, s)) for s in range(1, beta_max // 2 + 1)])
-    while queue:
-        next_queue = []
-        for pr, word in queue:
-            for op in ops:
-                try:
-                    nxt = apply_op(pr, op)
-                except WordError:
-                    continue
-                if nxt.beta <= beta_max and nxt not in witnesses:
-                    witnesses[nxt] = SurgeryWord(word.base, word.ops + (op,))
-                    next_queue.append((nxt, witnesses[nxt]))
-        queue = next_queue
-    return witnesses
-
-
-def test_budget_cut_keeps_the_full_list_witnesses():
-    # Skipping the ops that overshoot the budget left changes no witness
-    # and no position in the dict.  Beta only grows along a word, so the
-    # full-list search at a smaller bound is the one at 30 cut to that
-    # bound, in the same order, as a few smaller bounds check directly.
-    full = full_list_profiles_by_words(30)
-    for beta_max in range(31):
-        want = [(pr, w) for pr, w in full.items() if pr.beta <= beta_max]
-        if beta_max in (0, 1, 2, 9):
-            assert list(full_list_profiles_by_words(beta_max).items()) == want
-        assert list(profiles_by_words(beta_max).items()) == want, beta_max
-
-
-def test_generator_disagreement_is_reported(monkeypatch):
-    words = profiles_by_words(4)
-    dropped = InvariantProfile(NONFREE, 4, 2, 2)
-    del words[dropped]
-    monkeypatch.setattr(c2surf.surfaces, "profiles_by_words", lambda beta_max: words)
-    with pytest.raises(RealizabilityError) as err:
-        witnessed_profiles(4)
-    assert f"scan-only=[{dropped!r}] word-only=[]" in str(err.value)
-
-
-def test_witnessed_profiles_sort_the_word_witnesses():
-    witnesses = witnessed_profiles(6)
-    assert list(witnesses) == sorted(profiles_by_scan(6), key=InvariantProfile.sort_key)
-    assert witnesses == profiles_by_words(6)
 
 
 def test_expected_witnesses():
     witnesses = profiles_by_words(2)
     assert str(witnesses[InvariantProfile(NONFREE, 1, 1, 1)]) == "S22 + FM"
     assert str(witnesses[InvariantProfile(NONFREE, 2, 0, 2)]) == "S21 + AT10"
+    # One profile per branch of ``witness`` and per fill.
+    for fields, word in [((TRIVIAL, 4), "triv:T[2]"), ((TRIVIAL, 5), "triv:N[5]"),
+                         ((FREE_SPHERE, 0), "S2a"), ((FREE_SPHERE, 2), "S2a + DCC"),
+                         ((FREE_SPHERE, 8), "S2a + CS(T[2])"),
+                         ((FREE_SPHERE, 6), "S2a + CS(N[3])"), ((FREE_TORUS, 2), "T1a"),
+                         ((FREE_TORUS, 6), "T1a + CS(T[1])"),
+                         ((NONFREE, 12, 6, 0), "S22 + AT11 + AT11 + CS(T[2])"),
+                         ((NONFREE, 7, 1, 1), "S22 + FM + CS(N[3])"),
+                         ((NONFREE, 6, 0, 3), "S21 + AT10 + AT10 + DCC")]:
+        assert str(witness(InvariantProfile(*fields))) == word, fields
 
 
 # -- value semantics ------------------------------------------------------------

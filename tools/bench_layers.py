@@ -1,4 +1,4 @@
-"""Time the layers of c2surf and write them to BENCH_15.json.
+"""Time the layers of c2surf and write them to BENCH_16.json.
 
 Run from anywhere, with no arguments, on the source of this checkout:
 
@@ -6,8 +6,8 @@ Run from anywhere, with no arguments, on the source of this checkout:
 
 Each figure is the minimum, in seconds, of 7 repeats of:
 
-* ``witnessed_profiles(20)`` and ``witnessed_profiles(40)``: the catalog's
-  enumeration, both generators and their comparison;
+* ``profiles_by_words(20)``, ``(40)`` and ``(80)``: the catalog's rows,
+  the inequality scan with one closed-form witness word per profile;
 * ``verify_decomposition`` over the 614 profiles with beta <= 20, their
   closed forms computed beforehand (the accept path);
 * ``verify_decomposition`` over the 33,228 single-summand mutants of the
@@ -46,7 +46,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-OUT = ROOT / "BENCH_15.json"
+OUT = ROOT / "BENCH_16.json"
 REPEATS = 7
 
 sys.path.insert(0, str(SRC))
@@ -66,8 +66,8 @@ from c2surf.checks import (  # noqa: E402
 from c2surf.engine import closed_form  # noqa: E402
 from c2surf.surfaces import (  # noqa: E402
     enumerate_profiles,
+    profiles_by_words,
     underlying_sing,
-    witnessed_profiles,
 )
 
 CHECKS = (check_quotient_row, check_rho_localization, check_forgetful_les,
@@ -167,8 +167,9 @@ def main() -> None:
     if len(wrong) != 33228:
         raise AssertionError(f"expected 33228 mutants with beta <= 8, got {len(wrong)}")
     timings = {
-        "witnessed_profiles(20)": best_of(lambda: witnessed_profiles(20)),
-        "witnessed_profiles(40)": best_of(lambda: witnessed_profiles(40)),
+        "profiles_by_words(20)": best_of(lambda: profiles_by_words(20)),
+        "profiles_by_words(40)": best_of(lambda: profiles_by_words(40)),
+        "profiles_by_words(80)": best_of(lambda: profiles_by_words(80)),
         "verify_decomposition x614 (beta <= 20)": best_of(lambda: verify_all(cases)),
         "verify_decomposition x33228 mutants (beta <= 8)": best_of(lambda: reject_all(wrong)),
         "expected x614 (beta <= 20, cold)": best_of(lambda: expected_cold(cases)),
