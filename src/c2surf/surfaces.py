@@ -307,9 +307,9 @@ def _step(kind: str, beta: int, f: int, c: int, op: Op,
     fields after it, or WordError when the action so far cannot take it.
 
     Every surgery path (``check_op``, ``apply_op`` and ``invariants``) is
-    this step.  On the fields of a valid profile a legal
-    surgery gives the fields of a valid profile; callers that need an
-    ``InvariantProfile`` build it, once, from the fields they end on.
+    this step.  On the fields of a valid profile a legal surgery gives the
+    fields of a valid profile; callers that need an ``InvariantProfile``
+    build it, once, from the fields they end on.
     """
     if kind == TRIVIAL:
         raise WordError("surgery on trivial action", op_index)
