@@ -32,14 +32,8 @@ from .checks import (
     verify_profile,
     verify_word,
 )
-from .engine import TransformError, closed_form, free_orbit_product, reduced_form, transform
-from .f2linalg import (
-    ChainComplex,
-    F2Matrix,
-    betti_f2,
-    polygon_model,
-    surface_with_boundary_model,
-)
+from .engine import TransformError, closed_form, reduced_form, transform
+from .f2linalg import F2Matrix, betti_f2
 from .surfaces import (
     Base,
     ClosedSurface,
@@ -58,7 +52,6 @@ from .surfaces import (
     profiles_by_words,
     quotient_sing,
     underlying_sing,
-    validate_profile,
     witness,
 )
 

@@ -29,9 +29,10 @@ walks its locations only when the two differ, to report them:
   The right-hand side is additive over the direct sum and, summand by
   summand, independent of q: it counts the singular classes the summand
   restricts to (``Summand.underlying_degrees``).  So the identity is read
-  from that per-p count, the tally's ``classes``.  A wrong count at p
-  fails at every q alike, so it is one fact, reported once, at location
-  ``p=<p>``, for each p in the p range of ``DEFAULT_LES_WINDOW``.
+  from that per-p count, the tally's ``classes``, against ``expected``'s,
+  the surface's Betti numbers (1, beta, 1).  A wrong count at p fails at
+  every q alike, so it is one fact, reported once, at location ``p=<p>``,
+  for each p in the p range of ``DEFAULT_LES_WINDOW``.
 * top class      -- the free summands in topological dimension >= 2: a
   nonfree closed surface has exactly one, in weight 1 if some circle is
   fixed, weight 2 if only points are, weight 0 if the action is trivial;
@@ -40,8 +41,8 @@ walks its locations only when the two differ, to report them:
   same per-p count of underlying classes, against beta.
 
 ``verify_decomposition`` tallies the decomposition once and runs the
-five in that order, every one of them even when the two tallies are
-equal.  Its window, p in [-2, 6] and q in [-8, 8], is
+five in that order, each as ``check(t, pr)``, every one of them even when
+the two tallies are equal.  Its window, p in [-2, 6] and q in [-8, 8], is
 fixed, and it only bounds where the forgetful-LES identity is reported:
 it never changes a verdict.  The other checks read every summand, and a
 summand with an underlying degree outside p in [-2, 6] fails one of
@@ -180,10 +181,9 @@ def tally(d: Decomposition) -> Tally:
     return Tally(row, free, tops, classes)
 
 
-@lru_cache(maxsize=1024)
 def _counts(sing: SingProfile) -> dict[int, int]:
     """The nonzero Betti numbers of ``sing`` per degree, as a tally keys
-    them.  Keyed by the Betti numbers, so profiles share it."""
+    them."""
     return {p: h for p, h in enumerate(sing) if h}
 
 
@@ -240,7 +240,7 @@ def check_rho_localization(t: Tally, pr: InvariantProfile) -> list[Violation]:
     return []
 
 
-def check_forgetful_les(t: Tally, sing: SingProfile,
+def check_forgetful_les(t: Tally, pr: InvariantProfile,
                         window: Window = DEFAULT_LES_WINDOW) -> list[Violation]:
     """The forgetful-sequence rank identity, one violation per wrong p of
     the window's p range, at location ``p=<p>``.
@@ -248,10 +248,10 @@ def check_forgetful_les(t: Tally, sing: SingProfile,
     Its right-hand side at (p, q) is the count of underlying classes at p,
     whatever q is, so a wrong count at p fails at every q of the window
     alike, and the window's q range never changes the report.  A count
-    equal to ``sing`` at every p fails nowhere; only an unequal one is
-    walked over the window's p range.
+    equal to ``expected(pr).classes`` at every p fails nowhere; only an
+    unequal one is walked over the window's p range.
     """
-    count, want = t.classes, _counts(sing)
+    count, want = t.classes, expected(pr).classes
     if count == want:
         return []
     out = []
@@ -287,7 +287,7 @@ def verify_decomposition(d: Decomposition, pr: InvariantProfile) -> list[Violati
     decomposition, tallied once."""
     t = tally(d)
     return (check_quotient_row(t, pr) + check_rho_localization(t, pr)
-            + check_forgetful_les(t, underlying_sing(pr)) + check_top_class(t, pr)
+            + check_forgetful_les(t, pr) + check_top_class(t, pr)
             + check_beta_recovery(t, pr))
 
 

@@ -16,8 +16,7 @@ by its reader (see README); any other exception is a program error and
 propagates.
 INPUT starting with '{' is parsed as a profile JSON object
 ``{"kind":..., "beta":..., "F":..., "C":...}``; anything else as a word.
-``compute --grid`` draws the window ``--window`` gives, else the one in the
-environment variable ``ESC_WINDOW`` (same ``pmin:pmax,qmin:qmax`` syntax),
+``compute --grid`` draws the window ``--window pmin:pmax,qmin:qmax`` gives,
 else ``-4:6,-6:6``; ``--window`` without ``--grid``, and a window of more
 than ``MAX_GRID_CELLS`` cells, are bad input.  stdout carries data;
 diagnostics go to stderr.
@@ -97,11 +96,10 @@ def _parse_input(text: str) -> InvariantProfile:
 
 
 def _grid_window(flag_value: str | None) -> Window:
-    text = flag_value if flag_value is not None else os.environ.get("ESC_WINDOW") or None
-    if text is None:
+    if flag_value is None:
         return DEFAULT_GRID_WINDOW
     try:
-        window = Window.parse(text)
+        window = Window.parse(flag_value)
     except ValueError as exc:
         raise _InputError(str(exc)) from None
     cells = (window.pmax - window.pmin + 1) * (window.qmax - window.qmin + 1)

@@ -40,7 +40,6 @@ from .surfaces import (
     InvariantProfile,
     Op,
     ProfileError,
-    SingProfile,
     check_op,
 )
 
@@ -90,16 +89,6 @@ def reduced_form(pr: InvariantProfile) -> Decomposition:
     if pr.kind in (FREE_SPHERE, FREE_TORUS):
         raise ProfileError("reduced form is not defined for free actions")
     return closed_form(pr).remove(_M2)
-
-
-def free_orbit_product(sing: SingProfile) -> Decomposition:
-    """Cohomology of (free orbit) x Y from the singular cohomology of Y.
-
-    A product with the free orbit only sees the underlying space:
-    the answer is tau-periodic, one shifted A0 per singular class.
-    """
-    return Decomposition({Summand.antipodal(0, 0): sing.h0, Summand.antipodal(1, 0): sing.h1,
-                          Summand.antipodal(2, 0): sing.h2})
 
 
 def _free_at_result(beta_y: int, top: Summand) -> Decomposition:

@@ -369,15 +369,6 @@ class SingProfile(NamedTuple):
     h1: int
     h2: int
 
-    def at(self, p: int) -> int:
-        if p == 0:
-            return self.h0
-        if p == 1:
-            return self.h1
-        if p == 2:
-            return self.h2
-        return 0
-
     def euler(self) -> int:
         return self.h0 - self.h1 + self.h2
 

@@ -30,6 +30,7 @@ from c2surf.surfaces import (
     SingProfile,
     enumerate_profiles,
     parse_word,
+    underlying_sing,
 )
 
 M2 = Summand.free(0, 0)
@@ -104,25 +105,29 @@ def test_forgetful_les_hand_values():
     got = (point.dim_at((0, 1)) + point.dim_at(b)
            - point.rank_at((-1, 0), "rho") - point.rank_at(b, "rho"))
     assert got == 1
-    assert check_forgetful_les(tally(point), sing, Window(-4, 4, -6, 6)) == []
+    assert naive_forgetful_les(point, sing, Window(-4, 4, -6, 6)) == []
+    assert tally(point).classes == {0: 1}
 
 
 def test_forgetful_les_free_orbit():
     # The free orbit: two points, so h^0_sing = 2, and rho acts as zero.
     orbit = Decomposition([Summand.antipodal(0, 0)])
-    assert check_forgetful_les(tally(orbit), SingProfile(2, 0, 0), Window(0, 1, -5, 5)) == []
+    assert naive_forgetful_les(orbit, SingProfile(2, 0, 0), Window(0, 1, -5, 5)) == []
+    assert tally(orbit).classes == {0: 2}
 
 
 def test_forgetful_les_third_example_full_sweep():
     x3 = closed_form(X3_PROFILE)
-    assert check_forgetful_les(tally(x3), SingProfile(1, 1, 1), Window(-2, 5, -6, 6)) == []
+    assert naive_forgetful_les(x3, SingProfile(1, 1, 1), Window(-2, 5, -6, 6)) == []
+    assert tally(x3).classes == {0: 1, 1: 1, 2: 1} == expected(X3_PROFILE).classes
+    assert check_forgetful_les(tally(x3), X3_PROFILE, Window(-2, 5, -6, 6)) == []
 
 
 summands = st.one_of(
     st.builds(Summand.free, st.integers(-10, 15), st.integers(-12, 12)),
     st.builds(Summand.antipodal, st.integers(-10, 15), st.integers(0, 4)))
 decompositions = st.dictionaries(summands, st.integers(1, 3), max_size=8).map(Decomposition)
-sing_profiles = st.builds(SingProfile, st.integers(0, 4), st.integers(0, 12), st.integers(0, 4))
+PROFILES_TO_12 = enumerate_profiles(12)
 
 
 @st.composite
@@ -135,26 +140,24 @@ def windows(draw):
                   qmin, qmin + draw(st.integers(0, 24)))
 
 
-@given(decompositions, sing_profiles, windows())
-def test_forgetful_les_matches_the_naive_sweep(d, sing, window):
-    # The check is the naive sweep collapsed per p: for each p it reports,
+@given(decompositions, st.sampled_from(PROFILES_TO_12), windows())
+def test_forgetful_les_matches_the_naive_sweep(d, pr, window):
+    # The check is the naive sweep against the surface's Betti numbers
+    # (1, beta, 1), beta in 0..12, collapsed per p: for each p it reports,
     # the sweep fails at every q of the window with the same two sides, and
     # it fails at no other p, so the collapse loses nothing.
-    sweep = naive_forgetful_les(d, sing, window)
+    sweep = naive_forgetful_les(d, underlying_sing(pr), window)
     by_p = {}
     for v in sweep:
         p, q = (int(x) for x in v.location.strip("()").split(","))
         by_p.setdefault(p, []).append((q, v.expected, v.actual))
-    got = check_forgetful_les(tally(d), sing, window)
+    got = check_forgetful_les(tally(d), pr, window)
     assert [v.location for v in got] == [f"p={p}" for p in sorted(by_p)]
     qs = list(range(window.qmin, window.qmax + 1))
     for v in got:
         p = int(v.location.removeprefix("p="))
         assert v.check == "forgetful-les"
         assert by_p[p] == [(q, v.expected, v.actual) for q in qs], p
-
-
-PROFILES_TO_12 = enumerate_profiles(12)
 
 
 @settings(max_examples=300)
@@ -261,7 +264,7 @@ def test_verify_matches_the_per_check_walks(extra, pr):
     right = closed_form(pr)
     for d in (extra, right + extra, right):
         want = naive_verify(d, pr)
-        for memo in (checks._reads, checks.expected, checks._counts):
+        for memo in (checks._reads, checks.expected):
             memo.cache_clear()
         assert verify_decomposition(d, pr) == want, (str(d), pr)
         assert verify_decomposition(d, pr) == want, (str(d), pr)
@@ -307,6 +310,37 @@ def test_verify_calls_each_check_once_in_order(monkeypatch):
     wrong = closed_form(X2_PROFILE).remove(S11)
     assert verify_decomposition(wrong, X2_PROFILE) == naive_verify(wrong, X2_PROFILE)
     assert calls == names
+
+
+def test_verify_reads_each_betti_profile_once(monkeypatch):
+    # Every check takes (t, pr) and reads the profile's Betti numbers
+    # through the memoized expected(pr): two verifies of one profile, with
+    # the memo cold, build each of the three singular profiles once.
+    calls = []
+    for name in ("underlying_sing", "fixed_sing", "quotient_sing"):
+        def spy(pr, _name=name, _real=getattr(checks, name)):
+            calls.append(_name)
+            return _real(pr)
+        monkeypatch.setattr(checks, name, spy)
+    checks.expected.cache_clear()
+    wrong = closed_form(X2_PROFILE).remove(S11)
+    for _ in range(2):
+        assert verify_decomposition(wrong, X2_PROFILE) == naive_verify(wrong, X2_PROFILE)
+    assert sorted(calls) == ["fixed_sing", "quotient_sing", "underlying_sing"]
+
+
+def test_quotient_row_and_rho_localization_each_reject_alone():
+    # For each of these two checks, a wrong answer that no other check
+    # rejects: the free sphere at beta 0, whose answer is A2, plus one
+    # summand whose underlying degree lies outside the LES window.
+    sphere = InvariantProfile(FREE_SPHERE, 0)
+    assert closed_form(sphere) == Decomposition([Summand.antipodal(0, 2)])
+    far_antipodal = Decomposition([Summand.antipodal(0, 2), Summand.antipodal(7, 0)])
+    assert verify_decomposition(far_antipodal, sphere) == [
+        ("quotient-row", "(7,0)", 0, 1)]
+    low_free = Decomposition([Summand.free(-4, 1), Summand.antipodal(0, 2)])
+    assert verify_decomposition(low_free, sphere) == [
+        ("rho-localization", "fixed-set degrees", [], [[-5, 1]])]
 
 
 MUTATION_POOL = ([Summand.free(p, q) for p in range(-4, 13) for q in range(-4, 13)]

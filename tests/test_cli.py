@@ -1,4 +1,4 @@
-"""Command dispatch, output formats, exit codes, and the env override."""
+"""Command dispatch, output formats, exit codes, and the grid window."""
 
 import argparse
 import hashlib
@@ -154,11 +154,10 @@ def test_grid_window_flag_with_negative_values(capsys):
     assert [len(row) for row in out.splitlines()] == [9] * 17
 
 
-def test_grid_window_too_large_to_index_is_bad_input(capsys, monkeypatch):
+def test_grid_window_too_large_to_index_is_bad_input(capsys):
     # A window of MAX_GRID_CELLS cells is drawn; each window here has more,
-    # the first by one cell, so it is rejected before any grid is allocated,
-    # from the flag or from ESC_WINDOW.  The default -4:6,-6:6 window (143
-    # cells) is far under the cap.
+    # the first by one cell, so it is rejected before any grid is allocated.
+    # The default -4:6,-6:6 window (143 cells) is far under the cap.
     assert MAX_GRID_CELLS == 100_000 and 100 * 11 * 13 < MAX_GRID_CELLS
     code, out, _ = run(capsys, "compute", "--grid", "--window=0:9,0:9999", "S22")
     assert code == 0 and len(out.replace("\n", "")) == MAX_GRID_CELLS
@@ -170,9 +169,6 @@ def test_grid_window_too_large_to_index_is_bad_input(capsys, monkeypatch):
         assert (code, out) == (2, ""), text
         assert err == (f"error: window {text} has {cells} cells, more than the"
                        f" {MAX_GRID_CELLS} a grid may draw\n"), text
-        monkeypatch.setenv("ESC_WINDOW", text)
-        assert run(capsys, "compute", "--grid", "S22") == (code, out, err), text
-        monkeypatch.delenv("ESC_WINDOW")
 
 
 def test_verify_takes_no_window(capsys):
@@ -242,20 +238,14 @@ def test_integers_are_plain_ascii_digits(capsys, argv, err):
     assert run(capsys, *argv) == (2, "", err)
 
 
-def test_esc_window_env_override(capsys, monkeypatch):
-    # ESC_WINDOW sets the grid window, and leaves verify's fixed one alone.
-    monkeypatch.setenv("ESC_WINDOW", "0:1,0:1")
-    code, out, _ = run(capsys, "compute", "--grid", "S22")
-    assert code == 0
-    assert out == run(capsys, "compute", "--grid", "--window=0:1,0:1", "S22")[1]
-    assert out.splitlines() == ["11", "1."]
-    code, out, _ = run(capsys, "verify", "S22")
-    assert code == 0
-    assert "[window -2:6,-8:8]" in out
+def test_the_environment_sets_no_window(capsys, monkeypatch):
+    # Only --window sets the grid window, so a junk ESC_WINDOW in the
+    # environment still draws the default grid.
     monkeypatch.setenv("ESC_WINDOW", "junk")
-    code, _, err = run(capsys, "compute", "--grid", "S22")
-    assert code == 2
-    assert run(capsys, "verify", "S22")[0] == 0
+    code, out, err = run(capsys, "compute", "--grid", "S22")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "compute", "--grid", "--window=-4:6,-6:6", "S22")[1]
+    assert [len(row) for row in out.splitlines()] == [11] * 13
 
 
 def test_catalog_zero(capsys):
@@ -328,7 +318,6 @@ def test_closed_stdout_pipe_exits_141_without_a_traceback():
 def fresh_process(argv):
     """stdout, stderr and exit code of one call in a new interpreter."""
     env = dict(os.environ, PYTHONPATH=SRC)
-    env.pop("ESC_WINDOW", None)
     proc = subprocess.run([sys.executable, "-m", "c2surf", *argv],
                           capture_output=True, text=True, env=env)
     return proc.returncode, proc.stdout, proc.stderr
@@ -336,7 +325,6 @@ def fresh_process(argv):
 
 def test_parser_reuse_keeps_calls_independent(capsys, monkeypatch):
     # One process reuses one parser: no flag may carry over to the next call.
-    monkeypatch.delenv("ESC_WINDOW", raising=False)
     x = "S21 + AT10"
     sequence = [["compute", "--grid", "--window=0:2,0:2", x], ["compute", "--grid", x],
                 ["verify", "--json", x], ["verify", x], ["compute", "--reduced", x],
@@ -436,14 +424,12 @@ def output_digest(capsys, requests):
     return digest.hexdigest(), lines
 
 
-def test_correct_answers_match_the_golden_hash(capsys, monkeypatch):
-    monkeypatch.delenv("ESC_WINDOW", raising=False)
+def test_correct_answers_match_the_golden_hash(capsys):
     assert output_digest(capsys, correct_requests()) == (CORRECT_CLI_SHA256,
                                                          CORRECT_CLI_LINES)
 
 
-def test_failure_reports_match_the_golden_hash(capsys, monkeypatch):
-    monkeypatch.delenv("ESC_WINDOW", raising=False)
+def test_failure_reports_match_the_golden_hash(capsys):
     assert output_digest(capsys, inject_requests()) == (INJECT_CLI_SHA256,
                                                         INJECT_CLI_LINES)
     assert CORRECT_CLI_LINES + INJECT_CLI_LINES == 17593

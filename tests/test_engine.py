@@ -7,7 +7,6 @@ from c2surf.checks import verify_decomposition
 from c2surf.engine import (
     TransformError,
     closed_form,
-    free_orbit_product,
     reduced_form,
     transform,
 )
@@ -20,7 +19,6 @@ from c2surf.surfaces import (
     InvariantProfile,
     Op,
     ProfileError,
-    SingProfile,
     WordError,
     apply_op,
     enumerate_profiles,
@@ -143,15 +141,6 @@ def test_reduced_form():
         [Summand.free(2, 0)])
     with pytest.raises(ProfileError):
         reduced_form(InvariantProfile(FREE_SPHERE, 2))
-
-
-def test_free_orbit_product():
-    assert free_orbit_product(SingProfile(1, 0, 0)) == Decomposition(
-        [Summand.antipodal(0, 0)])
-    torus = free_orbit_product(SingProfile(1, 2, 1))
-    assert torus == Decomposition([Summand.antipodal(0, 0), A0_1, A0_1,
-                                   Summand.antipodal(2, 0)])
-    assert free_orbit_product(SingProfile(0, 0, 0)) == Decomposition([])
 
 
 # -- the rewrite rules ---------------------------------------------------------
