@@ -26,6 +26,8 @@ between callers.
 closed-form-shaped decomposition, as an independent set of rewrite rules;
 folding it along a word must land on ``closed_form`` of the folded
 profile, which is the cross-validation the test suite runs exhaustively.
+The rules' addends are module constants, except CS(Y)'s (S(1,0)A0)^k,
+k = beta(Y), which comes from a small memo keyed by k.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ _A0_1 = Summand.antipodal(1, 0)
 _PLUS_2_S11 = Decomposition({_S11: 2})
 _PLUS_S11_S10 = Decomposition({_S11: 1, _S10: 1})
 _PLUS_S10 = Decomposition({_S10: 1})
+_PLUS_A0 = Decomposition({_A0_1: 1})
 _TOP_AT10 = Decomposition({_S11: 2, _S21: 1})
 _TOP_FM = Decomposition({_S11: 1, _S21: 1})
 
@@ -97,6 +100,13 @@ def _free_at_result(beta_y: int, top: Summand) -> Decomposition:
     return Decomposition({_M2: 1, _A0_1: (beta_y + 2) // 2, top: 1})
 
 
+@lru_cache(maxsize=64, typed=True)
+def _plus_a0(k: int) -> Decomposition:
+    """The addend of CS(Y) with beta(Y) = k: (S(1,0)A0)^k.  Typed, so a
+    non-int k is never served an int's entry and still fails construction."""
+    return Decomposition({_A0_1: k})
+
+
 def transform(d_y: Decomposition, pr_y: InvariantProfile, op: Op) -> Decomposition:
     """Rewrite the decomposition of Y into that of Y-after-one-surgery.
 
@@ -113,8 +123,9 @@ def transform(d_y: Decomposition, pr_y: InvariantProfile, op: Op) -> Decompositi
         # Connected summing glues two conjugate copies of a punctured Y:
         # each singular 1-class of the glued surface contributes one
         # tau-periodic column in dimension one.
-        extra = 1 if op.token == "DCC" else op.surface.beta
-        return d_y.direct_sum(Decomposition({_A0_1: extra}))
+        if op.token == "DCC":
+            return d_y.direct_sum(_PLUS_A0)
+        return d_y.direct_sum(_plus_a0(op.surface.beta))
 
     if op.token == "AT11":
         if free_kind:

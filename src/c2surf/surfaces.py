@@ -31,9 +31,11 @@ conjugate copies of the nonequivariant surface Y.
 Everything here is pure and immutable.  The value types are
 ``NamedTuple``s: they hash and compare like plain tuples, and the ones
 with a rule to keep (``ClosedSurface``, ``InvariantProfile``) check it in
-``__new__``, which ``_replace`` and ``_make`` go through too.  A surgery
-is one step on the integer fields ``(kind, beta, F, C)``: ``invariants``
-folds a word on them and builds one ``InvariantProfile``, at the end.
+``__new__``, which ``_replace`` and ``_make`` go through too.  The plain
+bases and ops are built once: ``parse_word`` and ``witness`` hand out the
+same ``Base`` and ``Op`` values from a table.  A surgery is one step on
+the integer fields ``(kind, beta, F, C)``: ``invariants`` folds a word on
+them and builds one ``InvariantProfile``, at the end.
 The catalog needs no search: ``enumerate_profiles`` scans the
 realizability inequalities, and ``witness`` writes down a shortest word
 for each profile.
@@ -148,37 +150,56 @@ class SurgeryWord(NamedTuple):
         return " + ".join([str(self.base)] + [str(op) for op in self.ops])
 
 
+# The plain tokens, built once: a parse looks each piece up here first.
+_BASES = {token: Base(token) for token in BASE_TOKENS}
+_OPS = {token: Op(token) for token in ("AT11", "AT10", "FM", "DCC")}
+
+
 def parse_word(text: str) -> SurgeryWord:
     """Parse the word DSL; raises ParseError with a character position.
+
+    A plain base or op is a table lookup; a piece that misses the table
+    (``triv:*``, ``CS(...)``, or an error) is parsed by ``_base_piece`` or
+    ``_op_piece``, which find where its token starts.
 
     >>> str(parse_word("S2a + CS(T[1])"))
     'S2a + CS(T[1])'
     """
-    pieces = text.split("+")
-    pos = 0
-    base = None
+    first, *rest = text.split("+")
+    base = _BASES.get(first.strip())
+    if base is None:
+        base = _base_piece(first)
+    pos = len(first) + 1
     ops = []
-    for i, raw in enumerate(pieces):
-        token = raw.strip()
-        at = pos + raw.index(token) if token else pos
-        if not token:
-            raise ParseError("empty token", at)
-        if i == 0:
-            if token in BASE_TOKENS:
-                base = Base(token)
-            elif token.startswith("triv:"):
-                base = Base("triv", parse_surface(token[5:], at + 5))
-            else:
-                raise ParseError(f"unknown base {token!r}", at)
-        else:
-            if token in ("AT11", "AT10", "FM", "DCC"):
-                ops.append(Op(token))
-            elif token.startswith("CS(") and token.endswith(")"):
-                ops.append(Op("CS", parse_surface(token[3:-1], at + 3)))
-            else:
-                raise ParseError(f"unknown op {token!r}", at)
+    for raw in rest:
+        op = _OPS.get(raw.strip())
+        if op is None:
+            op = _op_piece(raw, pos)
+        ops.append(op)
         pos += len(raw) + 1
     return SurgeryWord(base, tuple(ops))
+
+
+def _base_piece(raw: str) -> Base:
+    """The first piece of a word when it is not a plain base token."""
+    token = raw.strip()
+    at = raw.index(token)
+    if not token:
+        raise ParseError("empty token", at)
+    if token.startswith("triv:"):
+        return Base("triv", parse_surface(token[5:], at + 5))
+    raise ParseError(f"unknown base {token!r}", at)
+
+
+def _op_piece(raw: str, pos: int) -> Op:
+    """A later piece, starting at ``pos``, when it is not a plain op token."""
+    token = raw.strip()
+    at = pos + raw.index(token)
+    if not token:
+        raise ParseError("empty token", at)
+    if token.startswith("CS(") and token.endswith(")"):
+        return Op("CS", parse_surface(token[3:-1], at + 3))
+    raise ParseError(f"unknown op {token!r}", at)
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +270,15 @@ def validate_profile(pr: InvariantProfile) -> None:
     The inequalities carve out exactly the triples realized by closed
     C2-surfaces; they also make every exponent in the closed cohomology
     formulas a nonnegative integer.  beta, F and C must be ints (not bools):
-    ``2.5``, ``4.0`` and ``"2"`` are rejected, never coerced.
+    ``2.5``, ``4.0`` and ``"2"`` are rejected, never coerced.  Three
+    exact ``int``s, the common case, skip the per-field type test; an int
+    subclass other than bool is still accepted.
     """
     f, c, beta = pr.fixed_points, pr.fixed_circles, pr.beta
-    for name, value in (("beta", beta), ("F", f), ("C", c)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ProfileError(f"profile field {name} must be an integer, got {value!r}")
+    if not (type(beta) is int and type(f) is int and type(c) is int):
+        for name, value in (("beta", beta), ("F", f), ("C", c)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ProfileError(f"profile field {name} must be an integer, got {value!r}")
     if pr.kind not in KINDS:
         raise ProfileError(f"unknown kind {pr.kind!r}")
     if beta < 0 or f < 0 or c < 0:
@@ -444,7 +468,7 @@ def _fill(r: int) -> tuple[Op, ...]:
     if r == 0:
         return ()
     if r == 2:
-        return (Op("DCC"),)
+        return (_OPS["DCC"],)
     if r % 4 == 0:
         return (Op("CS", ClosedSurface(True, r // 4)),)
     return (Op("CS", ClosedSurface(False, r // 2)),)
@@ -469,13 +493,13 @@ def witness(pr: InvariantProfile) -> SurgeryWord:
         surface = ClosedSurface(True, beta // 2) if beta % 2 == 0 else ClosedSurface(False, beta)
         return SurgeryWord(Base("triv", surface))
     if kind == FREE_SPHERE:
-        return SurgeryWord(Base("S2a"), _fill(beta))
+        return SurgeryWord(_BASES["S2a"], _fill(beta))
     if kind == FREE_TORUS:
-        return SurgeryWord(Base("T1a"), _fill(beta - 2))
+        return SurgeryWord(_BASES["T1a"], _fill(beta - 2))
     fm = f % 2
     base, at11, at10 = ("S22", (f + fm) // 2 - 1, c - fm) if f else ("S21", 0, c - 1)
-    ops = (Op("AT11"),) * at11 + (Op("AT10"),) * at10 + (Op("FM"),) * fm
-    return SurgeryWord(Base(base), ops + _fill(beta - f - 2 * c + 2))
+    ops = (_OPS["AT11"],) * at11 + (_OPS["AT10"],) * at10 + (_OPS["FM"],) * fm
+    return SurgeryWord(_BASES[base], ops + _fill(beta - f - 2 * c + 2))
 
 
 def profiles_by_words(beta_max: int) -> dict[InvariantProfile, SurgeryWord]:

@@ -19,11 +19,13 @@ from c2surf.surfaces import (
     Base,
     ClosedSurface,
     Op,
+    ParseError,
     SurgeryWord,
     WordError,
     apply_op,
     base_profile,
     fixed_sing,
+    parse_surface,
     quotient_sing,
     underlying_sing,
 )
@@ -265,6 +267,38 @@ def search_profiles_by_words(beta_max: int) -> dict:
     order = sorted(witnesses, key=lambda pr: (pr.beta, KINDS.index(pr.kind),
                                               pr.fixed_points, pr.fixed_circles))
     return {pr: witnesses[pr] for pr in order}
+
+
+def naive_parse_word(text: str) -> SurgeryWord:
+    """The word parser as it was before its token tables: each piece is
+    stripped, located with ``raw.index`` and built as a fresh ``Base`` or
+    ``Op``.  The reference for ``parse_word``'s words, error positions and
+    messages."""
+    pieces = text.split("+")
+    pos = 0
+    base = None
+    ops = []
+    for i, raw in enumerate(pieces):
+        token = raw.strip()
+        at = pos + raw.index(token) if token else pos
+        if not token:
+            raise ParseError("empty token", at)
+        if i == 0:
+            if token in BASE_TOKENS:
+                base = Base(token)
+            elif token.startswith("triv:"):
+                base = Base("triv", parse_surface(token[5:], at + 5))
+            else:
+                raise ParseError(f"unknown base {token!r}", at)
+        else:
+            if token in ("AT11", "AT10", "FM", "DCC"):
+                ops.append(Op(token))
+            elif token.startswith("CS(") and token.endswith(")"):
+                ops.append(Op("CS", parse_surface(token[3:-1], at + 3)))
+            else:
+                raise ParseError(f"unknown op {token!r}", at)
+        pos += len(raw) + 1
+    return SurgeryWord(base, tuple(ops))
 
 
 def random_matrix(rng: random.Random, max_side: int = 64) -> list[list[int]]:

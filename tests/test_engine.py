@@ -181,6 +181,15 @@ def test_transform_connected_sum_with_sphere_is_identity():
     assert apply_op(pr, Op("CS", ClosedSurface(True, 0))) == pr
 
 
+def test_transform_connected_sum_rejects_a_non_int_beta_after_an_int_one():
+    # CS's addend is memoized per beta(Y); a float genus that equals an
+    # int one must still fail as a multiplicity, not reuse the int's entry.
+    pr = InvariantProfile(NONFREE, 2, 0, 2)
+    assert transform(X1, pr, Op("CS", ClosedSurface(True, 1))) == X1 + Decomposition([A0_1] * 2)
+    with pytest.raises(ValueError, match="multiplicity must be an integer, got 2.0"):
+        transform(X1, pr, Op("CS", ClosedSurface(True, 1.0)))
+
+
 def test_transform_rejects_illegal_ops():
     free0 = InvariantProfile(FREE_SPHERE, 0)
     with pytest.raises(WordError):

@@ -1,13 +1,14 @@
 """Words, profiles, realizability, and the singular profiles."""
 
 import doctest
+import enum
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import c2surf.surfaces
-from _oracles import search_profiles_by_words
+from _oracles import naive_parse_word, search_profiles_by_words
 from c2surf.checks import Window
 from c2surf.surfaces import (
     FREE_SPHERE,
@@ -63,6 +64,43 @@ def test_parse_errors_carry_positions():
         parse_word("triv:N[0]")   # no nonorientable surface of genus 0
     with pytest.raises(ParseError):
         parse_word("S21 + ")
+
+
+# Pieces of generated word texts: every base and op, the descriptors of
+# ``triv:`` and ``CS(...)`` (good and bad), unknown tokens, the empty one
+# and arbitrary text.  A piece is valid in its place about half the time,
+# so that texts often parse, or fail only late.
+_DESCRIPTORS = ("T[0]", "T[1]", "T[12]", "N[1]", "N[3]", "N[0]", "T[-1]", "T[x]",
+                "T[]", "N[1", "X[1]", "t[1]", " T[1]", "T[１]")
+_GOOD_BASES = ("S22", "S21", "S2a", "T1a", "T1r", "triv:T[0]", "triv:T[2]", "triv:N[1]")
+_GOOD_OPS = ("AT11", "AT10", "FM", "DCC", "CS(T[0])", "CS(T[1])", "CS(N[2])")
+_BAD_TOKENS = (("", "XX", "S23", "AT1", "at11", "AT 11", "triv:", "triv", "CS", "CS(",
+                "CS()", "CS(T[1]", "S22 S21")
+               + tuple(f"triv:{d}" for d in _DESCRIPTORS)
+               + tuple(f"CS({d})" for d in _DESCRIPTORS))
+_ANY_TOKEN = st.sampled_from(_GOOD_BASES + _GOOD_OPS + _BAD_TOKENS) | st.text(max_size=4)
+# ASCII and Unicode whitespace; str.strip removes each of these.
+_SPACES = st.text(alphabet=" \t\n\r\x0b\x0c\x1c\x85\xa0\u2003\u2028\u3000", max_size=3)
+
+
+def _piece(good):
+    token = st.booleans().flatmap(lambda ok: st.sampled_from(good) if ok else _ANY_TOKEN)
+    return st.tuples(_SPACES, token, _SPACES).map("".join)
+
+
+def _parsed(parse, text):
+    """A parser's word for ``text``, or its ParseError as (position, message)."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return exc.position, str(exc)
+
+
+@settings(max_examples=400)
+@given(_piece(_GOOD_BASES), st.lists(_piece(_GOOD_OPS), max_size=6))
+def test_parse_word_matches_the_naive_parser(base, ops):
+    text = "+".join([base] + ops)
+    assert _parsed(parse_word, text) == _parsed(naive_parse_word, text)
 
 
 # -- invariant folding --------------------------------------------------------
@@ -236,6 +274,30 @@ def test_construction_accepts_exactly_the_realizable_profiles():
                    (NONFREE, 2, 2, False), (NONFREE, 4, None, 0)]:
         with pytest.raises(ProfileError, match="must be an integer"):
             InvariantProfile(*fields)
+
+
+class _Count(enum.IntEnum):
+    ONE = 1
+    TWO = 2
+    FOUR = 4
+
+
+def test_int_subclasses_pass_and_bools_fail_in_every_field():
+    # Three exact ints skip validate_profile's type test; any other field
+    # type must still meet it, in the constructor and in the JSON reader.
+    good = {"kind": NONFREE, "beta": 4, "F": 2, "C": 1}
+    want = InvariantProfile(NONFREE, 4, 2, 1)
+    for name in ("beta", "F", "C"):
+        obj = dict(good, **{name: _Count(good[name])})
+        assert InvariantProfile(*obj.values()) == want
+        assert InvariantProfile.from_json_obj(obj) == want
+        for flag in (True, False):
+            obj = dict(good, **{name: flag})
+            message = f"profile field {name} must be an integer, got {flag!r}"
+            with pytest.raises(ProfileError, match=message):
+                InvariantProfile(*obj.values())
+            with pytest.raises(ProfileError, match=message):
+                InvariantProfile.from_json_obj(obj)
 
 
 def test_apply_op_yields_valid_profiles():

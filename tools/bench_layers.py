@@ -1,4 +1,4 @@
-"""Time the layers of c2surf and write them to BENCH_17.json.
+"""Time the layers of c2surf and write them to BENCH_18.json.
 
 Run from anywhere, with no arguments, on the source of this checkout:
 
@@ -8,6 +8,10 @@ Each figure is the minimum, in seconds, of 7 repeats of:
 
 * ``profiles_by_words(20)``, ``(40)`` and ``(80)``: the catalog's rows,
   the inequality scan with one closed-form witness word per profile;
+* ``parse_word`` over the witness-word texts of the 614 profiles with
+  beta <= 20;
+* the ``transform``/``apply_op`` fold of those words, parsed beforehand:
+  each step is compared with ``closed_form`` of its profile;
 * ``verify_decomposition`` over the 614 profiles with beta <= 20, their
   closed forms computed beforehand (the accept path);
 * ``verify_decomposition`` over the 33,228 single-summand mutants of the
@@ -32,7 +36,8 @@ version, the CPUs this process may run on (``nproc``) and the commit
 Standard library only, and separate from ``perfbench/``.  CI runs it on
 one Python version as a smoke test of about 15 s: it fails when the script
 raises, as it does when a closed form fails its checks, a mutant passes
-them, or a check no longer takes ``(t, pr)``.  No timing is a CI gate.
+them, a folded witness word leaves its closed form, or a check no longer
+takes ``(t, pr)``.  No timing is a CI gate.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-OUT = ROOT / "BENCH_17.json"
+OUT = ROOT / "BENCH_18.json"
 REPEATS = 7
 
 sys.path.insert(0, str(SRC))
@@ -65,8 +70,15 @@ from c2surf.checks import (  # noqa: E402
     tally,
     verify_decomposition,
 )
-from c2surf.engine import closed_form  # noqa: E402
-from c2surf.surfaces import enumerate_profiles, profiles_by_words  # noqa: E402
+from c2surf.engine import closed_form, transform  # noqa: E402
+from c2surf.surfaces import (  # noqa: E402
+    apply_op,
+    base_profile,
+    enumerate_profiles,
+    parse_word,
+    profiles_by_words,
+    witness,
+)
 
 CHECKS = (check_quotient_row, check_rho_localization, check_forgetful_les,
           check_top_class, check_beta_recovery)
@@ -86,6 +98,24 @@ def verify_all(cases) -> None:
     for d, pr in cases:
         if verify_decomposition(d, pr):
             raise AssertionError(f"closed form of {pr} fails its checks")
+
+
+def parse_all(texts) -> None:
+    for text in texts:
+        parse_word(text)
+
+
+def fold_all(words) -> None:
+    """Fold each word op by op with ``transform``; every step must land on
+    the closed form of the profile ``apply_op`` reaches."""
+    for word in words:
+        pr = base_profile(word.base)
+        d = closed_form(pr)
+        for op in word.ops:
+            d = transform(d, pr, op)
+            pr = apply_op(pr, op)
+            if d != closed_form(pr):
+                raise AssertionError(f"{word}: {op} gives {d}, not the closed form of {pr}")
 
 
 def mutants() -> list:
@@ -157,6 +187,8 @@ def main() -> None:
     cases = [(closed_form(pr), pr) for pr in enumerate_profiles(20)]
     if len(cases) != 614:
         raise AssertionError(f"expected 614 profiles with beta <= 20, got {len(cases)}")
+    texts = [str(witness(pr)) for _, pr in cases]
+    words = [parse_word(text) for text in texts]
     wrong = mutants()
     if len(wrong) != 33228:
         raise AssertionError(f"expected 33228 mutants with beta <= 8, got {len(wrong)}")
@@ -164,6 +196,8 @@ def main() -> None:
         "profiles_by_words(20)": best_of(lambda: profiles_by_words(20)),
         "profiles_by_words(40)": best_of(lambda: profiles_by_words(40)),
         "profiles_by_words(80)": best_of(lambda: profiles_by_words(80)),
+        "parse_word x614 witness words (beta <= 20)": best_of(lambda: parse_all(texts)),
+        "transform fold x614 witness words (beta <= 20)": best_of(lambda: fold_all(words)),
         "verify_decomposition x614 (beta <= 20)": best_of(lambda: verify_all(cases)),
         "verify_decomposition x33228 mutants (beta <= 8)": best_of(lambda: reject_all(wrong)),
         "expected x614 (beta <= 20, cold)": best_of(lambda: expected_cold(cases)),
