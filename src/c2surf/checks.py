@@ -14,8 +14,9 @@ walks its locations only when the two differ, to report them:
   the orbit space, as ``quotient_sing`` gives it from the Euler
   characteristic and the fixed circles.  Every summand's weight-zero row
   has finite support (``Summand.row_support``), so the row is compared
-  exactly: over the union of those supports and p in [0, 2], wherever the
-  summands sit.
+  exactly, wherever the summands sit.  The orbit space's keys lie in
+  [0, 2], so a mismatch walks the row's keys outside [0, 2] and 0, 1, 2,
+  in ascending order, one report ``(p,0)`` per wrong p.
 * rho localization -- inverting rho leaves only the free summands, and
   matches the singular cohomology of the fixed set; concretely the
   count of free summands per p - q equals the count of fixed-set classes
@@ -55,11 +56,17 @@ a >= 7 also fails the top class.
 A violation reports counts, never one list entry per summand: rho
 localization as sorted ``[k, count]`` pairs, the top class as sorted
 ``[p, q, count]`` triples, the shape of the decomposition wire format.
+Those two, and beta recovery, make one report each; the forgetful LES
+walks every p of its window.  Reports (``Violation``) and tallies
+(``Tally``) are built by ``tuple.__new__`` of their class, not through
+the Python-level ``__new__`` that ``NamedTuple`` generates, since neither
+has a rule to enforce; the location texts come from bounded memos.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -149,6 +156,24 @@ class Tally(NamedTuple):
     classes: dict[int, int]
 
 
+# Builds a Violation or Tally without the Python-level ``__new__`` of a
+# NamedTuple: neither has a rule to enforce, and a rejected mutant yields
+# several reports.
+_new = tuple.__new__
+
+
+@lru_cache(maxsize=256)
+def _cell(p: int) -> str:
+    """The location ``(p,0)`` of a quotient-row report."""
+    return f"({p},0)"
+
+
+@lru_cache(maxsize=256)
+def _degree(p: int) -> str:
+    """The location ``p=<p>`` of a forgetful-LES report."""
+    return f"p={p}"
+
+
 @lru_cache(maxsize=1024)
 def _reads(s: Summand) -> tuple[range, int | None, Bidegree | None,
                                  tuple[int, ...]]:
@@ -178,7 +203,7 @@ def tally(d: Decomposition) -> Tally:
                 tops[top] = c
         for p in degrees:
             classes[p] = classes.get(p, 0) + c
-    return Tally(row, free, tops, classes)
+    return _new(Tally, (row, free, tops, classes))
 
 
 def _counts(sing: SingProfile) -> dict[int, int]:
@@ -205,8 +230,8 @@ def expected(pr: InvariantProfile) -> Tally:
         tops = {Bidegree(2, 1): 1}
     else:
         tops = {Bidegree(2, 2): 1}
-    return Tally(_counts(quotient_sing(pr)), _counts(fixed_sing(pr)), tops,
-                 _counts(underlying_sing(pr)))
+    return _new(Tally, (_counts(quotient_sing(pr)), _counts(fixed_sing(pr)), tops,
+                        _counts(underlying_sing(pr))))
 
 
 def check_quotient_row(t: Tally, pr: InvariantProfile) -> list[Violation]:
@@ -217,11 +242,15 @@ def check_quotient_row(t: Tally, pr: InvariantProfile) -> list[Violation]:
     want, row = expected(pr).row, t.row
     if row == want:
         return []
+    # ``want`` has keys in [0, 2] only: walk the row's keys outside it and
+    # 0, 1, 2, in ascending order.
+    walk = sorted(row)
+    walk[bisect_left(walk, 0):bisect_right(walk, 2)] = (0, 1, 2)
     out = []
-    for p in sorted(row.keys() | {0, 1, 2}):
+    for p in walk:
         betti, actual = want.get(p, 0), row.get(p, 0)
         if actual != betti:
-            out.append(Violation("quotient-row", f"({p},0)", betti, actual))
+            out.append(_new(Violation, ("quotient-row", _cell(p), betti, actual)))
     return out
 
 
@@ -234,9 +263,9 @@ def check_rho_localization(t: Tally, pr: InvariantProfile) -> list[Violation]:
     """
     want, actual = expected(pr).free, t.free
     if want != actual:
-        return [Violation("rho-localization", "fixed-set degrees",
-                          [[k, want[k]] for k in sorted(want)],
-                          [[k, actual[k]] for k in sorted(actual)])]
+        return [_new(Violation, ("rho-localization", "fixed-set degrees",
+                                 [[k, want[k]] for k in sorted(want)],
+                                 [[k, actual[k]] for k in sorted(actual)]))]
     return []
 
 
@@ -258,7 +287,7 @@ def check_forgetful_les(t: Tally, pr: InvariantProfile,
     for p in range(window.pmin, window.pmax + 1):
         betti, actual = want.get(p, 0), count.get(p, 0)
         if actual != betti:
-            out.append(Violation("forgetful-les", f"p={p}", betti, actual))
+            out.append(_new(Violation, ("forgetful-les", _degree(p), betti, actual)))
     return out
 
 
@@ -268,9 +297,9 @@ def check_top_class(t: Tally, pr: InvariantProfile) -> list[Violation]:
     is ``expected``'s)."""
     want, tops = expected(pr).tops, t.tops
     if tops != want:
-        return [Violation("top-class", "free summands with p >= 2",
-                          [[*b, want[b]] for b in sorted(want)],
-                          [[*b, tops[b]] for b in sorted(tops)])]
+        return [_new(Violation, ("top-class", "free summands with p >= 2",
+                                 [[*b, want[b]] for b in sorted(want)],
+                                 [[*b, tops[b]] for b in sorted(tops)]))]
     return []
 
 
@@ -278,7 +307,7 @@ def check_beta_recovery(t: Tally, pr: InvariantProfile) -> list[Violation]:
     """Count of singular 1-classes carried by the summands against beta."""
     recovered = t.classes.get(1, 0)
     if recovered != pr.beta:
-        return [Violation("beta-recovery", "beta", pr.beta, recovered)]
+        return [_new(Violation, ("beta-recovery", "beta", pr.beta, recovered))]
     return []
 
 
@@ -286,9 +315,12 @@ def verify_decomposition(d: Decomposition, pr: InvariantProfile) -> list[Violati
     """Every violation of the five checks, in order, on a candidate
     decomposition, tallied once."""
     t = tally(d)
-    return (check_quotient_row(t, pr) + check_rho_localization(t, pr)
-            + check_forgetful_les(t, pr) + check_top_class(t, pr)
-            + check_beta_recovery(t, pr))
+    out = check_quotient_row(t, pr)
+    out += check_rho_localization(t, pr)
+    out += check_forgetful_les(t, pr)
+    out += check_top_class(t, pr)
+    out += check_beta_recovery(t, pr)
+    return out
 
 
 def verify_profile(pr: InvariantProfile) -> list[Violation]:

@@ -17,9 +17,9 @@ propagates.
 INPUT starting with '{' is parsed as a profile JSON object
 ``{"kind":..., "beta":..., "F":..., "C":...}``; anything else as a word.
 ``compute --grid`` draws the window ``--window pmin:pmax,qmin:qmax`` gives,
-else ``-4:6,-6:6``; ``--window`` without ``--grid``, and a window of more
-than ``MAX_GRID_CELLS`` cells, are bad input.  stdout carries data;
-diagnostics go to stderr.
+else ``-4:6,-6:6``; ``--window`` without ``--grid``, ``--json`` with
+``--grid``, and a window of more than ``MAX_GRID_CELLS`` cells, are bad
+input.  stdout carries data; diagnostics go to stderr.
 
 The argument parser is built once per process, on the first ``main`` call
 (not at import), and declares every flag.  A plain argv does not enter it:
@@ -112,6 +112,8 @@ def _grid_window(flag_value: str | None) -> Window:
 def _cmd_compute(args) -> int:
     if args.window is not None and not args.grid:
         raise _InputError("--window needs --grid")
+    if args.json and args.grid:
+        raise _InputError("--json and --grid exclude each other")
     profile = _parse_input(args.input)
     decomposition = reduced_form(profile) if args.reduced else closed_form(profile)
     if args.grid:

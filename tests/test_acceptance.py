@@ -6,6 +6,7 @@ comparisons are exact (canonical-form equality or integer equality); the
 only tolerances are the two wall-clock budgets stated inline.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -159,19 +160,32 @@ def test_criterion_5_incremental_equals_closed():
                f"<= 5 ops and beta <= 16 ({counter[0]} surgery steps, zero mismatches)")
 
 
+# The count and SHA-256 of every report of the sweep below, one
+# "<violation>\n" line each, in sweep order: a check that drops, repeats,
+# reorders or rewords a report changes them.
+MUTANT_REPORTS = 209_156
+MUTANT_REPORTS_SHA256 = "fd9ce914ec6bfc0b51268bec56d594c6593ed786e5a29b9068a3b16a75c77129"
+
+
 def test_criterion_6_mutation_sensitivity():
     pool = ([Summand.free(p, q) for p in range(-4, 13) for q in range(-4, 13)]
             + [Summand.antipodal(p, n) for p in range(-4, 13) for n in range(5)])
-    tried = 0
+    tried = reports = 0
+    digest = hashlib.sha256()
     for pr in enumerate_profiles(8):
         d = closed_form(pr)
         mutants = [d.remove(s) for s, _ in d.items()]
         mutants += [d.direct_sum(Decomposition([s])) for s in pool]
         for mutant in mutants:
             tried += 1
-            assert verify_decomposition(mutant, pr), \
-                f"silently accepted {mutant} for {pr}"
-    _report(6, f"every one of {tried} single-summand mutations broke a check")
+            violations = verify_decomposition(mutant, pr)
+            assert violations, f"silently accepted {mutant} for {pr}"
+            reports += len(violations)
+            digest.update("".join(f"{v}\n" for v in violations).encode())
+    assert tried == 33_228
+    assert (reports, digest.hexdigest()) == (MUTANT_REPORTS, MUTANT_REPORTS_SHA256)
+    _report(6, f"every one of {tried} single-summand mutations broke a check "
+               f"({reports} reports, as recorded)")
 
 
 def test_criterion_7_f2_engine():

@@ -9,6 +9,8 @@ from c2surf import checks
 from c2surf.bigraded import Bidegree, Decomposition, Summand
 from c2surf.checks import (
     DEFAULT_LES_WINDOW,
+    Tally,
+    Violation,
     Window,
     check_beta_recovery,
     check_forgetful_les,
@@ -341,6 +343,43 @@ def test_quotient_row_and_rho_localization_each_reject_alone():
     low_free = Decomposition([Summand.free(-4, 1), Summand.antipodal(0, 2)])
     assert verify_decomposition(low_free, sphere) == [
         ("rho-localization", "fixed-set degrees", [], [[-5, 1]])]
+
+
+def test_reports_and_tallies_equal_the_constructed_ones():
+    # The checks build reports and tallies as bare tuples of their class;
+    # each one is, in every way a reader sees, the one the public
+    # four-argument constructor builds.
+    sphere = InvariantProfile(FREE_SPHERE, 0)
+    wrong = closed_form(X2_PROFILE).remove(S11) + Decomposition(
+        [Summand.free(2, 1), Summand.antipodal(-3, 0)])
+    for d, pr in ((wrong, X2_PROFILE), (Decomposition([Summand.antipodal(7, 0)]), sphere)):
+        violations = verify_decomposition(d, pr)
+        assert {v.check for v in violations} >= {"quotient-row", "forgetful-les"}
+        for v in violations:
+            built = Violation(v.check, v.location, v.expected, v.actual)
+            assert type(v) is type(built) is Violation
+            assert v == built and repr(v) == repr(built) and str(v) == str(built)
+            assert v.to_json_obj() == built.to_json_obj()
+        for t in (tally(d), expected(pr)):
+            built = Tally(t.row, t.free, t.tops, t.classes)
+            assert type(t) is type(built) is Tally
+            assert t == built and repr(t) == repr(built) and str(t) == str(built)
+    # The location texts come from memos that stay bounded.
+    assert checks._cell.cache_info().maxsize == checks._degree.cache_info().maxsize == 256
+
+
+def test_quotient_row_walks_wrong_keys_on_both_sides_of_the_base():
+    # Row keys below 0 and above 2 are reported in ascending order around
+    # 0, 1, 2: the free sphere at beta 0 plus S(-3,0)A0 and S(4,0)A1 (the
+    # forgetful LES does not report -3, outside its window).
+    sphere = InvariantProfile(FREE_SPHERE, 0)
+    wrong = Decomposition([Summand.antipodal(0, 2), Summand.antipodal(-3, 0),
+                           Summand.antipodal(4, 1)])
+    assert verify_decomposition(wrong, sphere) == [
+        ("quotient-row", "(-3,0)", 0, 1), ("quotient-row", "(4,0)", 0, 1),
+        ("quotient-row", "(5,0)", 0, 1), ("forgetful-les", "p=4", 0, 1),
+        ("forgetful-les", "p=5", 0, 1)]
+    assert verify_decomposition(wrong, sphere) == naive_verify(wrong, sphere)
 
 
 MUTATION_POOL = ([Summand.free(p, q) for p in range(-4, 13) for q in range(-4, 13)]

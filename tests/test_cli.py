@@ -192,6 +192,22 @@ def test_compute_window_needs_grid(capsys):
     assert _match(["compute", "--window=junk", "S22"]) is not None
 
 
+def test_compute_json_and_grid_exclude_each_other(capsys):
+    # One output format per call: the pair is bad input, in either order,
+    # through the plain matcher and through argparse (an abbreviated flag),
+    # never a grid with --json dropped.  --reduced combines with either.
+    for argv in (["compute", "--json", "--grid", "S22"], ["compute", "--grid", "--json", "S22"],
+                 ["compute", "--reduced", "--json", "--grid", "S22"],
+                 ["compute", "--js", "--grid", "S22"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: --json and --grid exclude each other\n"), argv
+    assert _match(["compute", "--json", "--grid", "S22"]) is not None
+    assert fresh_process(["compute", "--json", "--grid", "S22"])[0] == 2
+    for flag in ("--json", "--grid"):
+        code, out, _ = run(capsys, "compute", "--reduced", flag, "S22")
+        assert code == 0 and out.strip(), flag
+
+
 def test_verify_json_report(capsys):
     code, out, _ = run(capsys, "verify", "--json", "S21 + AT10")
     assert code == 0 and json.loads(out) == []

@@ -1,4 +1,4 @@
-"""Time the layers of c2surf and write them to BENCH_18.json.
+"""Time the layers of c2surf and write them to BENCH_19.json.
 
 Run from anywhere, with no arguments, on the source of this checkout:
 
@@ -18,7 +18,7 @@ Each figure is the minimum, in seconds, of 7 repeats of:
   acceptance suite's mutation sweep (profiles with beta <= 8; every
   removal, and every added free summand with p, q in [-4, 12] or
   antipodal one with p in [-4, 12], n <= 4), built beforehand, each of
-  which must fail (the reject path);
+  which must fail, with 209,156 violations in all (the reject path);
 * ``expected`` alone over the 614 profiles with beta <= 20, its memo
   cleared at the start of each repeat (the cold path of the profile
   side);
@@ -36,8 +36,9 @@ version, the CPUs this process may run on (``nproc``) and the commit
 Standard library only, and separate from ``perfbench/``.  CI runs it on
 one Python version as a smoke test of about 15 s: it fails when the script
 raises, as it does when a closed form fails its checks, a mutant passes
-them, a folded witness word leaves its closed form, or a check no longer
-takes ``(t, pr)``.  No timing is a CI gate.
+them, the mutants' violations are not exactly 209,156 (a walk that drops
+or duplicates a report), a folded witness word leaves its closed form, or
+a check no longer takes ``(t, pr)``.  No timing is a CI gate.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-OUT = ROOT / "BENCH_18.json"
+OUT = ROOT / "BENCH_19.json"
 REPEATS = 7
 
 sys.path.insert(0, str(SRC))
@@ -130,10 +131,21 @@ def mutants() -> list:
     return cases
 
 
+# The violations of every mutant of ``mutants()``, pinned with their digest
+# in tests/test_acceptance.py.
+MUTANT_REPORTS = 209156
+
+
 def reject_all(cases) -> None:
+    reports = 0
     for d, pr in cases:
-        if not verify_decomposition(d, pr):
+        violations = verify_decomposition(d, pr)
+        if not violations:
             raise AssertionError(f"mutant {d} of {pr} passes its checks")
+        reports += len(violations)
+    if reports != MUTANT_REPORTS:
+        raise AssertionError(f"expected {MUTANT_REPORTS} violations over the mutants,"
+                             f" got {reports}")
 
 
 def expected_cold(cases) -> None:
