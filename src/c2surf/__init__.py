@@ -6,8 +6,8 @@ Bredon cohomology as an explicit direct sum of shifted point modules and
 antipodal-sphere modules, and checks every answer against identities with
 the mod-2 Betti numbers of the surface, its fixed set and its orbit space
 (``checks``).  Those Betti numbers come from closed formulas in the
-profile; the GF(2) cell models of ``f2linalg`` back the orbit-space
-formula in the tests.
+profile; ``f2linalg`` computes mod-2 Betti numbers of cellular chain
+complexes by GF(2) rank, independently of any formula.
 """
 
 from .bigraded import (

@@ -107,8 +107,8 @@ class Summand(_SummandFields):
         return cls(Bidegree(p, q))
 
     @classmethod
-    def antipodal(cls, p: int, n: int, q: int = 0) -> "Summand":
-        return cls(Bidegree(p, q), n)
+    def antipodal(cls, p: int, n: int) -> "Summand":
+        return cls(Bidegree(p, 0), n)
 
     @property
     def is_free(self) -> bool:
@@ -218,9 +218,6 @@ class Decomposition:
     def __len__(self) -> int:
         return sum(c for _, c in self._items)
 
-    def count(self, summand: Summand) -> int:
-        return dict(self.items()).get(summand, 0)
-
     # -- pointwise evaluation ----------------------------------------------
 
     def dim_at(self, b) -> int:
@@ -260,15 +257,13 @@ class Decomposition:
 
     __add__ = direct_sum
 
-    def remove(self, summand: Summand, count: int = 1) -> "Decomposition":
-        """A copy with ``count`` copies of ``summand`` removed.
+    def remove(self, summand: Summand) -> "Decomposition":
+        """A copy with one copy of ``summand`` removed.
 
-        Raises KeyError if the decomposition does not contain them, and
-        ValueError if ``count`` is not a natural number.
+        Raises KeyError if the decomposition does not contain it.
         """
-        _check_multiplicity(count)
         counts = dict(self._items)
-        left = counts.get(summand, 0) - count
+        left = counts.get(summand, 0) - 1
         if left < 0:
             raise KeyError(f"decomposition has no summand {summand}")
         if left:

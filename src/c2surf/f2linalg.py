@@ -1,9 +1,10 @@
 """Bit-packed linear algebra over GF(2) and small cellular chain complexes.
 
 Ranks of boundary matrices give mod-2 Betti numbers, independently of
-any closed Betti formula; the tests compare the surface models here with
-``surfaces.quotient_sing``.  Matrices store one Python int per row, so a
-row is an arbitrary-width bitset and row reduction runs on machine words.
+any closed Betti formula; the tests check them on hand-built
+Delta-complexes (torus, RP^2, sphere, ...) whose Betti numbers are
+textbook values.  Matrices store one Python int per row, so a row is an
+arbitrary-width bitset and row reduction runs on machine words.
 
 ``rank`` never mutates its input (rows are immutable ints).
 """
@@ -42,17 +43,6 @@ class F2Matrix:
                 raise ValueError("ragged rows")
             packed.append(sum((1 & v) << j for j, v in enumerate(row)))
         return cls(len(rows), width, packed)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "F2Matrix":
-        return cls(rows, cols)
-
-    @classmethod
-    def identity(cls, n: int) -> "F2Matrix":
-        return cls(n, n, [1 << i for i in range(n)])
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.data[i] >> j) & 1
 
     def rank(self) -> int:
         """Rank over GF(2) by word-level elimination; the input is untouched."""
@@ -123,9 +113,6 @@ class ChainComplex:
     def n_faces(self) -> int:
         return self.d2.cols
 
-    def euler(self) -> int:
-        return self.n_vertices - self.n_edges + self.n_faces
-
 
 def betti_f2(c: ChainComplex) -> SingProfile:
     """Mod-2 Betti numbers: h_i = (number of i-cells) - rank d_i - rank d_{i+1}.
@@ -136,46 +123,3 @@ def betti_f2(c: ChainComplex) -> SingProfile:
     r1 = c.d1.rank()
     r2 = c.d2.rank()
     return SingProfile(c.n_vertices - r1, c.n_edges - r1 - r2, c.n_faces - r2)
-
-
-def polygon_model(beta: int) -> ChainComplex:
-    """The one-vertex polygon model of a closed surface with h1 = beta.
-
-    Every edge of the 2beta-gon (orientable) or beta-gon word (not)
-    appears twice in the attaching word, so both boundary maps vanish
-    mod 2 and the Betti numbers are (1, beta, 1).
-    """
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    return ChainComplex(F2Matrix.zeros(1, beta), F2Matrix.zeros(beta, 1))
-
-
-def surface_with_boundary_model(beta_closed: int, boundary_circles: int) -> ChainComplex:
-    """A cellular model of a compact surface: the closed polygon model with
-    ``boundary_circles`` open disks removed.
-
-    Cells for b >= 1 circles: the polygon vertex v, one vertex w_i per
-    boundary circle; the closed model's loop edges, one loop edge c_i at
-    each w_i, and one arc a_i from v to w_i; a single face whose attaching
-    word traverses the polygon word and then each a_i c_i a_i^{-1}.  Mod 2
-    the face boundary is the sum of the c_i.
-    """
-    if beta_closed < 0 or boundary_circles < 0:
-        raise ValueError("parameters must be nonnegative")
-    if boundary_circles == 0:
-        return polygon_model(beta_closed)
-    b = boundary_circles
-    n_vertices = 1 + b
-    n_edges = beta_closed + 2 * b
-    d1_rows = [0] * n_vertices
-    # Columns: [0, beta) loops at v, [beta, beta+b) arcs, [beta+b, beta+2b) circles.
-    for i in range(b):
-        arc = beta_closed + i
-        d1_rows[0] ^= 1 << arc          # v
-        d1_rows[1 + i] ^= 1 << arc      # w_i
-    face_col = 0
-    for i in range(b):
-        face_col ^= 1 << (beta_closed + b + i)
-    d1 = F2Matrix(n_vertices, n_edges, d1_rows)
-    d2 = F2Matrix(n_edges, 1, [(face_col >> j) & 1 for j in range(n_edges)])
-    return ChainComplex(d1, d2)

@@ -356,10 +356,10 @@ def _step(kind: str, beta: int, f: int, c: int, op: Op,
     raise WordError(f"unknown op {token!r}", op_index)
 
 
-def check_op(pr: InvariantProfile, op: Op, op_index: int | None = None) -> None:
+def check_op(pr: InvariantProfile, op: Op) -> None:
     """Raise WordError when the surgery needs structure the current action
     does not have."""
-    _step(*pr, op, op_index)
+    _step(*pr, op)
 
 
 def apply_op(pr: InvariantProfile, op: Op, op_index: int | None = None) -> InvariantProfile:
@@ -392,9 +392,6 @@ class SingProfile(NamedTuple):
     h0: int
     h1: int
     h2: int
-
-    def euler(self) -> int:
-        return self.h0 - self.h1 + self.h2
 
 
 def underlying_sing(pr: InvariantProfile) -> SingProfile:

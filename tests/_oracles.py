@@ -309,6 +309,52 @@ def random_matrix(rng: random.Random, max_side: int = 64) -> list[list[int]]:
             for _ in range(rows)]
 
 
+# Hand-built Delta-complexes of surfaces: name -> (d1, d2, mod-2 Betti
+# numbers).  d1 has a row per vertex and a column per edge (a loop's two
+# ends cancel mod 2); d2 has a row per edge and a column per face.  Each
+# has a nonzero boundary map, and its Betti numbers are the textbook ones.
+# Mod 2 the Klein bottle's matrices are the torus's, so it is not listed.
+DELTA_COMPLEXES = {
+    # One vertex, loops a, b, c; both triangles are bounded by a + b + c.
+    "torus": ([[0, 0, 0]],
+              [[1, 1], [1, 1], [1, 1]],
+              (1, 2, 1)),
+    # Vertices v, w; a and b run from v to w, c is a loop at v; both
+    # triangles are bounded by a + b + c.
+    "RP2": ([[1, 1, 0], [1, 1, 0]],
+            [[1, 1], [1, 1], [1, 1]],
+            (1, 1, 1)),
+    # A triangle's vertices and edges, with two faces glued along all three.
+    "sphere": ([[1, 0, 1], [1, 1, 0], [0, 1, 1]],
+               [[1, 1], [1, 1], [1, 1]],
+               (1, 0, 1)),
+    # A square with two opposite sides glued: vertices v (bottom), w (top);
+    # edges: bottom loop at v, top loop at w, side and diagonal from v to w;
+    # triangles bottom + side + diagonal and top + side + diagonal.
+    "annulus": ([[0, 0, 1, 1], [0, 0, 1, 1]],
+                [[1, 0], [0, 1], [1, 1], [1, 1]],
+                (1, 1, 0)),
+    # The same square glued with a twist: the bottom and top edges and the
+    # side run between v and w, and the diagonal is a loop at v.
+    "Moebius": ([[1, 1, 1, 0], [1, 1, 1, 0]],
+                [[1, 0], [0, 1], [1, 1], [1, 1]],
+                (1, 1, 0)),
+    # The octagon a b a' b' c d c' d' on one vertex, fanned from one corner
+    # into six triangles by diagonals e2..e6; edges a, b, c, d, e2, ..., e6.
+    "genus2": ([[0] * 9],
+               [[1, 1, 0, 0, 0, 0],
+                [1, 0, 1, 0, 0, 0],
+                [0, 0, 0, 1, 0, 1],
+                [0, 0, 0, 0, 1, 1],
+                [1, 1, 0, 0, 0, 0],
+                [0, 1, 1, 0, 0, 0],
+                [0, 0, 1, 1, 0, 0],
+                [0, 0, 0, 1, 1, 0],
+                [0, 0, 0, 0, 1, 1]],
+               (1, 4, 1)),
+}
+
+
 def theta_divided_positions(bound: int = 5) -> set[tuple[int, int]]:
     """Bottom-cone spots of the point module, enumerated from the
     divisibility rules: theta/(rho^i tau^j) lives in (-i, -2 - i - j)."""

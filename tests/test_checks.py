@@ -184,11 +184,11 @@ def test_a_summand_outside_the_les_window_fails_another_check(extra, pr):
 
 def test_top_class_positions():
     assert check_top_class(tally(closed_form(X2_PROFILE)), X2_PROFILE) == []
-    assert closed_form(X2_PROFILE).count(Summand.free(2, 2)) == 1
+    assert dict(closed_form(X2_PROFILE).items())[Summand.free(2, 2)] == 1
     assert check_top_class(tally(closed_form(X1_PROFILE)), X1_PROFILE) == []
     trivial = InvariantProfile(TRIVIAL, 2)
     assert check_top_class(tally(closed_form(trivial)), trivial) == []
-    assert closed_form(trivial).count(Summand.free(2, 0)) == 1
+    assert dict(closed_form(trivial).items())[Summand.free(2, 0)] == 1
     # A free action has no free summands, so none with p >= 2.
     sphere = InvariantProfile(FREE_SPHERE, 0)
     assert check_top_class(tally(closed_form(sphere)), sphere) == []

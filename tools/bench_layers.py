@@ -1,4 +1,4 @@
-"""Time the layers of c2surf and write them to BENCH_19.json.
+"""Time the layers of c2surf and write them to BENCH_20.json.
 
 Run from anywhere, with no arguments, on the source of this checkout:
 
@@ -32,7 +32,9 @@ Each figure is the minimum, in seconds, of 7 repeats of:
 
 The record, written at the root of the checkout, also names the Python
 version, the CPUs this process may run on (``nproc``) and the commit
-(marked "-dirty" when the tree has uncommitted changes).
+(marked "-dirty" when the tree has uncommitted changes), and counts the
+lines of ``src/c2surf/*.py`` (``src_lines``), the size of the code that
+does the work.
 Standard library only, and separate from ``perfbench/``.  CI runs it on
 one Python version as a smoke test of about 15 s: it fails when the script
 raises, as it does when a closed form fails its checks, a mutant passes
@@ -54,7 +56,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-OUT = ROOT / "BENCH_19.json"
+OUT = ROOT / "BENCH_20.json"
 REPEATS = 7
 
 sys.path.insert(0, str(SRC))
@@ -195,6 +197,11 @@ def commit() -> str | None:
     return proc.stdout.strip() or None
 
 
+def src_lines() -> int:
+    """The number of lines in the package's modules, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (SRC / "c2surf").glob("*.py"))
+
+
 def main() -> None:
     cases = [(closed_form(pr), pr) for pr in enumerate_profiles(20)]
     if len(cases) != 614:
@@ -220,10 +227,12 @@ def main() -> None:
     }
     nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     record = {"commit": commit(), "python": platform.python_version(), "nproc": nproc,
-              "repeats": REPEATS, "statistic": "min", "unit": "s", "timings": timings}
+              "src_lines": src_lines(), "repeats": REPEATS, "statistic": "min", "unit": "s",
+              "timings": timings}
     OUT.write_text(json.dumps(record, indent=2) + "\n")
     for name, seconds in timings.items():
         print(f"{name:48s} {seconds * 1e3:10.2f} ms")
+    print(f"{'src/c2surf/*.py lines':48s} {record['src_lines']:10d}")
     print(f"wrote {OUT}")
 
 
