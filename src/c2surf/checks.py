@@ -206,10 +206,19 @@ def tally(d: Decomposition) -> Tally:
     return _new(Tally, (row, free, tops, classes))
 
 
+@lru_cache(maxsize=1024)
 def _counts(sing: SingProfile) -> dict[int, int]:
     """The nonzero Betti numbers of ``sing`` per degree, as a tally keys
-    them."""
+    them.  Keyed by the Betti numbers, so the ``expected`` tallies of
+    profiles with equal ones share one table: it is read, never changed."""
     return {p: h for p, h in enumerate(sing) if h}
+
+
+# The four top-class tables of ``expected``, shared like ``_counts``'s.
+_TOPS_TRIVIAL = {Bidegree(2, 0): 1}
+_TOPS_FREE: dict[Bidegree, int] = {}
+_TOPS_CIRCLES = {Bidegree(2, 1): 1}
+_TOPS_POINTS = {Bidegree(2, 2): 1}
 
 
 @lru_cache(maxsize=1024)
@@ -223,13 +232,13 @@ def expected(pr: InvariantProfile) -> Tally:
     its tables instead of rebuilding them; every caller shares them, so
     they are read, never changed."""
     if pr.kind == TRIVIAL:
-        tops = {Bidegree(2, 0): 1}
+        tops = _TOPS_TRIVIAL
     elif pr.kind != NONFREE:
-        tops = {}
+        tops = _TOPS_FREE
     elif pr.fixed_circles > 0:
-        tops = {Bidegree(2, 1): 1}
+        tops = _TOPS_CIRCLES
     else:
-        tops = {Bidegree(2, 2): 1}
+        tops = _TOPS_POINTS
     return _new(Tally, (_counts(quotient_sing(pr)), _counts(fixed_sing(pr)), tops,
                         _counts(underlying_sing(pr))))
 

@@ -27,12 +27,17 @@ closed-form-shaped decomposition, as an independent set of rewrite rules;
 folding it along a word must land on ``closed_form`` of the folded
 profile, which is the cross-validation the test suite runs exhaustively.
 The rules' addends are module constants, except CS(Y)'s (S(1,0)A0)^k,
-k = beta(Y), which comes from a small memo keyed by k.
+k = beta(Y), which comes from a small memo keyed by k.  ``transform``
+does not take the surgery step on the profile: only three steps are
+illegal (any op on a trivial action, FM with F = 0, a token with no rule),
+and it calls ``check_op`` on those alone, for its WordError.  A fold that
+also calls ``apply_op`` so takes each step once.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NoReturn
 
 from .bigraded import Decomposition, Summand
 from .surfaces import (
@@ -111,23 +116,27 @@ def transform(d_y: Decomposition, pr_y: InvariantProfile, op: Op) -> Decompositi
     """Rewrite the decomposition of Y into that of Y-after-one-surgery.
 
     ``d_y`` must be in closed-form shape for ``pr_y``; ``op`` must be a
-    surgery valid on ``pr_y`` (else WordError propagates).  This is a
-    validation device for the closed formulas, not a general module
-    functor: each rule is exactly the incremental statement proved by the
-    corresponding cofiber sequence.
+    surgery valid on ``pr_y``, else the WordError of ``check_op``
+    propagates, which ``transform`` calls on the three illegal steps only.
+    This is a validation device for the closed formulas, not a general
+    module functor: each rule is exactly the incremental statement proved
+    by the corresponding cofiber sequence.
     """
-    check_op(pr_y, op)
-    free_kind = pr_y.kind in (FREE_SPHERE, FREE_TORUS)
+    kind = pr_y.kind
+    if kind == TRIVIAL:
+        _refuse(pr_y, op)
+    free_kind = kind in (FREE_SPHERE, FREE_TORUS)
+    token = op.token
 
-    if op.token in ("CS", "DCC"):
+    if token in ("CS", "DCC"):
         # Connected summing glues two conjugate copies of a punctured Y:
         # each singular 1-class of the glued surface contributes one
         # tau-periodic column in dimension one.
-        if op.token == "DCC":
+        if token == "DCC":
             return d_y.direct_sum(_PLUS_A0)
         return d_y.direct_sum(_plus_a0(op.surface.beta))
 
-    if op.token == "AT11":
+    if token == "AT11":
         if free_kind:
             if d_y != closed_form(pr_y):
                 raise TransformError("antitube rule needs the closed-form input")
@@ -136,7 +145,7 @@ def transform(d_y: Decomposition, pr_y: InvariantProfile, op: Op) -> Decompositi
         # and the remaining extension splits off a second one.
         return d_y.direct_sum(_PLUS_2_S11)
 
-    if op.token == "AT10":
+    if token == "AT10":
         if free_kind:
             if d_y != closed_form(pr_y):
                 raise TransformError("antitube rule needs the closed-form input")
@@ -148,13 +157,22 @@ def transform(d_y: Decomposition, pr_y: InvariantProfile, op: Op) -> Decompositi
         # contribute one S(1,1)M2.
         return _swap_top(d_y, add=_TOP_AT10)
 
-    if op.token == "FM":
+    if token == "FM":
+        if pr_y.fixed_points == 0:
+            _refuse(pr_y, op)
         if pr_y.fixed_circles >= 1:
             return d_y.direct_sum(_PLUS_S10)
         # C(Y) = 0: trading a fixed point for a circle again rewrites the
         # top class, with a single new S(1,1)M2 from the extension.
         return _swap_top(d_y, add=_TOP_FM)
 
+    _refuse(pr_y, op)
+
+
+def _refuse(pr_y: InvariantProfile, op: Op) -> NoReturn:
+    """Raise the WordError of ``check_op`` for a step ``transform`` has no
+    rule for; a step ``check_op`` passes has a rule, so it never returns."""
+    check_op(pr_y, op)
     raise TransformError(f"no rewrite rule for op {op.token!r}")
 
 

@@ -33,9 +33,12 @@ Everything here is pure and immutable.  The value types are
 with a rule to keep (``ClosedSurface``, ``InvariantProfile``) check it in
 ``__new__``, which ``_replace`` and ``_make`` go through too.  The plain
 bases and ops are built once: ``parse_word`` and ``witness`` hand out the
-same ``Base`` and ``Op`` values from a table.  A surgery is one step on
-the integer fields ``(kind, beta, F, C)``: ``invariants`` folds a word on
-them and builds one ``InvariantProfile``, at the end.
+same ``Base`` and ``Op`` values from a table, and ``parse_word`` reads a
+``CS(...)`` op from a bounded memo of the pieces it has seen.  A surgery
+is one step on the integer fields ``(kind, beta, F, C)``, taken once per
+op: ``apply_op`` takes one, ``invariants`` folds a word on them, and both
+build the ``InvariantProfile`` they end on through a bounded memo keyed
+by the four fields, so a profile reached again is not validated again.
 The catalog needs no search: ``enumerate_profiles`` scans the
 realizability inequalities, and ``witness`` writes down a shortest word
 for each profile.
@@ -47,6 +50,7 @@ InvariantProfile(kind='nonfree', beta=2, fixed_points=0, fixed_circles=2)
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import NamedTuple
 
 TRIVIAL = "trivial"
@@ -72,8 +76,9 @@ class WordError(ValueError):
     """A syntactically fine word whose surgery sequence is not realizable."""
 
     def __init__(self, message: str, op_index: int | None = None):
-        where = "base" if op_index is None else f"op {op_index}"
-        super().__init__(f"{where}: {message}")
+        # Without an index (``apply_op``, ``check_op``, ``transform``) the
+        # message names the op by itself; ``invariants`` adds its index.
+        super().__init__(message if op_index is None else f"op {op_index}: {message}")
         self.op_index = op_index
 
 
@@ -93,6 +98,9 @@ class ClosedSurface(_SurfaceFields):
     __slots__ = ()
 
     def __new__(cls, orientable: bool, genus: int) -> "ClosedSurface":
+        # The type rule of ``validate_profile``: an int, never a bool.
+        if not isinstance(genus, int) or isinstance(genus, bool):
+            raise ValueError(f"genus must be an integer, got {genus!r}")
         if orientable and genus < 0:
             raise ValueError("orientable genus must be >= 0")
         if not orientable and genus < 1:
@@ -158,9 +166,10 @@ _OPS = {token: Op(token) for token in ("AT11", "AT10", "FM", "DCC")}
 def parse_word(text: str) -> SurgeryWord:
     """Parse the word DSL; raises ParseError with a character position.
 
-    A plain base or op is a table lookup; a piece that misses the table
-    (``triv:*``, ``CS(...)``, or an error) is parsed by ``_base_piece`` or
-    ``_op_piece``, which find where its token starts.
+    A plain base or op is a table lookup, and a ``CS(...)`` op a lookup in
+    the bounded memo ``_cs_op``.  A piece that misses both (``triv:*``, or
+    an error) is parsed by ``_base_piece`` or ``_op_piece``, which find
+    where its token starts and raise the positioned ParseError.
 
     >>> str(parse_word("S2a + CS(T[1])"))
     'S2a + CS(T[1])'
@@ -172,12 +181,29 @@ def parse_word(text: str) -> SurgeryWord:
     pos = len(first) + 1
     ops = []
     for raw in rest:
-        op = _OPS.get(raw.strip())
+        token = raw.strip()
+        op = _OPS.get(token)
+        if op is None and token.startswith("CS("):
+            op = _cs_op(token)
         if op is None:
             op = _op_piece(raw, pos)
         ops.append(op)
         pos += len(raw) + 1
     return SurgeryWord(base, tuple(ops))
+
+
+@lru_cache(maxsize=256)
+def _cs_op(token: str) -> Op | None:
+    """The op of a stripped piece that starts with ``CS(``, or None when
+    it is not a valid CS piece; ``_op_piece`` then raises its positioned
+    ParseError.  Words repeat few surfaces, so the surface regex runs once
+    per distinct piece, not once per piece."""
+    if not token.endswith(")"):
+        return None
+    try:
+        return Op("CS", parse_surface(token[3:-1]))
+    except ParseError:
+        return None
 
 
 def _base_piece(raw: str) -> Base:
@@ -330,10 +356,10 @@ def _step(kind: str, beta: int, f: int, c: int, op: Op,
     """One surgery on the fields ``(kind, beta, F, C)`` of a profile: the
     fields after it, or WordError when the action so far cannot take it.
 
-    Every surgery path (``check_op``, ``apply_op`` and ``invariants``) is
-    this step.  On the fields of a valid profile a legal surgery gives the
-    fields of a valid profile; callers that need an ``InvariantProfile``
-    build it, once, from the fields they end on.
+    ``apply_op`` and ``invariants`` are this step, and ``check_op`` runs it
+    for its WordError alone.  On the fields of a valid profile a legal
+    surgery gives the fields of a valid profile; callers that need an
+    ``InvariantProfile`` build it, once, from the fields they end on.
     """
     if kind == TRIVIAL:
         raise WordError("surgery on trivial action", op_index)
@@ -356,30 +382,39 @@ def _step(kind: str, beta: int, f: int, c: int, op: Op,
     raise WordError(f"unknown op {token!r}", op_index)
 
 
+# The profiles that surgeries reach, keyed by their four fields.  Typed, so
+# a field of another type (2.0, True, "2") is never served an int's entry
+# and still fails validation; an exception is never cached.
+_reached = lru_cache(maxsize=1024, typed=True)(InvariantProfile)
+
+
 def check_op(pr: InvariantProfile, op: Op) -> None:
     """Raise WordError when the surgery needs structure the current action
     does not have."""
     _step(*pr, op)
 
 
-def apply_op(pr: InvariantProfile, op: Op, op_index: int | None = None) -> InvariantProfile:
+def apply_op(pr: InvariantProfile, op: Op) -> InvariantProfile:
     """Fold one surgery into a profile; raises WordError (``check_op``) when
-    the surgery is illegal."""
-    return InvariantProfile(*_step(*pr, op, op_index))
+    the surgery is illegal.  The profile it lands on comes from a bounded
+    memo, so a profile reached again is not validated again."""
+    return _reached(*_step(*pr, op))
 
 
 def invariants(w: SurgeryWord) -> InvariantProfile:
     """Fold a word down to its invariant profile; raises WordError
-    (``check_op``) at the first op the action so far cannot take.
+    (``check_op``), naming the op's index, at the first op the action so
+    far cannot take.
 
-    The ops fold on integer fields, and one profile is built at the end.
-    The per-op deltas commute, so the result is insensitive to the order
-    of the ops (whenever each order validates prefix by prefix).
+    The ops fold on integer fields, and one profile is built at the end,
+    through the memo of ``apply_op``.  The per-op deltas commute, so the
+    result is insensitive to the order of the ops (whenever each order
+    validates prefix by prefix).
     """
     fields = base_profile(w.base)
     for i, op in enumerate(w.ops):
         fields = _step(*fields, op, i)
-    return InvariantProfile(*fields) if w.ops else fields
+    return _reached(*fields) if w.ops else fields
 
 
 # ---------------------------------------------------------------------------

@@ -298,6 +298,22 @@ def test_equal_profiles_share_one_expected_tally():
     assert expected(again) is expected(X2_PROFILE)
 
 
+def test_equal_betti_numbers_share_one_expected_table():
+    # expected's tables are keyed by the Betti numbers they hold, so equal
+    # ones, across profiles and kinds, are one read-only dict.
+    checks.expected.cache_clear()
+    by_table = {}
+    for pr in enumerate_profiles(12):
+        want = expected(pr)
+        for table in (want.row, want.free, want.classes):
+            by_table.setdefault(tuple(sorted(table.items())), set()).add(id(table))
+    assert all(len(ids) == 1 for ids in by_table.values())
+    t, n = expected(InvariantProfile(TRIVIAL, 4)), expected(InvariantProfile(NONFREE, 4, 2, 0))
+    assert t.classes is n.classes == {0: 1, 1: 4, 2: 1}
+    assert t.row is t.classes                  # the trivial quotient is the surface
+    assert expected(InvariantProfile(FREE_SPHERE, 2)).free == {}
+
+
 def test_verify_calls_each_check_once_in_order(monkeypatch):
     # verify_decomposition reaches the checks through their module names,
     # so a wrapper of each one (as a tracer installs) sees every call.

@@ -1,7 +1,10 @@
 """Closed formulas, the reduced flag, and the incremental rewrite rules."""
 
+from types import SimpleNamespace
+
 import pytest
 
+import c2surf.surfaces
 from c2surf.bigraded import Decomposition, Summand
 from c2surf.checks import verify_decomposition
 from c2surf.engine import (
@@ -21,6 +24,7 @@ from c2surf.surfaces import (
     ProfileError,
     WordError,
     apply_op,
+    base_profile,
     enumerate_profiles,
     invariants,
     parse_word,
@@ -182,11 +186,14 @@ def test_transform_connected_sum_with_sphere_is_identity():
 
 
 def test_transform_connected_sum_rejects_a_non_int_beta_after_an_int_one():
-    # CS's addend is memoized per beta(Y); a float genus that equals an
-    # int one must still fail as a multiplicity, not reuse the int's entry.
+    # CS's addend is memoized per beta(Y); a float beta that equals an int
+    # one must still fail as a multiplicity, not reuse the int's entry.  A
+    # ClosedSurface has an int genus, so the float comes from a stand-in.
     pr = InvariantProfile(NONFREE, 2, 0, 2)
     assert transform(X1, pr, Op("CS", ClosedSurface(True, 1))) == X1 + Decomposition([A0_1] * 2)
     with pytest.raises(ValueError, match="multiplicity must be an integer, got 2.0"):
+        transform(X1, pr, Op("CS", SimpleNamespace(beta=2.0)))
+    with pytest.raises(ValueError, match="genus must be an integer, got 1.0"):
         transform(X1, pr, Op("CS", ClosedSurface(True, 1.0)))
 
 
@@ -197,6 +204,52 @@ def test_transform_rejects_illegal_ops():
     trivial = InvariantProfile(TRIVIAL, 2)
     with pytest.raises(WordError):
         transform(closed_form(trivial), trivial, Op("AT11"))
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``'s WordError as its text, or None when it raises none."""
+    try:
+        fn(*args)
+    except WordError as exc:
+        assert exc.op_index is None
+        return str(exc)
+    return None
+
+
+def test_transform_refuses_exactly_the_steps_apply_op_refuses():
+    # transform calls check_op only on the steps it finds illegal: it must
+    # still raise on every illegal step, with apply_op's text, and on no
+    # legal one.
+    ops = [Op("AT11"), Op("AT10"), Op("FM"), Op("DCC"), Op("CS", ClosedSurface(True, 1)),
+           Op("CS", ClosedSurface(False, 1)), Op("XX")]
+    refused = 0
+    for pr in enumerate_profiles(12):
+        d = closed_form(pr)
+        for op in ops:
+            want = _outcome(apply_op, pr, op)
+            assert _outcome(transform, d, pr, op) == want, (pr, op)
+            refused += want is not None
+    assert refused > 100
+
+
+def test_a_fold_takes_each_surgery_step_once(monkeypatch):
+    # A fold of n ops through transform and apply_op takes n steps: the
+    # legality of a legal op is never checked apart from its step.
+    steps = []
+    real = c2surf.surfaces._step
+    monkeypatch.setattr(c2surf.surfaces, "_step",
+                        lambda *args: steps.append(args[-1]) or real(*args))
+    for text in ["S21 + AT10 + AT11 + FM", "S2a + CS(T[1]) + AT11 + DCC + AT10 + FM",
+                 "T1a + AT11 + FM + FM + CS(N[3])", "S22 + AT11 + AT11 + FM + AT10"]:
+        word = parse_word(text)
+        pr = base_profile(word.base)
+        d = closed_form(pr)
+        steps.clear()
+        for op in word.ops:
+            d = transform(d, pr, op)
+            pr = apply_op(pr, op)
+        assert d == closed_form(pr), text
+        assert steps == list(word.ops), text
 
 
 def test_transform_rejects_malformed_inputs():
@@ -234,8 +287,6 @@ def test_transform_agrees_with_closed_form_on_every_step():
 
 
 def test_transform_fold_along_words():
-    from c2surf.surfaces import base_profile
-
     for text in ["S21 + AT10 + AT11 + FM", "S2a + CS(T[1]) + AT11 + DCC",
                  "T1a + AT11 + FM + FM", "S22 + AT11 + AT11 + FM + AT10"]:
         word = parse_word(text)

@@ -3,6 +3,8 @@
 import doctest
 import enum
 import itertools
+import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -64,6 +66,18 @@ def test_parse_errors_carry_positions():
         parse_word("triv:N[0]")   # no nonorientable surface of genus 0
     with pytest.raises(ParseError):
         parse_word("S21 + ")
+
+
+def test_cs_pieces_keep_their_positioned_errors_after_a_good_one():
+    # A good CS piece warms the memo of CS pieces; a bad one, seen once or
+    # again, at any position, still raises the naive parser's ParseError.
+    assert str(parse_word("S21 + CS(T[1])")) == "S21 + CS(T[1])"
+    for text in ["S21 + CS(T[x])", "S21 + CS(N[0])", "S21 + CS(T[1]) + CS(T[x])",
+                 "S21 + CS(T[1]) +  CS(N[0]) ", "S21 + CS(N[0])", "S21+CS(T[1])+CS(T[x])"]:
+        with pytest.raises(ParseError) as err:
+            parse_word(text)
+        assert _parsed(parse_word, text) == _parsed(naive_parse_word, text)
+        assert err.value.position == text.rindex("CS(") + 3
 
 
 # Pieces of generated word texts: every base and op, the descriptors of
@@ -185,28 +199,71 @@ any_words_strategy = st.builds(
 @given(any_words_strategy)
 def test_invariants_is_the_fold_of_apply_op(word):
     # invariants folds integer fields; apply_op builds a profile per op.
-    # Both give the same profile, or the same WordError at the same op.
+    # Both give the same profile, or the same WordError at the same op:
+    # apply_op's message names the op alone, and invariants adds its index.
     expected = base_profile(word.base)
-    try:
-        for i, op in enumerate(word.ops):
-            expected = apply_op(expected, op, i)
-    except WordError as exc:
-        with pytest.raises(WordError) as err:
-            invariants(word)
-        assert (err.value.op_index, str(err.value)) == (exc.op_index, str(exc))
-        return
+    for i, op in enumerate(word.ops):
+        try:
+            expected = apply_op(expected, op)
+        except WordError as exc:
+            assert exc.op_index is None
+            assert not str(exc).startswith(("base", "op "))
+            with pytest.raises(WordError) as err:
+                invariants(word)
+            assert (err.value.op_index, str(err.value)) == (i, f"op {i}: {exc}")
+            return
     assert invariants(word) == expected
     assert type(invariants(word)) is InvariantProfile
 
 
 def test_invariants_validates_one_profile_per_word(monkeypatch):
+    # One profile per word at most: none when the memo of reached profiles
+    # already holds it.
     calls = []
     real = c2surf.surfaces.validate_profile
     monkeypatch.setattr(c2surf.surfaces, "validate_profile",
                         lambda pr: calls.append(pr) or real(pr))
-    profile = invariants(parse_word("S22 + FM + AT11 + CS(N[2]) + DCC + AT10"))
+    c2surf.surfaces._reached.cache_clear()
+    word = parse_word("S22 + FM + AT11 + CS(N[2]) + DCC + AT10")
+    profile = invariants(word)
+    assert calls == [profile]
+    assert invariants(word) is profile
     assert calls == [profile]
     assert profile == InvariantProfile(NONFREE, 11, 3, 2)
+
+
+def test_apply_op_validates_each_reached_profile_once(monkeypatch):
+    calls = []
+    real = c2surf.surfaces.validate_profile
+    monkeypatch.setattr(c2surf.surfaces, "validate_profile",
+                        lambda pr: calls.append(pr) or real(pr))
+    c2surf.surfaces._reached.cache_clear()
+    s22 = InvariantProfile(NONFREE, 0, 2, 0)
+    calls.clear()
+    reached = {apply_op(s22, Op(token)) for token in ("AT11", "AT10", "FM", "DCC") * 3}
+    assert sorted(calls) == sorted(reached) and len(reached) == 4
+
+
+def test_reached_profiles_are_typed_and_never_cache_an_error():
+    # The memo of reached profiles is keyed by field value and type: the
+    # cached int fields never serve 2.0, True or "2", which still fail.
+    reach = c2surf.surfaces._reached
+    s22 = InvariantProfile(NONFREE, 0, 2, 0)
+    good = apply_op(s22, Op("DCC"))
+    assert good == InvariantProfile(NONFREE, 2, 2, 0)
+    assert reach(NONFREE, 2, 2, 0) is good
+    size = reach.cache_info().currsize
+    for bad in (2.0, True, "2"):
+        for fields in ((NONFREE, bad, 2, 0), (NONFREE, 2, bad, 0)):
+            for _ in range(2):
+                with pytest.raises(ProfileError, match="must be an integer"):
+                    reach(*fields)
+    with pytest.raises(ProfileError, match="beta == F"):
+        reach(NONFREE, 1, 2, 0)
+    assert reach.cache_info().currsize == size
+    # A float beta reached through a surgery fails the same way.
+    with pytest.raises(ProfileError, match="beta must be an integer, got 2.0"):
+        apply_op(s22, Op("CS", SimpleNamespace(beta=1.0)))
 
 
 @given(words_strategy)
@@ -300,6 +357,20 @@ def test_int_subclasses_pass_and_bools_fail_in_every_field():
                 InvariantProfile.from_json_obj(obj)
 
 
+@pytest.mark.parametrize("genus", [1.0, 1.5, True, False, "1", None])
+def test_closed_surface_rejects_a_non_int_genus(genus):
+    # The type rule of validate_profile, in the constructor and _replace:
+    # a bool is never read as 0 or 1, a float never truncated.
+    message = re.escape(f"genus must be an integer, got {genus!r}")
+    for orientable in (True, False):
+        with pytest.raises(ValueError, match=message):
+            ClosedSurface(orientable, genus)
+        with pytest.raises(ValueError, match=message):
+            ClosedSurface(orientable, 1)._replace(genus=genus)
+    assert ClosedSurface(False, _Count.TWO).beta == 2
+    assert str(ClosedSurface(True, _Count.ONE)) == "T[1]"
+
+
 def test_apply_op_yields_valid_profiles():
     # A legal surgery on a realizable profile lands on a realizable one:
     # apply_op raises WordError or returns, never ProfileError.
@@ -314,11 +385,12 @@ def test_apply_op_yields_valid_profiles():
             except WordError:
                 continue
             assert nxt in reachable, (pr, op)
-    # A surface of non-integer genus gives a non-integer beta: rejected.
+    # A non-integer beta is rejected, never coerced; ClosedSurface's own
+    # type rule is tested with the other surface rules.
     with pytest.raises(ProfileError, match="must be an integer"):
-        apply_op(InvariantProfile(FREE_SPHERE, 0), Op("CS", ClosedSurface(True, 1.0)))
+        apply_op(InvariantProfile(FREE_SPHERE, 0), Op("CS", SimpleNamespace(beta=1.0)))
     with pytest.raises(ProfileError, match="must be an integer"):
-        invariants(SurgeryWord(Base("S2a"), (Op("CS", ClosedSurface(True, 1.0)),)))
+        invariants(SurgeryWord(Base("S2a"), (Op("CS", SimpleNamespace(beta=1.0)),)))
 
 
 # -- singular profiles --------------------------------------------------------
@@ -486,3 +558,5 @@ def test_replace_and_make_reject_what_the_constructor_rejects():
         ClosedSurface(False, 2)._replace(genus=0)
     with pytest.raises(ValueError, match="orientable genus"):
         ClosedSurface._make((True, -1))
+    with pytest.raises(ValueError, match="genus must be an integer, got 1.5"):
+        ClosedSurface(True, 1)._replace(genus=1.5)

@@ -1,4 +1,4 @@
-"""Time the layers of c2surf and write them to BENCH_20.json.
+"""Time the layers of c2surf and write them to BENCH_21.json.
 
 Run from anywhere, with no arguments, on the source of this checkout:
 
@@ -20,8 +20,8 @@ Each figure is the minimum, in seconds, of 7 repeats of:
   antipodal one with p in [-4, 12], n <= 4), built beforehand, each of
   which must fail, with 209,156 violations in all (the reject path);
 * ``expected`` alone over the 614 profiles with beta <= 20, its memo
-  cleared at the start of each repeat (the cold path of the profile
-  side);
+  and the memo of its Betti-number tables cleared at the start of each
+  repeat (the cold path of the profile side);
 * ``tally`` alone over those mutants, and each of the five checks alone
   over their tallies, built beforehand, called as ``check(t, pr)``;
 * an in-process ``catalog 40``, with stdout sent to a null sink (its
@@ -56,7 +56,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-OUT = ROOT / "BENCH_20.json"
+OUT = ROOT / "BENCH_21.json"
 REPEATS = 7
 
 sys.path.insert(0, str(SRC))
@@ -64,6 +64,7 @@ sys.path.insert(0, str(SRC))
 from c2surf import cli  # noqa: E402
 from c2surf.bigraded import Decomposition, Summand  # noqa: E402
 from c2surf.checks import (  # noqa: E402
+    _counts,
     check_beta_recovery,
     check_forgetful_les,
     check_quotient_row,
@@ -151,8 +152,9 @@ def reject_all(cases) -> None:
 
 
 def expected_cold(cases) -> None:
-    """``expected`` for each profile, with its memo cleared first."""
+    """``expected`` for each profile, with its memos cleared first."""
     expected.cache_clear()
+    _counts.cache_clear()
     for _, pr in cases:
         expected(pr)
 
