@@ -233,13 +233,12 @@ def test_invariants_validates_one_profile_per_word(monkeypatch):
 
 
 def test_apply_op_validates_each_reached_profile_once(monkeypatch):
+    s22 = InvariantProfile(NONFREE, 0, 2, 0)
     calls = []
     real = c2surf.surfaces.validate_profile
     monkeypatch.setattr(c2surf.surfaces, "validate_profile",
                         lambda pr: calls.append(pr) or real(pr))
     c2surf.surfaces._reached.cache_clear()
-    s22 = InvariantProfile(NONFREE, 0, 2, 0)
-    calls.clear()
     reached = {apply_op(s22, Op(token)) for token in ("AT11", "AT10", "FM", "DCC") * 3}
     assert sorted(calls) == sorted(reached) and len(reached) == 4
 
