@@ -114,9 +114,13 @@ class Window(_WindowFields):
     @classmethod
     def parse(cls, text: str) -> "Window":
         m = re.match(r"^(-?[0-9]+):(-?[0-9]+),(-?[0-9]+):(-?[0-9]+)$", text.strip())
-        if not m:
+        try:
+            bounds = [int(g) for g in m.groups()] if m else None
+        except ValueError:          # more digits than int() accepts
+            bounds = None
+        if bounds is None:
             raise ValueError(f"bad window {text!r} (want pmin:pmax,qmin:qmax)")
-        return cls(*(int(g) for g in m.groups()))
+        return cls(*bounds)
 
 
 DEFAULT_LES_WINDOW = Window(-2, 6, -8, 8)

@@ -21,21 +21,21 @@ else ``-4:6,-6:6``; ``--window`` without ``--grid``, ``--json`` with
 ``--grid``, and a window of more than ``MAX_GRID_CELLS`` cells, are bad
 input.  stdout carries data; diagnostics go to stderr.
 
-The argument parser is built once per process, on the first ``main`` call
-(not at import), and declares every flag.  A plain argv does not enter it:
-``_match`` reads the grammar off the parser and builds the namespace
-``parse_args`` would give.  Every other argv goes to argparse, which keeps
-its own help, usage and error text.
+The three subcommands are declared once, in ``_COMMANDS``.  A plain argv
+is read from that table by ``_match``, which builds the namespace
+``parse_args`` would give, and never imports argparse.  Every other argv
+goes to the argparse parser ``_build_parser`` makes from the same table,
+once per process, which keeps its own help, usage and error text.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import re
 import sys
+from types import SimpleNamespace
 
 from .bigraded import Decomposition, Summand, render_grid
 from .checks import DEFAULT_LES_WINDOW, Window, verify_decomposition
@@ -185,30 +185,43 @@ def _cmd_catalog(args) -> int:
     return VERIFY_FAILED if any_failed else OK
 
 
+# The argv grammar, declared once: per subcommand its help, its positionals
+# as (name, help) and its options as flag -> (metavar, help), with metavar
+# None for a switch; ``--json`` stores ``json``, so no flag has an inner
+# "-".  ``_build_parser`` builds argparse from it, and ``_match`` reads it.
+_COMMANDS = {
+    "compute": ("decomposition of a word or profile",
+                (("input", "surgery word or profile JSON"),),
+                {"--json": (None, "canonical JSON output"),
+                 "--grid": (None, "ASCII dimension grid"),
+                 "--reduced": (None, "strip the unshifted M2 summand (nonfree/trivial only)"),
+                 "--window": ("P0:P1,Q0:Q1", "grid window (with --grid)")}),
+    "verify": ("check a decomposition against the oracles",
+               (("input", "surgery word or profile JSON"),),
+               {"--json": (None, "JSON violation report"),
+                "--inject": ("drop:P,Q", "corrupt the decomposition first (testing hook)")}),
+    "catalog": ("verified catalog up to a beta bound", (("beta_max", None),), {}),
+}
+
+
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The argparse parser of ``_COMMANDS``, in the table's order."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="c2surf",
         description="RO(C2)-graded mod-2 cohomology of surfaces with involution")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    compute = sub.add_parser("compute", help="decomposition of a word or profile")
-    compute.add_argument("input", help="surgery word or profile JSON")
-    compute.add_argument("--json", action="store_true", help="canonical JSON output")
-    compute.add_argument("--grid", action="store_true", help="ASCII dimension grid")
-    compute.add_argument("--reduced", action="store_true",
-                         help="strip the unshifted M2 summand (nonfree/trivial only)")
-    compute.add_argument("--window", metavar="P0:P1,Q0:Q1", default=None,
-                         help="grid window (with --grid)")
-
-    verify = sub.add_parser("verify", help="check a decomposition against the oracles")
-    verify.add_argument("input", help="surgery word or profile JSON")
-    verify.add_argument("--json", action="store_true", help="JSON violation report")
-    verify.add_argument("--inject", metavar="drop:P,Q", default=None,
-                        help="corrupt the decomposition first (testing hook)")
-
-    catalog = sub.add_parser("catalog", help="verified catalog up to a beta bound")
-    catalog.add_argument("beta_max")
+    for name, (text, positionals, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=text)
+        for dest, help_text in positionals:
+            command.add_argument(dest, help=help_text)
+        for flag, (metavar, help_text) in options.items():
+            if metavar is None:
+                command.add_argument(flag, action="store_true", help=help_text)
+            else:
+                command.add_argument(flag, metavar=metavar, help=help_text)
     return parser
 
 
@@ -227,33 +240,7 @@ def _preprocess(argv: list[str]) -> list[str]:
     return out
 
 
-def _is_plain(action: argparse.Action) -> bool:
-    """Whether ``_match`` can stand in for argparse on this action: a
-    store_true switch, or one value stored as given."""
-    return (type(action) in (argparse._StoreAction, argparse._StoreTrueAction)
-            and action.nargs in (None, 0) and action.type is None
-            and action.choices is None)
-
-
-@functools.cache
-def _plain_grammar() -> dict:
-    """Per subcommand of ``_build_parser()``: option string -> action, the
-    positional actions in order, and the namespace before any token is read.
-    A subcommand with an action that is not plain is left out, and so left
-    to argparse; ``-h`` is left out of every table."""
-    parser = _build_parser()
-    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    grammar = {}
-    for name, sub in commands.choices.items():
-        actions = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
-        if all(map(_is_plain, actions)):
-            grammar[name] = ({s: a for a in actions for s in a.option_strings},
-                             [a for a in actions if not a.option_strings],
-                             {commands.dest: name, **{a.dest: a.default for a in actions}})
-    return grammar
-
-
-def _match(argv: list[str]) -> argparse.Namespace | None:
+def _match(argv: list[str]) -> SimpleNamespace | None:
     """The namespace ``parse_args(argv)`` returns, for a plain argv; else None.
 
     Plain: a subcommand, then its switches and ``--opt VALUE`` /
@@ -263,25 +250,27 @@ def _match(argv: list[str]) -> argparse.Namespace | None:
     value starts with "-", or a missing or extra positional is declined, so
     argparse still owns help, usage and error text.
     """
-    grammar = _plain_grammar().get(argv[0]) if argv else None
-    if grammar is None:
+    spec = _COMMANDS.get(argv[0]) if argv else None
+    if spec is None:
         return None
-    options, positionals, defaults = grammar
-    values = dict(defaults)
+    _, positionals, options = spec
+    values = {"command": argv[0]}
+    for flag, (metavar, _) in options.items():
+        values[flag[2:]] = None if metavar else False
     texts = []
     tokens = iter(argv[1:])
     for token in tokens:
         if not token.startswith("-"):
             texts.append(token)
             continue
-        name, eq, text = token.partition("=")
-        action = options.get(name)
-        if action is None:
+        flag, eq, text = token.partition("=")
+        option = options.get(flag)
+        if option is None:
             return None
-        if action.nargs == 0:
+        if option[0] is None:           # a switch
             if eq:
                 return None
-            values[action.dest] = action.const
+            values[flag[2:]] = True
             continue
         if not eq:
             text = next(tokens, "-")    # a missing value is argparse's error too
@@ -289,11 +278,11 @@ def _match(argv: list[str]) -> argparse.Namespace | None:
                 return None
         if text == "--":                # argparse strips it, differently across versions
             return None
-        values[action.dest] = text
+        values[flag[2:]] = text
     if len(texts) != len(positionals):
         return None
-    values.update((action.dest, text) for action, text in zip(positionals, texts))
-    return argparse.Namespace(**values)
+    values.update(zip((dest for dest, _ in positionals), texts))
+    return SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -28,10 +28,10 @@ folding it along a word must land on ``closed_form`` of the folded
 profile, which is the cross-validation the test suite runs exhaustively.
 The rules' addends are module constants, except CS(Y)'s (S(1,0)A0)^k,
 k = beta(Y), which comes from a small memo keyed by k.  ``transform``
-does not take the surgery step on the profile: only three steps are
-illegal (any op on a trivial action, FM with F = 0, a token with no rule),
-and it calls ``check_op`` on those alone, for its WordError.  A fold that
-also calls ``apply_op`` so takes each step once.
+does not take the surgery step on the profile: an ``Op`` is valid from
+construction, so only two steps are illegal (any op on a trivial action,
+FM with F = 0), and it calls ``apply_op`` on those alone, for its
+WordError.  A fold that also calls ``apply_op`` so takes each step once.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .surfaces import (
     InvariantProfile,
     Op,
     ProfileError,
-    check_op,
+    apply_op,
 )
 
 _M2 = Summand.free(0, 0)
@@ -116,8 +116,8 @@ def transform(d_y: Decomposition, pr_y: InvariantProfile, op: Op) -> Decompositi
     """Rewrite the decomposition of Y into that of Y-after-one-surgery.
 
     ``d_y`` must be in closed-form shape for ``pr_y``; ``op`` must be a
-    surgery valid on ``pr_y``, else the WordError of ``check_op``
-    propagates, which ``transform`` calls on the three illegal steps only.
+    surgery valid on ``pr_y``, else the WordError of ``apply_op``
+    propagates, which ``transform`` calls on the two illegal steps only.
     This is a validation device for the closed formulas, not a general
     module functor: each rule is exactly the incremental statement proved
     by the corresponding cofiber sequence.
@@ -157,22 +157,20 @@ def transform(d_y: Decomposition, pr_y: InvariantProfile, op: Op) -> Decompositi
         # contribute one S(1,1)M2.
         return _swap_top(d_y, add=_TOP_AT10)
 
-    if token == "FM":
-        if pr_y.fixed_points == 0:
-            _refuse(pr_y, op)
-        if pr_y.fixed_circles >= 1:
-            return d_y.direct_sum(_PLUS_S10)
-        # C(Y) = 0: trading a fixed point for a circle again rewrites the
-        # top class, with a single new S(1,1)M2 from the extension.
-        return _swap_top(d_y, add=_TOP_FM)
-
-    _refuse(pr_y, op)
+    # The last token an Op can have: FM.
+    if pr_y.fixed_points == 0:
+        _refuse(pr_y, op)
+    if pr_y.fixed_circles >= 1:
+        return d_y.direct_sum(_PLUS_S10)
+    # C(Y) = 0: trading a fixed point for a circle again rewrites the
+    # top class, with a single new S(1,1)M2 from the extension.
+    return _swap_top(d_y, add=_TOP_FM)
 
 
 def _refuse(pr_y: InvariantProfile, op: Op) -> NoReturn:
-    """Raise the WordError of ``check_op`` for a step ``transform`` has no
-    rule for; a step ``check_op`` passes has a rule, so it never returns."""
-    check_op(pr_y, op)
+    """Raise the WordError of ``apply_op`` for a step ``transform`` has no
+    rule for; a step ``apply_op`` takes has a rule, so it never returns."""
+    apply_op(pr_y, op)
     raise TransformError(f"no rewrite rule for op {op.token!r}")
 
 

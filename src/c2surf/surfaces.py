@@ -30,15 +30,16 @@ conjugate copies of the nonequivariant surface Y.
 
 Everything here is pure and immutable.  The value types are
 ``NamedTuple``s: they hash and compare like plain tuples, and the ones
-with a rule to keep (``ClosedSurface``, ``InvariantProfile``) check it in
-``__new__``, which ``_replace`` and ``_make`` go through too.  The plain
-bases and ops are built once: ``parse_word`` and ``witness`` hand out the
-same ``Base`` and ``Op`` values from a table, and ``parse_word`` reads a
-``CS(...)`` op from a bounded memo of the pieces it has seen.  A surgery
-is one step on the integer fields ``(kind, beta, F, C)``, taken once per
-op: ``apply_op`` takes one, ``invariants`` folds a word on them, and both
-build the ``InvariantProfile`` they end on through a bounded memo keyed
-by the four fields, so a profile reached again is not validated again.
+with a rule to keep check it in ``__new__``, which ``_replace`` and
+``_make`` go through too: a ``ClosedSurface`` has a valid genus, an
+``InvariantProfile`` is realizable, and a ``Base`` or ``Op`` has a known
+token, with a surface exactly when it is ``triv`` or ``CS``.  The plain
+bases and ops are built once, in tables, and ``parse_word`` reads each
+other piece once, into a bounded memo.  A surgery is one step on the
+integer fields ``(kind, beta, F, C)``, taken once per op: ``apply_op``
+takes one, ``invariants`` folds a word on them, and both build the
+``InvariantProfile`` they end on through a bounded memo keyed by the four
+fields, so a profile reached again is not validated again.
 The catalog needs no search: ``enumerate_profiles`` scans the
 realizability inequalities, and ``witness`` writes down a shortest word
 for each profile.
@@ -69,6 +70,7 @@ class ParseError(ValueError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"at position {position}: {message}")
+        self.message = message
         self.position = position
 
 
@@ -76,8 +78,8 @@ class WordError(ValueError):
     """A syntactically fine word whose surgery sequence is not realizable."""
 
     def __init__(self, message: str, op_index: int | None = None):
-        # Without an index (``apply_op``, ``check_op``, ``transform``) the
-        # message names the op by itself; ``invariants`` adds its index.
+        # Without an index (``apply_op``, ``transform``) the message names
+        # the op by itself; ``invariants`` adds its index.
         super().__init__(message if op_index is None else f"op {op_index}: {message}")
         self.op_index = op_index
 
@@ -126,28 +128,56 @@ _SURFACE_RE = re.compile(r"([TN])\[([0-9]+)\]")
 
 def parse_surface(token: str, position: int = 0) -> ClosedSurface:
     m = _SURFACE_RE.fullmatch(token)
-    if not m:
+    try:
+        genus = int(m.group(2)) if m else None
+    except ValueError:              # more digits than int() accepts
+        genus = None
+    if genus is None:
         raise ParseError(f"bad surface descriptor {token!r} (want T[g] or N[s])", position)
     try:
-        return ClosedSurface(m.group(1) == "T", int(m.group(2)))
+        return ClosedSurface(m.group(1) == "T", genus)
     except ValueError as exc:
         raise ParseError(str(exc), position) from None
 
 
-class Base(NamedTuple):
-    token: str                      # one of BASE_TOKENS, or "triv"
+class _PieceFields(NamedTuple):
+    token: str
     surface: ClosedSurface | None = None
 
+
+class _Piece(_PieceFields):
+    """A base or an op: the token ``_WITH_SURFACE`` takes a ``ClosedSurface``,
+    and each token of ``_PLAIN`` takes none.  ``__new__`` keeps the rule, and
+    ``_replace`` and ``_make`` go through it."""
+
+    __slots__ = ()
+
+    def __new__(cls, token: str, surface: ClosedSurface | None = None):
+        if token == cls._WITH_SURFACE:
+            if not isinstance(surface, ClosedSurface):
+                raise ValueError(f"{token} needs a ClosedSurface, got {surface!r}")
+        elif token not in cls._PLAIN:
+            raise ValueError(f"unknown {cls.__name__.lower()} token {token!r}")
+        elif surface is not None:
+            raise ValueError(f"{token} takes no surface, got {surface!r}")
+        return tuple.__new__(cls, (token, surface))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
     def __str__(self) -> str:
-        return f"triv:{self.surface}" if self.token == "triv" else self.token
+        return self.token if self.surface is None else self._FORMAT.format(self.surface)
 
 
-class Op(NamedTuple):
-    token: str                      # AT11, AT10, FM, DCC or CS
-    surface: ClosedSurface | None = None   # only for CS
+class Base(_Piece):
+    __slots__ = ()
+    _WITH_SURFACE, _PLAIN, _FORMAT = "triv", BASE_TOKENS, "triv:{}"
 
-    def __str__(self) -> str:
-        return f"CS({self.surface})" if self.token == "CS" else self.token
+
+class Op(_Piece):
+    __slots__ = ()
+    _WITH_SURFACE, _PLAIN, _FORMAT = "CS", ("AT11", "AT10", "FM", "DCC"), "CS({})"
 
 
 class SurgeryWord(NamedTuple):
@@ -159,73 +189,57 @@ class SurgeryWord(NamedTuple):
 
 
 # The plain tokens, built once: a parse looks each piece up here first.
-_BASES = {token: Base(token) for token in BASE_TOKENS}
-_OPS = {token: Op(token) for token in ("AT11", "AT10", "FM", "DCC")}
+_BASES = {token: Base(token) for token in Base._PLAIN}
+_OPS = {token: Op(token) for token in Op._PLAIN}
 
 
 def parse_word(text: str) -> SurgeryWord:
     """Parse the word DSL; raises ParseError with a character position.
-
-    A plain base or op is a table lookup, and a ``CS(...)`` op a lookup in
-    the bounded memo ``_cs_op``.  A piece that misses both (``triv:*``, or
-    an error) is parsed by ``_base_piece`` or ``_op_piece``, which find
-    where its token starts and raise the positioned ParseError.
+    A piece that is not in a token table is read by ``_piece``.
 
     >>> str(parse_word("S2a + CS(T[1])"))
     'S2a + CS(T[1])'
     """
     first, *rest = text.split("+")
-    base = _BASES.get(first.strip())
-    if base is None:
-        base = _base_piece(first)
+    base = _BASES.get(first.strip()) or _piece(Base, first, 0)
     pos = len(first) + 1
     ops = []
     for raw in rest:
-        token = raw.strip()
-        op = _OPS.get(token)
-        if op is None and token.startswith("CS("):
-            op = _cs_op(token)
-        if op is None:
-            op = _op_piece(raw, pos)
-        ops.append(op)
+        ops.append(_OPS.get(raw.strip()) or _piece(Op, raw, pos))
         pos += len(raw) + 1
     return SurgeryWord(base, tuple(ops))
 
 
+def _piece(want: type, raw: str, pos: int) -> Base | Op:
+    """The ``want`` (``Base`` or ``Op``) of a piece that starts at ``pos``
+    and is not a plain token, or its positioned ParseError."""
+    token = raw.strip()
+    piece = _read_piece(token)
+    if type(piece) is want:
+        return piece
+    at = pos + raw.index(token)
+    if type(piece) is tuple and piece[0] is want:
+        raise ParseError(piece[1], at + piece[2])
+    raise ParseError(f"unknown {want.__name__.lower()} {token!r}" if token else "empty token", at)
+
+
 @lru_cache(maxsize=256)
-def _cs_op(token: str) -> Op | None:
-    """The op of a stripped piece that starts with ``CS(``, or None when
-    it is not a valid CS piece; ``_op_piece`` then raises its positioned
-    ParseError.  Words repeat few surfaces, so the surface regex runs once
-    per distinct piece, not once per piece."""
-    if not token.endswith(")"):
+def _read_piece(token: str) -> Base | Op | tuple[type, str, int] | None:
+    """The ``Base`` of a stripped ``triv:*`` piece or the ``Op`` of a
+    ``CS(...)`` one; for a bad surface, that type, the message of its
+    ParseError and its offset in the token; else None.  Memoized, as words
+    repeat few pieces; no exception is kept."""
+    if token.startswith("triv:"):
+        make, body, offset = Base, token[5:], 5
+    elif token.startswith("CS(") and token.endswith(")"):
+        make, body, offset = Op, token[3:-1], 3
+    else:
         return None
     try:
-        return Op("CS", parse_surface(token[3:-1]))
-    except ParseError:
-        return None
-
-
-def _base_piece(raw: str) -> Base:
-    """The first piece of a word when it is not a plain base token."""
-    token = raw.strip()
-    at = raw.index(token)
-    if not token:
-        raise ParseError("empty token", at)
-    if token.startswith("triv:"):
-        return Base("triv", parse_surface(token[5:], at + 5))
-    raise ParseError(f"unknown base {token!r}", at)
-
-
-def _op_piece(raw: str, pos: int) -> Op:
-    """A later piece, starting at ``pos``, when it is not a plain op token."""
-    token = raw.strip()
-    at = pos + raw.index(token)
-    if not token:
-        raise ParseError("empty token", at)
-    if token.startswith("CS(") and token.endswith(")"):
-        return Op("CS", parse_surface(token[3:-1], at + 3))
-    raise ParseError(f"unknown op {token!r}", at)
+        surface = parse_surface(body)
+    except ParseError as exc:
+        return make, exc.message, offset
+    return make(make._WITH_SURFACE, surface)
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +370,10 @@ def _step(kind: str, beta: int, f: int, c: int, op: Op,
     """One surgery on the fields ``(kind, beta, F, C)`` of a profile: the
     fields after it, or WordError when the action so far cannot take it.
 
-    ``apply_op`` and ``invariants`` are this step, and ``check_op`` runs it
-    for its WordError alone.  On the fields of a valid profile a legal
-    surgery gives the fields of a valid profile; callers that need an
-    ``InvariantProfile`` build it, once, from the fields they end on.
+    ``apply_op`` and ``invariants`` are this step.  On the fields of a
+    valid profile a legal surgery gives the fields of a valid profile;
+    callers that need an ``InvariantProfile`` build it, once, from the
+    fields they end on.
     """
     if kind == TRIVIAL:
         raise WordError("surgery on trivial action", op_index)
@@ -374,12 +388,10 @@ def _step(kind: str, beta: int, f: int, c: int, op: Op,
         return NONFREE, beta + 2, f + 2, c
     if token == "AT10":
         return NONFREE, beta + 2, f, c + 1
-    if token == "FM":
-        # FM trades an isolated fixed point for a fixed circle.
-        if f == 0:
-            raise WordError("FM needs an isolated fixed point", op_index)
-        return NONFREE, beta + 1, f - 1, c + 1
-    raise WordError(f"unknown op {token!r}", op_index)
+    # FM trades an isolated fixed point for a fixed circle.
+    if f == 0:
+        raise WordError("FM needs an isolated fixed point", op_index)
+    return NONFREE, beta + 1, f - 1, c + 1
 
 
 # The profiles that surgeries reach, keyed by their four fields.  Typed, so
@@ -388,23 +400,16 @@ def _step(kind: str, beta: int, f: int, c: int, op: Op,
 _reached = lru_cache(maxsize=1024, typed=True)(InvariantProfile)
 
 
-def check_op(pr: InvariantProfile, op: Op) -> None:
-    """Raise WordError when the surgery needs structure the current action
-    does not have."""
-    _step(*pr, op)
-
-
 def apply_op(pr: InvariantProfile, op: Op) -> InvariantProfile:
-    """Fold one surgery into a profile; raises WordError (``check_op``) when
-    the surgery is illegal.  The profile it lands on comes from a bounded
-    memo, so a profile reached again is not validated again."""
+    """Fold one surgery into a profile; raises WordError when the surgery
+    is illegal.  The profile it lands on comes from a bounded memo, so a
+    profile reached again is not validated again."""
     return _reached(*_step(*pr, op))
 
 
 def invariants(w: SurgeryWord) -> InvariantProfile:
-    """Fold a word down to its invariant profile; raises WordError
-    (``check_op``), naming the op's index, at the first op the action so
-    far cannot take.
+    """Fold a word down to its invariant profile; raises WordError, naming
+    the op's index, at the first op the action so far cannot take.
 
     The ops fold on integer fields, and one profile is built at the end,
     through the memo of ``apply_op``.  The per-op deltas commute, so the

@@ -6,6 +6,7 @@ share no code with the implementations they check.
 
 from __future__ import annotations
 
+import argparse
 import random
 from collections import Counter
 
@@ -299,6 +300,35 @@ def naive_parse_word(text: str) -> SurgeryWord:
                 raise ParseError(f"unknown op {token!r}", at)
         pos += len(raw) + 1
     return SurgeryWord(base, tuple(ops))
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The CLI's parser as it was declared before its grammar table, one
+    ``add_argument`` per flag: the reference for the help and usage text of
+    the parser ``cli._build_parser`` makes from the table."""
+    parser = argparse.ArgumentParser(
+        prog="c2surf",
+        description="RO(C2)-graded mod-2 cohomology of surfaces with involution")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    compute = sub.add_parser("compute", help="decomposition of a word or profile")
+    compute.add_argument("input", help="surgery word or profile JSON")
+    compute.add_argument("--json", action="store_true", help="canonical JSON output")
+    compute.add_argument("--grid", action="store_true", help="ASCII dimension grid")
+    compute.add_argument("--reduced", action="store_true",
+                         help="strip the unshifted M2 summand (nonfree/trivial only)")
+    compute.add_argument("--window", metavar="P0:P1,Q0:Q1", default=None,
+                         help="grid window (with --grid)")
+
+    verify = sub.add_parser("verify", help="check a decomposition against the oracles")
+    verify.add_argument("input", help="surgery word or profile JSON")
+    verify.add_argument("--json", action="store_true", help="JSON violation report")
+    verify.add_argument("--inject", metavar="drop:P,Q", default=None,
+                        help="corrupt the decomposition first (testing hook)")
+
+    catalog = sub.add_parser("catalog", help="verified catalog up to a beta bound")
+    catalog.add_argument("beta_max")
+    return parser
 
 
 def random_matrix(rng: random.Random, max_side: int = 64) -> list[list[int]]:

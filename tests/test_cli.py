@@ -11,6 +11,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from _oracles import reference_parser
 from c2surf.cli import MAX_GRID_CELLS, _build_parser, _match, _preprocess, main
 from c2surf.engine import closed_form
 from c2surf.surfaces import enumerate_profiles
@@ -246,6 +247,12 @@ def test_double_dash_window_is_bad_input(capsys):
       for text in ("drop: 1 ,1_1", "drop:\uff11,1", "drop:1," + "9" * 5000)),
     *((["catalog", text], f"error: catalog bound must be ASCII digits, got {text!r}\n")
       for text in ("\u0661", " 1_0", "x", "-1", "9" * 5000)),
+    # More digits than int() accepts: the input is named, not Python's limit.
+    (["compute", "--grid", "--window=0:1,0:" + "9" * 5000, "S22"],
+     f"error: bad window {'0:1,0:' + '9' * 5000!r} (want pmin:pmax,qmin:qmax)\n"),
+    (["compute", "S22 + CS(T[" + "9" * 5000 + "])"],
+     f"error: at position 9: bad surface descriptor {'T[' + '9' * 5000 + ']'!r}"
+     " (want T[g] or N[s])\n"),
 ])
 def test_integers_are_plain_ascii_digits(capsys, argv, err):
     # int() and \d accept any Unicode digit, and int() also "_" and spaces:
@@ -368,15 +375,48 @@ def test_parser_reuse_keeps_calls_independent(capsys, monkeypatch):
 
 
 def test_import_builds_no_parser():
-    # The parser is built on the first call, so importing the CLI stays cheap.
+    # Neither the import nor a plain call builds the parser; the first argv
+    # the matcher declines does.
     code = ("import c2surf.cli as cli\n"
             "assert cli._build_parser.cache_info().currsize == 0\n"
             "cli.main(['compute', 'S22'])\n"
+            "assert cli._build_parser.cache_info().currsize == 0\n"
+            "cli.main(['compute', '--js', 'S22'])\n"
             "assert cli._build_parser.cache_info().currsize == 1\n")
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_plain_call_imports_no_argparse():
+    # argparse (and the gettext it loads) is imported only to build the
+    # parser.  -S keeps a site .pth file from importing it first.
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import c2surf.cli, sys; c2surf.cli.main(['compute', 'S22']);"
+         " print('argparse' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "M2 + S(2,2)M2\nFalse\n", "")
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_parser_built_from_the_table_keeps_every_help_text(monkeypatch):
+    # The table-built parser and the one declared flag by flag print the
+    # same help and usage, for the program and for each subcommand.
+    monkeypatch.setenv("COLUMNS", "80")
+    built, reference = _build_parser(), reference_parser()
+    pairs = [(built, reference)] + [
+        (sub, _subparsers(reference)[name]) for name, sub in _subparsers(built).items()]
+    assert list(_subparsers(built)) == list(_subparsers(reference)) == list(COMMANDS)
+    for ours, theirs in pairs:
+        assert ours.format_help() == theirs.format_help()
+        assert ours.format_usage() == theirs.format_usage()
 
 
 def test_import_loads_no_dataclasses():

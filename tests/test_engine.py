@@ -1,7 +1,5 @@
 """Closed formulas, the reduced flag, and the incremental rewrite rules."""
 
-from types import SimpleNamespace
-
 import pytest
 
 import c2surf.surfaces
@@ -9,6 +7,7 @@ from c2surf.bigraded import Decomposition, Summand
 from c2surf.checks import verify_decomposition
 from c2surf.engine import (
     TransformError,
+    _plus_a0,
     closed_form,
     reduced_form,
     transform,
@@ -187,12 +186,13 @@ def test_transform_connected_sum_with_sphere_is_identity():
 
 def test_transform_connected_sum_rejects_a_non_int_beta_after_an_int_one():
     # CS's addend is memoized per beta(Y); a float beta that equals an int
-    # one must still fail as a multiplicity, not reuse the int's entry.  A
-    # ClosedSurface has an int genus, so the float comes from a stand-in.
+    # one must still fail as a multiplicity, not reuse the int's entry.  No
+    # Op carries one: a CS op's surface is a ClosedSurface, whose genus is an
+    # int, and a stand-in with a float beta makes no Op.
     pr = InvariantProfile(NONFREE, 2, 0, 2)
     assert transform(X1, pr, Op("CS", ClosedSurface(True, 1))) == X1 + Decomposition([A0_1] * 2)
     with pytest.raises(ValueError, match="multiplicity must be an integer, got 2.0"):
-        transform(X1, pr, Op("CS", SimpleNamespace(beta=2.0)))
+        _plus_a0(2.0)
     with pytest.raises(ValueError, match="genus must be an integer, got 1.0"):
         transform(X1, pr, Op("CS", ClosedSurface(True, 1.0)))
 
@@ -217,11 +217,11 @@ def _outcome(fn, *args):
 
 
 def test_transform_refuses_exactly_the_steps_apply_op_refuses():
-    # transform calls check_op only on the steps it finds illegal: it must
+    # transform calls apply_op only on the steps it finds illegal: it must
     # still raise on every illegal step, with apply_op's text, and on no
-    # legal one.
+    # legal one.  An op token with no rule makes no Op (test_surfaces).
     ops = [Op("AT11"), Op("AT10"), Op("FM"), Op("DCC"), Op("CS", ClosedSurface(True, 1)),
-           Op("CS", ClosedSurface(False, 1)), Op("XX")]
+           Op("CS", ClosedSurface(False, 1))]
     refused = 0
     for pr in enumerate_profiles(12):
         d = closed_form(pr)

@@ -117,6 +117,32 @@ def test_parse_word_matches_the_naive_parser(base, ops):
     assert _parsed(parse_word, text) == _parsed(naive_parse_word, text)
 
 
+@pytest.mark.parametrize("make, args, message", [
+    (Base, ("XX",), "unknown base token 'XX'"),
+    (Base, ("AT11",), "unknown base token 'AT11'"),
+    (Base, ("triv",), "triv needs a ClosedSurface, got None"),
+    (Base, ("triv", "T[1]"), "triv needs a ClosedSurface, got 'T[1]'"),
+    (Base, ("S22", ClosedSurface(True, 1)), "S22 takes no surface, got ClosedSurface(orientable"),
+    (Op, ("XX",), "unknown op token 'XX'"),
+    (Op, ("S22",), "unknown op token 'S22'"),
+    (Op, ("CS",), "CS needs a ClosedSurface, got None"),
+    (Op, ("CS", SimpleNamespace(beta=1.0)), "CS needs a ClosedSurface, got namespace(beta=1.0)"),
+    (Op, ("DCC", ClosedSurface(True, 1)), "DCC takes no surface, got ClosedSurface(orientable"),
+])
+def test_bases_and_ops_are_valid_by_construction(make, args, message):
+    # Each of these used to build, and then fold to an AttributeError or a
+    # KeyError, or (DCC with a surface) fold and print as plain DCC.  The
+    # constructor, _make and _replace now reject it by name.
+    message = re.escape(message)
+    with pytest.raises(ValueError, match=message):
+        make(*args)
+    with pytest.raises(ValueError, match=message):
+        make._make(args)
+    good = make("triv" if make is Base else "CS", ClosedSurface(True, 1))
+    with pytest.raises(ValueError, match=message):
+        good._replace(**dict(zip(make._fields, args + (None,))))
+
+
 # -- invariant folding --------------------------------------------------------
 
 
@@ -181,15 +207,15 @@ def test_invariants_are_op_order_insensitive(word, rng):
     assert pr == pr2
 
 
-# Words whose ops may be illegal anywhere: trivial bases, FM without a
-# fixed point, and an op token outside the grammar.
+# Words whose ops may be illegal anywhere: trivial bases and FM without a
+# fixed point.  A token outside the grammar never makes an ``Op``.
 any_words_strategy = st.builds(
     SurgeryWord,
     st.one_of(words_strategy.map(lambda w: w.base),
               st.builds(Base, st.just("triv"),
                         st.builds(ClosedSurface, st.just(True), st.integers(0, 2)))),
     st.lists(st.one_of(
-        st.sampled_from([Op("AT11"), Op("AT10"), Op("FM"), Op("DCC"), Op("XX")]),
+        st.sampled_from([Op("AT11"), Op("AT10"), Op("FM"), Op("DCC")]),
         st.builds(Op, st.just("CS"),
                   st.builds(ClosedSurface, st.booleans(), st.integers(1, 3))),
     ), max_size=6).map(tuple),
@@ -260,9 +286,8 @@ def test_reached_profiles_are_typed_and_never_cache_an_error():
     with pytest.raises(ProfileError, match="beta == F"):
         reach(NONFREE, 1, 2, 0)
     assert reach.cache_info().currsize == size
-    # A float beta reached through a surgery fails the same way.
-    with pytest.raises(ProfileError, match="beta must be an integer, got 2.0"):
-        apply_op(s22, Op("CS", SimpleNamespace(beta=1.0)))
+    # No surgery reaches a float beta: the stand-in surface that carried one
+    # makes no Op (test_bases_and_ops_are_valid_by_construction).
 
 
 @given(words_strategy)
@@ -384,12 +409,9 @@ def test_apply_op_yields_valid_profiles():
             except WordError:
                 continue
             assert nxt in reachable, (pr, op)
-    # A non-integer beta is rejected, never coerced; ClosedSurface's own
-    # type rule is tested with the other surface rules.
-    with pytest.raises(ProfileError, match="must be an integer"):
-        apply_op(InvariantProfile(FREE_SPHERE, 0), Op("CS", SimpleNamespace(beta=1.0)))
-    with pytest.raises(ProfileError, match="must be an integer"):
-        invariants(SurgeryWord(Base("S2a"), (Op("CS", SimpleNamespace(beta=1.0)),)))
+    # A non-integer beta never reaches a surgery: the Op that would carry
+    # it is rejected at construction (test_bases_and_ops_are_valid_by_construction),
+    # and ClosedSurface's own type rule is tested with the other surface rules.
 
 
 # -- singular profiles --------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Time the layers of c2surf and write them to BENCH_21.json.
+"""Time the layers of c2surf and write them to BENCH_22.json.
 
 Run from anywhere, with no arguments, on the source of this checkout:
 
@@ -56,7 +56,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-OUT = ROOT / "BENCH_21.json"
+OUT = ROOT / "BENCH_22.json"
 REPEATS = 7
 
 sys.path.insert(0, str(SRC))
