@@ -43,6 +43,7 @@ is safe to use from concurrent threads without locking.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -334,19 +335,21 @@ _GLYPHS = ".123456789"           # render_grid's cell for a total below 10
 
 
 @lru_cache(maxsize=1024)
-def _grid_cells(s: Summand, pmin: int, pmax: int, qmin: int, qmax: int) -> tuple[int, ...]:
+def _grid_cells(s: Summand, pmin: int, pmax: int, qmin: int, qmax: int) -> tuple[range, ...]:
     """Where one summand is nonzero (its dimension is then 1) over the
-    window, as cell indices in ``render_grid`` order: rows from the top
-    weight down, columns left to right in p.  Each row is the summand's
-    row support clipped to [pmin, pmax]."""
+    window: one range of cell indices, in ``render_grid`` order, per row
+    the summand meets.  Rows run from the top weight down, columns left to
+    right in p, and each range is the summand's row support clipped to
+    [pmin, pmax], so an entry grows with the rows, not the cells."""
     width = pmax - pmin + 1
-    cells: list[int] = []
+    rows: list[range] = []
     for row, q in enumerate(range(qmax, qmin - 1, -1)):
         support = s.row_support(q)
         first = row * width - pmin             # the index of p = 0 in this row
-        cells.extend(range(first + max(support.start, pmin),
-                           first + min(support.stop, pmax + 1)))
-    return tuple(cells)
+        cells = range(first + max(support.start, pmin), first + min(support.stop, pmax + 1))
+        if cells:
+            rows.append(cells)
+    return tuple(rows)
 
 
 def render_grid(d: Decomposition, p_range: tuple[int, int], q_range: tuple[int, int]) -> str:
@@ -362,9 +365,13 @@ def render_grid(d: Decomposition, p_range: tuple[int, int], q_range: tuple[int, 
     if pmin > pmax or qmin > qmax:
         raise ValueError(f"inverted window p={p_range} q={q_range}")
     width = pmax - pmin + 1
-    totals = [0] * (width * (qmax - qmin + 1))
+    # Each summand's row is one run of cells: mark where each run starts
+    # and stops, and the running sum over the cells is the grid.
+    steps = [0] * (width * (qmax - qmin + 1) + 1)
     for s, c in d.items():
-        for i in _grid_cells(s, pmin, pmax, qmin, qmax):
-            totals[i] += c
-    glyphs = "".join([_GLYPHS[v] if v < 10 else "+" for v in totals])
+        for cells in _grid_cells(s, pmin, pmax, qmin, qmax):
+            steps[cells.start] += c
+            steps[cells.stop] -= c
+    steps.pop()
+    glyphs = "".join([_GLYPHS[v] if v < 10 else "+" for v in accumulate(steps)])
     return "\n".join([glyphs[i:i + width] for i in range(0, len(glyphs), width)])

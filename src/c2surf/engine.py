@@ -26,12 +26,15 @@ between callers.
 closed-form-shaped decomposition, as an independent set of rewrite rules;
 folding it along a word must land on ``closed_form`` of the folded
 profile, which is the cross-validation the test suite runs exhaustively.
-The rules' addends are module constants, except CS(Y)'s (S(1,0)A0)^k,
-k = beta(Y), which comes from a small memo keyed by k.  ``transform``
-does not take the surgery step on the profile: an ``Op`` is valid from
-construction, so only two steps are illegal (any op on a trivial action,
-FM with F = 0), and it calls ``apply_op`` on those alone, for its
-WordError.  A fold that also calls ``apply_op`` so takes each step once.
+Every rule removes fixed summands, one copy each, then adds a fixed
+decomposition; the antitubes' and FM's are one table, ``_RULES``, keyed by
+(op, kind, C == 0).  Every addend is a constant except CS(Y)'s
+(S(1,0)A0)^k, k = beta(Y), from a small memo keyed by k.  ``transform``
+never calls ``closed_form``, nor takes the surgery step on the profile:
+an ``Op`` is valid from construction, so only two steps are illegal (any
+op on a trivial action, FM with F = 0), and it calls ``apply_op`` on
+those alone, for its WordError.  A fold that also calls ``apply_op`` so
+takes each step once.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .bigraded import Decomposition, Summand
 from .surfaces import (
     FREE_SPHERE,
     FREE_TORUS,
+    NONFREE,
     TRIVIAL,
     InvariantProfile,
     Op,
@@ -57,14 +61,42 @@ _S20 = Summand.free(2, 0)
 _S21 = Summand.free(2, 1)
 _S22 = Summand.free(2, 2)
 _A0_1 = Summand.antipodal(1, 0)
+_A1 = Summand.antipodal(0, 1)
+_A1_1 = Summand.antipodal(1, 1)
+_A2 = Summand.antipodal(0, 2)
 
-# The fixed addends of the rewrite rules.
-_PLUS_2_S11 = Decomposition({_S11: 2})
-_PLUS_S11_S10 = Decomposition({_S11: 1, _S10: 1})
-_PLUS_S10 = Decomposition({_S10: 1})
 _PLUS_A0 = Decomposition({_A0_1: 1})
-_TOP_AT10 = Decomposition({_S11: 2, _S21: 1})
-_TOP_FM = Decomposition({_S11: 1, _S21: 1})
+
+# The rule of each antitube and FM, keyed by (token, kind, C == 0): the
+# summands it removes, one copy each, and the decomposition it then adds.
+# A free kind has C = 0, and FM needs F >= 1, so it has no free cell.
+_RULES = {
+    # Pinching the conjugate gluing disks wedges on an S(1,1) sphere,
+    # and the remaining extension splits off a second one.
+    ("AT11", NONFREE, False): ((), Decomposition({_S11: 2})),
+    ("AT11", NONFREE, True): ((), Decomposition({_S11: 2})),
+    # C(Y) > 0: the top class already sits in weight 1; the pinch wedge
+    # adds one S(1,1)M2 and the new circle one S(1,0)M2.
+    ("AT10", NONFREE, False): ((), Decomposition({_S11: 1, _S10: 1})),
+    # C(Y) = 0: the new circle moves the top class from weight 2 to
+    # weight 1; the pinch wedge and the nontrivial extension each
+    # contribute one S(1,1)M2.
+    ("AT10", NONFREE, True): ((_S22,), Decomposition({_S11: 2, _S21: 1})),
+    # C(Y) > 0: trading a fixed point for a circle keeps the top class,
+    # and the new circle adds one S(1,0)M2.
+    ("FM", NONFREE, False): ((), Decomposition({_S10: 1})),
+    # C(Y) = 0: trading a fixed point for a circle again rewrites the
+    # top class, with a single new S(1,1)M2 from the extension.
+    ("FM", NONFREE, True): ((_S22,), Decomposition({_S11: 1, _S21: 1})),
+    # An antitube on a free surface makes the action nonfree: its
+    # antipodal top, A2 on a sphere and A1 (+) S(1,0)A1 on a torus, gives
+    # way to the M2 of the new fixed set, the top class S(2,2)M2 (AT11) or
+    # S(2,1)M2 (AT10), and one resp. two tau-periodic columns S(1,0)A0.
+    ("AT11", FREE_SPHERE, True): ((_A2,), Decomposition({_M2: 1, _A0_1: 1, _S22: 1})),
+    ("AT10", FREE_SPHERE, True): ((_A2,), Decomposition({_M2: 1, _A0_1: 1, _S21: 1})),
+    ("AT11", FREE_TORUS, True): ((_A1, _A1_1), Decomposition({_M2: 1, _A0_1: 2, _S22: 1})),
+    ("AT10", FREE_TORUS, True): ((_A1, _A1_1), Decomposition({_M2: 1, _A0_1: 2, _S21: 1})),
+}
 
 
 class TransformError(ValueError):
@@ -78,10 +110,9 @@ def closed_form(pr: InvariantProfile) -> Decomposition:
     if kind == TRIVIAL:
         return Decomposition({_M2: 1, _S10: beta, _S20: 1})
     if kind == FREE_SPHERE:
-        return Decomposition({_A0_1: beta // 2, Summand.antipodal(0, 2): 1})
+        return Decomposition({_A0_1: beta // 2, _A2: 1})
     if kind == FREE_TORUS:
-        return Decomposition({_A0_1: (beta - 2) // 2, Summand.antipodal(0, 1): 1,
-                              Summand.antipodal(1, 1): 1})
+        return Decomposition({_A0_1: (beta - 2) // 2, _A1: 1, _A1_1: 1})
     if c == 0:
         return Decomposition({_M2: 1, _S11: f - 2, _A0_1: (beta - f) // 2 + 1, _S22: 1})
     return Decomposition({_M2: 1, _S11: f + c - 1, _S10: c - 1,
@@ -99,12 +130,6 @@ def reduced_form(pr: InvariantProfile) -> Decomposition:
     return closed_form(pr).remove(_M2)
 
 
-def _free_at_result(beta_y: int, top: Summand) -> Decomposition:
-    # Attaching either antitube to a free surface yields
-    # M2 (+) (S(1,0)A0)^((beta+2)/2) (+) the top summand.
-    return Decomposition({_M2: 1, _A0_1: (beta_y + 2) // 2, top: 1})
-
-
 @lru_cache(maxsize=64, typed=True)
 def _plus_a0(k: int) -> Decomposition:
     """The addend of CS(Y) with beta(Y) = k: (S(1,0)A0)^k.  Typed, so a
@@ -120,51 +145,28 @@ def transform(d_y: Decomposition, pr_y: InvariantProfile, op: Op) -> Decompositi
     propagates, which ``transform`` calls on the two illegal steps only.
     This is a validation device for the closed formulas, not a general
     module functor: each rule is exactly the incremental statement proved
-    by the corresponding cofiber sequence.
+    by the corresponding cofiber sequence.  A summand a rule removes and
+    ``d_y`` lacks raises TransformError.
     """
-    kind = pr_y.kind
-    if kind == TRIVIAL:
-        _refuse(pr_y, op)
-    free_kind = kind in (FREE_SPHERE, FREE_TORUS)
+    kind, _, f, c = pr_y
     token = op.token
-
-    if token in ("CS", "DCC"):
+    if kind == TRIVIAL or (token == "FM" and f == 0):
+        _refuse(pr_y, op)
+    if token == "CS":
         # Connected summing glues two conjugate copies of a punctured Y:
         # each singular 1-class of the glued surface contributes one
         # tau-periodic column in dimension one.
-        if token == "DCC":
-            return d_y.direct_sum(_PLUS_A0)
         return d_y.direct_sum(_plus_a0(op.surface.beta))
-
-    if token == "AT11":
-        if free_kind:
-            if d_y != closed_form(pr_y):
-                raise TransformError("antitube rule needs the closed-form input")
-            return _free_at_result(pr_y.beta, _S22)
-        # Pinching the conjugate gluing disks wedges on an S(1,1) sphere,
-        # and the remaining extension splits off a second one.
-        return d_y.direct_sum(_PLUS_2_S11)
-
-    if token == "AT10":
-        if free_kind:
-            if d_y != closed_form(pr_y):
-                raise TransformError("antitube rule needs the closed-form input")
-            return _free_at_result(pr_y.beta, _S21)
-        if pr_y.fixed_circles >= 1:
-            return d_y.direct_sum(_PLUS_S11_S10)
-        # C(Y) = 0: the new circle moves the top class from weight 2 to
-        # weight 1; the pinch wedge and the nontrivial extension each
-        # contribute one S(1,1)M2.
-        return _swap_top(d_y, add=_TOP_AT10)
-
-    # The last token an Op can have: FM.
-    if pr_y.fixed_points == 0:
-        _refuse(pr_y, op)
-    if pr_y.fixed_circles >= 1:
-        return d_y.direct_sum(_PLUS_S10)
-    # C(Y) = 0: trading a fixed point for a circle again rewrites the
-    # top class, with a single new S(1,1)M2 from the extension.
-    return _swap_top(d_y, add=_TOP_FM)
+    if token == "DCC":
+        return d_y.direct_sum(_PLUS_A0)
+    remove, add = _RULES[token, kind, c == 0]
+    for s in remove:
+        try:
+            d_y = d_y.remove(s)
+        except KeyError:
+            raise TransformError(f"{token} must remove {s}, which the input lacks:"
+                                 " it is not in closed-form shape") from None
+    return d_y.direct_sum(add)
 
 
 def _refuse(pr_y: InvariantProfile, op: Op) -> NoReturn:
@@ -172,11 +174,3 @@ def _refuse(pr_y: InvariantProfile, op: Op) -> NoReturn:
     rule for; a step ``apply_op`` takes has a rule, so it never returns."""
     apply_op(pr_y, op)
     raise TransformError(f"no rewrite rule for op {op.token!r}")
-
-
-def _swap_top(d_y: Decomposition, add: Decomposition) -> Decomposition:
-    try:
-        trimmed = d_y.remove(_S22)
-    except KeyError:
-        raise TransformError("rule must remove S(2,2)M2 but the input has none") from None
-    return trimmed.direct_sum(add)

@@ -32,8 +32,9 @@ Everything here is pure and immutable.  The value types are
 ``NamedTuple``s: they hash and compare like plain tuples, and the ones
 with a rule to keep check it in ``__new__``, which ``_replace`` and
 ``_make`` go through too: a ``ClosedSurface`` has a valid genus, an
-``InvariantProfile`` is realizable, and a ``Base`` or ``Op`` has a known
-token, with a surface exactly when it is ``triv`` or ``CS``.  The plain
+``InvariantProfile`` is realizable, a ``Base`` or ``Op`` has a known
+token, with a surface exactly when it is ``triv`` or ``CS``, and a
+``SurgeryWord`` is a ``Base`` and a tuple of ``Op``s.  The plain
 bases and ops are built once, in tables, and ``parse_word`` reads each
 other piece once, into a bounded memo.  A surgery is one step on the
 integer fields ``(kind, beta, F, C)``, taken once per op: ``apply_op``
@@ -180,9 +181,30 @@ class Op(_Piece):
     _WITH_SURFACE, _PLAIN, _FORMAT = "CS", ("AT11", "AT10", "FM", "DCC"), "CS({})"
 
 
-class SurgeryWord(NamedTuple):
+class _WordFields(NamedTuple):
     base: Base
     ops: tuple[Op, ...] = ()
+
+
+class SurgeryWord(_WordFields):
+    """A ``Base`` and a tuple of ``Op``s; anything else is a ValueError that
+    names it, never coerced (a list of ops included)."""
+
+    __slots__ = ()
+
+    def __new__(cls, base: Base, ops: tuple[Op, ...] = ()) -> "SurgeryWord":
+        if not isinstance(base, Base):
+            raise ValueError(f"a word's base must be a Base, got {base!r}")
+        if type(ops) is not tuple:
+            raise ValueError(f"a word's ops must be a tuple, got {ops!r}")
+        for op in ops:
+            if not isinstance(op, Op):
+                raise ValueError(f"a word's op must be an Op, got {op!r}")
+        return tuple.__new__(cls, (base, ops))
+
+    @classmethod
+    def _make(cls, iterable) -> "SurgeryWord":
+        return cls(*iterable)
 
     def __str__(self) -> str:
         return " + ".join([str(self.base)] + [str(op) for op in self.ops])

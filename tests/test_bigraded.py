@@ -449,3 +449,13 @@ def test_render_grid_matches_the_naive_grid(d, window):
     c2surf.bigraded._grid_cells.cache_clear()
     assert render_grid(d, p_range, q_range) == want    # every table cold
     assert render_grid(d, p_range, q_range) == want    # every table warm
+
+
+def test_grid_memo_holds_one_range_per_row():
+    # An entry grows with the window's rows, not its cells: M2 over the
+    # largest window the CLI draws (316 x 316) is one run in each weight
+    # but -1, where it is zero.
+    rows = c2surf.bigraded._grid_cells(Summand.free(0, 0), -158, 157, -158, 157)
+    assert len(rows) == 315 and all(type(r) is range and r for r in rows)
+    assert sum(map(len, rows)) == sum(
+        len(Summand.free(0, 0).row_support(q)) for q in range(-158, 158))

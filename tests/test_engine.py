@@ -1,11 +1,14 @@
 """Closed formulas, the reduced flag, and the incremental rewrite rules."""
 
+from collections import Counter
+
 import pytest
 
 import c2surf.surfaces
 from c2surf.bigraded import Decomposition, Summand
 from c2surf.checks import verify_decomposition
 from c2surf.engine import (
+    _RULES,
     TransformError,
     _plus_a0,
     closed_form,
@@ -260,6 +263,43 @@ def test_transform_rejects_malformed_inputs():
     free2 = InvariantProfile(FREE_SPHERE, 2)
     with pytest.raises(TransformError, match="closed-form"):
         transform(Decomposition([M2]), free2, Op("AT11"))
+
+
+def test_transform_rewrites_a_free_input_that_holds_the_antipodal_top():
+    # A free antitube removes the antipodal top and adds fixed summands, so
+    # an input that holds the top but is not in closed form is rewritten,
+    # not refused; a fold's comparison with closed_form still catches it.
+    free2 = InvariantProfile(FREE_SPHERE, 2)
+    extra = Decomposition([S11])
+    out = transform(closed_form(free2) + extra, free2, Op("AT11"))
+    assert out == closed_form(apply_op(free2, Op("AT11"))) + extra
+
+
+def test_rule_table_covers_exactly_the_legal_cells_with_the_closed_form_increment():
+    # _RULES has a cell (token, kind, C == 0) for each one where apply_op
+    # takes an antitube or FM, and no other, and on every such step from a
+    # profile with beta <= 40 what a rule adds less what it removes is
+    # closed_form's increment, compared as counts.
+    legal = set()
+    steps = 0
+    for pr in enumerate_profiles(40):
+        before = dict(closed_form(pr).items())
+        for op in (Op("AT11"), Op("AT10"), Op("FM")):
+            try:
+                after = closed_form(apply_op(pr, op))
+            except WordError:
+                continue
+            key = (op.token, pr.kind, pr.fixed_circles == 0)
+            legal.add(key)
+            removed, added = _RULES[key]
+            increment = Counter(dict(added.items()))
+            increment.subtract(removed)
+            want = Counter(dict(after.items()))
+            want.subtract(before)
+            assert increment == want, (pr, op)
+            steps += 1
+    assert set(_RULES) == legal
+    assert steps == 10477
 
 
 ALL_OPS = [Op("AT11"), Op("AT10"), Op("FM"), Op("DCC"),

@@ -143,6 +143,28 @@ def test_bases_and_ops_are_valid_by_construction(make, args, message):
         good._replace(**dict(zip(make._fields, args + (None,))))
 
 
+@pytest.mark.parametrize("args, message", [
+    (("S22",), "a word's base must be a Base, got 'S22'"),
+    ((Op("FM"),), "a word's base must be a Base, got Op(token='FM'"),
+    ((Base("S22"), ("FM",)), "a word's op must be an Op, got 'FM'"),
+    ((Base("S22"), (Op("FM"), Base("S21"))), "a word's op must be an Op, got Base(token='S21'"),
+    ((Base("S22"), [Op("FM")]), "a word's ops must be a tuple, got [Op(token='FM'"),
+    ((Base("S22"), Op("FM")), "a word's ops must be a tuple, got Op(token='FM'"),
+])
+def test_words_are_valid_by_construction(args, message):
+    # A word is folded by the fields of its pieces, so a string or a list
+    # would reach an AttributeError, or print as a valid word: construction,
+    # _make and _replace name it instead, and never coerce a list.
+    message = re.escape(message)
+    with pytest.raises(ValueError, match=message):
+        SurgeryWord(*args)
+    with pytest.raises(ValueError, match=message):
+        SurgeryWord._make(args + ((),) * (2 - len(args)))
+    good = SurgeryWord(Base("S22"), (Op("FM"),))
+    with pytest.raises(ValueError, match=message):
+        good._replace(**dict(zip(SurgeryWord._fields, args)))
+
+
 # -- invariant folding --------------------------------------------------------
 
 

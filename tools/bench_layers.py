@@ -1,10 +1,12 @@
-"""Time the layers of c2surf and write them to BENCH_22.json.
+"""Time the layers of c2surf and write them to BENCH_23.json.
 
 Run from anywhere, with no arguments, on the source of this checkout:
 
     python3 tools/bench_layers.py
 
-Each figure is the minimum, in seconds, of 7 repeats of:
+Each row is timed 7 times.  ``timings`` holds the minimum of the 7, in
+seconds, and ``spread`` their first and third quartiles (the second and
+sixth of the 7, sorted), so a row's noise shows next to it.  The rows are:
 
 * ``profiles_by_words(20)``, ``(40)`` and ``(80)``: the catalog's rows,
   the inequality scan with one closed-form witness word per profile;
@@ -49,6 +51,7 @@ import contextlib
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
@@ -56,7 +59,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-OUT = ROOT / "BENCH_22.json"
+OUT = ROOT / "BENCH_23.json"
 REPEATS = 7
 
 sys.path.insert(0, str(SRC))
@@ -88,14 +91,14 @@ CHECKS = (check_quotient_row, check_rho_localization, check_forgetful_les,
           check_top_class, check_beta_recovery)
 
 
-def best_of(fn) -> float:
-    """The shortest of ``REPEATS`` timed calls of ``fn``, in seconds."""
+def repeats(fn) -> list[float]:
+    """``REPEATS`` timed calls of ``fn``, in seconds."""
     times = []
     for _ in range(REPEATS):
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
-    return min(times)
+    return times
 
 
 def verify_all(cases) -> None:
@@ -165,14 +168,14 @@ def tally_all(cases) -> None:
 
 
 def check_rows(cases) -> dict:
-    """Each check alone, timed over the tallies of ``cases``."""
+    """Each check alone, repeated over the tallies of ``cases``."""
     tallied = [(tally(d), pr) for d, pr in cases]
     rows = {}
     for check in CHECKS:
         def run(check=check):
             for t, pr in tallied:
                 check(t, pr)
-        rows[f"{check.__name__} x{len(tallied)} mutant tallies"] = best_of(run)
+        rows[f"{check.__name__} x{len(tallied)} mutant tallies"] = repeats(run)
     return rows
 
 
@@ -213,27 +216,30 @@ def main() -> None:
     wrong = mutants()
     if len(wrong) != 33228:
         raise AssertionError(f"expected 33228 mutants with beta <= 8, got {len(wrong)}")
-    timings = {
-        "profiles_by_words(20)": best_of(lambda: profiles_by_words(20)),
-        "profiles_by_words(40)": best_of(lambda: profiles_by_words(40)),
-        "profiles_by_words(80)": best_of(lambda: profiles_by_words(80)),
-        "parse_word x614 witness words (beta <= 20)": best_of(lambda: parse_all(texts)),
-        "transform fold x614 witness words (beta <= 20)": best_of(lambda: fold_all(words)),
-        "verify_decomposition x614 (beta <= 20)": best_of(lambda: verify_all(cases)),
-        "verify_decomposition x33228 mutants (beta <= 8)": best_of(lambda: reject_all(wrong)),
-        "expected x614 (beta <= 20, cold)": best_of(lambda: expected_cold(cases)),
-        "tally x33228 mutants": best_of(lambda: tally_all(wrong)),
+    runs = {
+        "profiles_by_words(20)": repeats(lambda: profiles_by_words(20)),
+        "profiles_by_words(40)": repeats(lambda: profiles_by_words(40)),
+        "profiles_by_words(80)": repeats(lambda: profiles_by_words(80)),
+        "parse_word x614 witness words (beta <= 20)": repeats(lambda: parse_all(texts)),
+        "transform fold x614 witness words (beta <= 20)": repeats(lambda: fold_all(words)),
+        "verify_decomposition x614 (beta <= 20)": repeats(lambda: verify_all(cases)),
+        "verify_decomposition x33228 mutants (beta <= 8)": repeats(lambda: reject_all(wrong)),
+        "expected x614 (beta <= 20, cold)": repeats(lambda: expected_cold(cases)),
+        "tally x33228 mutants": repeats(lambda: tally_all(wrong)),
         **check_rows(wrong),
-        "catalog 40 (in-process)": best_of(catalog_40),
-        "python -m c2surf compute S22 (cold)": best_of(cold_compute),
+        "catalog 40 (in-process)": repeats(catalog_40),
+        "python -m c2surf compute S22 (cold)": repeats(cold_compute),
     }
+    timings = {name: min(times) for name, times in runs.items()}
+    spread = {name: statistics.quantiles(times, n=4)[::2] for name, times in runs.items()}
     nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     record = {"commit": commit(), "python": platform.python_version(), "nproc": nproc,
               "src_lines": src_lines(), "repeats": REPEATS, "statistic": "min", "unit": "s",
-              "timings": timings}
+              "timings": timings, "spread": spread}
     OUT.write_text(json.dumps(record, indent=2) + "\n")
     for name, seconds in timings.items():
-        print(f"{name:48s} {seconds * 1e3:10.2f} ms")
+        q1, q3 = spread[name]
+        print(f"{name:48s} {seconds * 1e3:10.2f} ms   (q1 {q1 * 1e3:.2f}, q3 {q3 * 1e3:.2f})")
     print(f"{'src/c2surf/*.py lines':48s} {record['src_lines']:10d}")
     print(f"wrote {OUT}")
 
