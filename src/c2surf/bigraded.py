@@ -84,18 +84,25 @@ class Summand(_SummandFields):
     ``Summand(Bidegree(p, q))`` is the suspension by (p, q) of the point
     module; ``Summand(Bidegree(p, q), n)`` the suspension of A_n.  Since
     tau is invertible on A_n, a weight shift of an antipodal summand is
-    isomorphic to the unshifted one, so construction sets its q to 0:
-    every instance is the canonical representative of its class.
+    isomorphic to the unshifted one, so construction sets its q to 0 (and
+    makes a plain (p, q) a ``Bidegree``): each instance is canonical.
     """
 
     __slots__ = ()
 
     def __new__(cls, shift: Bidegree, n: int | None = None) -> "Summand":
+        p, q = shift
+        # Ints, never bools, as in ``validate_profile``; exact ints skip the loop.
+        if not (type(p) is int and type(q) is int and (n is None or type(n) is int)):
+            for value in (p, q) if n is None else (p, q, n):
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise ValueError(f"summand shift and index must be integers, got {value!r}")
         if n is not None:
             if n < 0:
                 raise ValueError("antipodal index must be a natural number")
-            if shift[1]:
-                shift = Bidegree(shift[0], 0)
+            q = 0
+        if type(shift) is not Bidegree or shift[1] != q:
+            shift = Bidegree(p, q)
         return tuple.__new__(cls, (shift, n))
 
     @classmethod
@@ -305,14 +312,21 @@ class Decomposition:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Decomposition":
-        """Inverse of ``to_json_obj``; each count must be a natural number
-        (ValueError otherwise), and repeated entries add up."""
+        """Inverse of ``to_json_obj``; repeated entries add up.  A key but
+        ``free`` and ``antipodal``, an entry not of three values, a non-int
+        shift or index and a count not natural are a ValueError naming them."""
+        unknown = sorted(map(repr, set(obj) - {"free", "antipodal"}))
+        if unknown:
+            raise ValueError(f"unknown decomposition key(s) {', '.join(unknown)}"
+                             " (want free, antipodal)")
         counts = {}
-        entries = [(Summand.free(p, q), c) for p, q, c in obj.get("free", ())]
-        entries += [(Summand.antipodal(p, n), c) for p, n, c in obj.get("antipodal", ())]
-        for s, c in entries:
-            _check_multiplicity(c)
-            counts[s] = counts.get(s, 0) + c
+        for key, make in (("free", Summand.free), ("antipodal", Summand.antipodal)):
+            for entry in obj.get(key, ()):
+                if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+                    raise ValueError(f"bad {key} entry {entry!r} (want three values)")
+                s, c = make(entry[0], entry[1]), entry[2]
+                _check_multiplicity(c)
+                counts[s] = counts.get(s, 0) + c
         return cls(counts)
 
 

@@ -34,10 +34,8 @@ walks its locations only when the two differ, to report them:
   the surface's Betti numbers (1, beta, 1).  A wrong count at p fails at
   every q alike, so it is one fact, reported once, at location ``p=<p>``,
   for each p in the p range of ``DEFAULT_LES_WINDOW``.
-* top class      -- the free summands in topological dimension >= 2: a
-  nonfree closed surface has exactly one, in weight 1 if some circle is
-  fixed, weight 2 if only points are, weight 0 if the action is trivial;
-  a free action has none, as it has no free summands at all.
+* top class      -- the free summands in topological dimension >= 2, per
+  shift, against ``_TOPS`` of the profile's cell (``surfaces.cell``).
 * beta recovery  -- dimension-one generator count: the p = 1 entry of the
   same per-p count of underlying classes, against beta.
 
@@ -57,10 +55,7 @@ A violation reports counts, never one list entry per summand: rho
 localization as sorted ``[k, count]`` pairs, the top class as sorted
 ``[p, q, count]`` triples, the shape of the decomposition wire format.
 Those two, and beta recovery, make one report each; the forgetful LES
-walks every p of its window.  Reports (``Violation``) and tallies
-(``Tally``) are built by ``tuple.__new__`` of their class, not through
-the Python-level ``__new__`` that ``NamedTuple`` generates, since neither
-has a rule to enforce; the location texts come from bounded memos.
+walks every p of its window.
 """
 
 from __future__ import annotations
@@ -73,11 +68,14 @@ from typing import NamedTuple
 from .bigraded import Bidegree, Decomposition, Summand
 from .engine import closed_form
 from .surfaces import (
+    FREE_SPHERE,
+    FREE_TORUS,
     NONFREE,
     TRIVIAL,
     InvariantProfile,
     SingProfile,
     SurgeryWord,
+    cell,
     fixed_sing,
     invariants,
     quotient_sing,
@@ -127,12 +125,8 @@ DEFAULT_LES_WINDOW = Window(-2, 6, -8, 8)
 
 
 class Violation(NamedTuple):
-    """One failed identity: the check, where it failed, and both sides.
-
-    A ``NamedTuple``, so a ``Violation`` equals the plain 4-tuple
-    ``(check, location, expected, actual)``, as a ``Bidegree`` equals its
-    ``(p, q)``.
-    """
+    """One failed identity: the check, where it failed, and both sides; it
+    equals the plain 4-tuple ``(check, location, expected, actual)``."""
 
     check: str
     location: str
@@ -192,7 +186,7 @@ def _reads(s: Summand) -> tuple[range, int | None, Bidegree | None,
 
 
 def tally(d: Decomposition) -> Tally:
-    """Every count the checks compare, in one pass over the summands."""
+    """Every count the checks compare, in one pass over ``d.items()``."""
     row: dict[int, int] = {}
     free: dict[int, int] = {}
     tops: dict[Bidegree, int] = {}
@@ -218,32 +212,26 @@ def _counts(sing: SingProfile) -> dict[int, int]:
     return {p: h for p, h in enumerate(sing) if h}
 
 
-# The four top-class tables of ``expected``, shared like ``_counts``'s.
-_TOPS_TRIVIAL = {Bidegree(2, 0): 1}
-_TOPS_FREE: dict[Bidegree, int] = {}
-_TOPS_CIRCLES = {Bidegree(2, 1): 1}
-_TOPS_POINTS = {Bidegree(2, 2): 1}
+# The top-class table of ``expected``, per cell: a nonfree surface has one
+# free summand with p >= 2, in weight 1 if some circle is fixed and weight
+# 2 if only points are; a trivial action one in weight 0; a free action
+# none, as it has no free summands at all.
+_TOPS = {
+    (TRIVIAL, True): {Bidegree(2, 0): 1},
+    (FREE_SPHERE, True): {},
+    (FREE_TORUS, True): {},
+    (NONFREE, True): {Bidegree(2, 2): 1},
+    (NONFREE, False): {Bidegree(2, 1): 1},
+}
 
 
 @lru_cache(maxsize=1024)
 def expected(pr: InvariantProfile) -> Tally:
     """The tally that a correct answer for ``pr`` has: the orbit space's
-    Betti numbers as ``row``, the fixed set's as ``free``, the top class
-    rule as ``tops`` and the surface's as ``classes``.  A nonfree surface
-    has one free summand with p >= 2, in weight 1 if some circle is fixed
-    and weight 2 if only points are; a trivial action one in weight 0; a
-    free action none.  Keyed by the profile, so a repeated profile reads
-    its tables instead of rebuilding them; every caller shares them, so
-    they are read, never changed."""
-    if pr.kind == TRIVIAL:
-        tops = _TOPS_TRIVIAL
-    elif pr.kind != NONFREE:
-        tops = _TOPS_FREE
-    elif pr.fixed_circles > 0:
-        tops = _TOPS_CIRCLES
-    else:
-        tops = _TOPS_POINTS
-    return _new(Tally, (_counts(quotient_sing(pr)), _counts(fixed_sing(pr)), tops,
+    Betti numbers as ``row``, the fixed set's as ``free``, ``_TOPS`` of its
+    cell as ``tops`` and the surface's as ``classes``.  A memo keyed by the
+    profile; every caller shares its tables, so they are read, never changed."""
+    return _new(Tally, (_counts(quotient_sing(pr)), _counts(fixed_sing(pr)), _TOPS[cell(pr)],
                         _counts(underlying_sing(pr))))
 
 

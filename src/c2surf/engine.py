@@ -2,39 +2,26 @@
 
 ``closed_form`` emits the full (unreduced) RO(C2)-graded mod-2 Bredon
 cohomology of any realizable invariant profile as a decomposition over
-the point module.  The answers, by kind of action:
+the point module: one entry of ``_CLOSED_FORMS`` per cell (kind, C == 0)
+of ``surfaces.cell``, each summand's count affine in beta, F and C.  The
+profile inequalities make every count a natural number.  The tests prove
+this on each cell for every beta, on symbols, as they prove that
+``checks.expected`` is the tally of each entry and that each ``_RULES``
+entry is the increment between two.
 
-* trivial:        M2 (+) (S(1,0)M2)^beta (+) S(2,0)M2
-                  (the point module tensored with singular cohomology)
-* free sphere:    (S(1,0)A0)^(beta/2) (+) A2
-* free torus:     (S(1,0)A0)^((beta-2)/2) (+) A1 (+) S(1,0)A1
-* nonfree, C = 0: M2 (+) (S(1,1)M2)^(F-2) (+) (S(1,0)A0)^((beta-F)/2+1)
-                  (+) S(2,2)M2
-* nonfree, C > 0: M2 (+) (S(1,1)M2)^(F+C-1) (+) (S(1,0)M2)^(C-1)
-                  (+) (S(1,0)A0)^((beta-F)/2+1-C) (+) S(2,1)M2
-
-The profile inequalities make every exponent a nonnegative integer.
-
-``closed_form`` is a bounded memo (``functools.lru_cache``, thread-safe,
-1024 entries) keyed by the profile itself, a ``NamedTuple`` that hashes
-and compares as its four fields.  Nothing here validates
-a profile: an ``InvariantProfile`` is valid from construction, so its
-fields are a kind name and three ints.  Results are immutable and shared
-between callers.
+``closed_form`` is a bounded, thread-safe memo (1024 entries) keyed by
+the profile, which is valid from construction, so nothing here validates
+it.  Results are immutable and shared between callers.
 
 ``transform`` implements the incremental effect of a single surgery on a
-closed-form-shaped decomposition, as an independent set of rewrite rules;
-folding it along a word must land on ``closed_form`` of the folded
-profile, which is the cross-validation the test suite runs exhaustively.
-Every rule removes fixed summands, one copy each, then adds a fixed
-decomposition; the antitubes' and FM's are one table, ``_RULES``, keyed by
-(op, kind, C == 0).  Every addend is a constant except CS(Y)'s
-(S(1,0)A0)^k, k = beta(Y), from a small memo keyed by k.  ``transform``
-never calls ``closed_form``, nor takes the surgery step on the profile:
-an ``Op`` is valid from construction, so only two steps are illegal (any
-op on a trivial action, FM with F = 0), and it calls ``apply_op`` on
-those alone, for its WordError.  A fold that also calls ``apply_op`` so
-takes each step once.
+closed-form-shaped decomposition, as an independent set of rewrite rules:
+each removes fixed summands, one copy each, then adds a fixed
+decomposition.  The antitubes' and FM's are one table, ``_RULES``, keyed
+by (op, kind, C == 0); CS(Y) adds (S(1,0)A0)^k, k = beta(Y), from a small
+memo keyed by k, and DCC one S(1,0)A0.  ``transform`` never calls
+``closed_form``, nor takes the surgery step: only two steps are illegal
+(any op on a trivial action, FM with F = 0), and it calls ``apply_op`` on
+those alone, for its WordError.
 """
 
 from __future__ import annotations
@@ -52,6 +39,7 @@ from .surfaces import (
     Op,
     ProfileError,
     apply_op,
+    cell,
 )
 
 _M2 = Summand.free(0, 0)
@@ -99,32 +87,33 @@ _RULES = {
 }
 
 
+# closed_form per cell (kind, C == 0): each summand's count in beta, F, C.
+_CLOSED_FORMS = {
+    # The point module tensored with singular cohomology.
+    (TRIVIAL, True): lambda b, f, c: {_M2: 1, _S10: b, _S20: 1},
+    (FREE_SPHERE, True): lambda b, f, c: {_A0_1: b // 2, _A2: 1},
+    (FREE_TORUS, True): lambda b, f, c: {_A0_1: (b - 2) // 2, _A1: 1, _A1_1: 1},
+    (NONFREE, True): lambda b, f, c: {_M2: 1, _S11: f - 2, _A0_1: (b - f) // 2 + 1, _S22: 1},
+    (NONFREE, False): lambda b, f, c: {_M2: 1, _S11: f + c - 1, _S10: c - 1,
+                                       _A0_1: (b - f) // 2 + 1 - c, _S21: 1},
+}
+
+
 class TransformError(ValueError):
     """A rewrite rule applied to a decomposition it does not match."""
 
 
 @lru_cache(maxsize=1024)
 def closed_form(pr: InvariantProfile) -> Decomposition:
-    """The unreduced cohomology decomposition of a profile (memoized)."""
-    kind, beta, f, c = pr
-    if kind == TRIVIAL:
-        return Decomposition({_M2: 1, _S10: beta, _S20: 1})
-    if kind == FREE_SPHERE:
-        return Decomposition({_A0_1: beta // 2, _A2: 1})
-    if kind == FREE_TORUS:
-        return Decomposition({_A0_1: (beta - 2) // 2, _A1: 1, _A1_1: 1})
-    if c == 0:
-        return Decomposition({_M2: 1, _S11: f - 2, _A0_1: (beta - f) // 2 + 1, _S22: 1})
-    return Decomposition({_M2: 1, _S11: f + c - 1, _S10: c - 1,
-                          _A0_1: (beta - f) // 2 + 1 - c, _S21: 1})
+    """The unreduced cohomology decomposition of a profile, from
+    ``_CLOSED_FORMS`` (memoized)."""
+    return Decomposition(_CLOSED_FORMS[cell(pr)](*pr[1:]))
 
 
 def reduced_form(pr: InvariantProfile) -> Decomposition:
-    """The reduced cohomology: the unreduced answer minus one unshifted M2.
-
-    Defined for trivial and nonfree actions only; for free actions the
-    antipodal summands absorb degree zero and there is no M2 to strip.
-    """
+    """The reduced cohomology: the unreduced answer minus one unshifted M2,
+    for trivial and nonfree actions only (a free action's antipodal summands
+    absorb degree zero, and there is no M2 to strip)."""
     if pr.kind in (FREE_SPHERE, FREE_TORUS):
         raise ProfileError("reduced form is not defined for free actions")
     return closed_form(pr).remove(_M2)

@@ -34,16 +34,17 @@ with a rule to keep check it in ``__new__``, which ``_replace`` and
 ``_make`` go through too: a ``ClosedSurface`` has a valid genus, an
 ``InvariantProfile`` is realizable, a ``Base`` or ``Op`` has a known
 token, with a surface exactly when it is ``triv`` or ``CS``, and a
-``SurgeryWord`` is a ``Base`` and a tuple of ``Op``s.  The plain
-bases and ops are built once, in tables, and ``parse_word`` reads each
-other piece once, into a bounded memo.  A surgery is one step on the
-integer fields ``(kind, beta, F, C)``, taken once per op: ``apply_op``
-takes one, ``invariants`` folds a word on them, and both build the
-``InvariantProfile`` they end on through a bounded memo keyed by the four
-fields, so a profile reached again is not validated again.
-The catalog needs no search: ``enumerate_profiles`` scans the
-realizability inequalities, and ``witness`` writes down a shortest word
-for each profile.
+``SurgeryWord`` is a ``Base`` and a tuple of ``Op``s.  The plain bases
+and ops are built once, in tables, and ``parse_word`` reads each other
+piece once, into a bounded memo.  A surgery is one step on the integer
+fields ``(kind, beta, F, C)``, taken once per op: ``apply_op`` takes
+one, ``invariants`` folds a word on them, and both build the
+``InvariantProfile`` they end on through a bounded memo keyed by the
+four fields, so a profile reached again is not validated again.  The
+Betti numbers of the fixed set and the orbit space are read from one
+table each, keyed by ``cell(pr) = (kind, C == 0)``.  The catalog needs
+no search: ``enumerate_profiles`` scans the realizability inequalities,
+and ``witness`` writes down a shortest word for each profile.
 
 >>> invariants(parse_word("S21 + AT10"))
 InvariantProfile(kind='nonfree', beta=2, fixed_points=0, fixed_circles=2)
@@ -461,36 +462,44 @@ def underlying_sing(pr: InvariantProfile) -> SingProfile:
     return SingProfile(1, pr.beta, 1)
 
 
-def fixed_sing(pr: InvariantProfile) -> SingProfile:
-    """Betti numbers of the fixed set.
+def cell(pr: InvariantProfile) -> tuple[str, bool]:
+    """The key ``(kind, C == 0)`` of every per-cell table; five cells are
+    realizable, and on each every table is affine in beta, F and C."""
+    return pr.kind, pr.fixed_circles == 0
 
-    Nonfree: F points and C circles, so (F + C, C, 0).  Free: empty.
-    Trivial: the fixed set is the whole surface.
-    """
-    if pr.kind == TRIVIAL:
-        return underlying_sing(pr)
-    if pr.kind == NONFREE:
-        return SingProfile(pr.fixed_points + pr.fixed_circles, pr.fixed_circles, 0)
-    return SingProfile(0, 0, 0)
+
+# The fixed set per cell: F points and C circles, (F + C, C, 0), if
+# nonfree; empty if free; the whole surface under the trivial action.
+_FIXED_SING = {
+    (TRIVIAL, True): lambda b, f, c: (1, b, 1),
+    (FREE_SPHERE, True): lambda b, f, c: (0, 0, 0),
+    (FREE_TORUS, True): lambda b, f, c: (0, 0, 0),
+    (NONFREE, True): lambda b, f, c: (f + c, c, 0),
+    (NONFREE, False): lambda b, f, c: (f + c, c, 0),
+}
+
+# The orbit space per cell.  Under the trivial action it is the surface.
+# Otherwise chi(X) = 2 chi(X/C2) - chi(fixed set), and chi(fixed set) = F,
+# so chi(X/C2) = (2 - beta + F) / 2, exact as beta = F (mod 2); the C
+# fixed circles become boundary circles of the quotient, so h2 = 1 exactly
+# when C = 0, and h1 = 1 + h2 - chi(X/C2).
+_QUOTIENT_SING = {
+    (TRIVIAL, True): lambda b, f, c: (1, b, 1),
+    (FREE_SPHERE, True): lambda b, f, c: (1, b // 2 + 1, 1),
+    (FREE_TORUS, True): lambda b, f, c: (1, b // 2 + 1, 1),
+    (NONFREE, True): lambda b, f, c: (1, (b - f) // 2 + 1, 1),
+    (NONFREE, False): lambda b, f, c: (1, (b - f) // 2, 0),
+}
+
+
+def fixed_sing(pr: InvariantProfile) -> SingProfile:
+    """Betti numbers of the fixed set, from ``_FIXED_SING``."""
+    return SingProfile(*_FIXED_SING[cell(pr)](*pr[1:]))
 
 
 def quotient_sing(pr: InvariantProfile) -> SingProfile:
-    """Betti numbers of the orbit space.
-
-    For a nontrivial action, chi(X) = 2 chi(X/C2) - chi(fixed set) with
-    chi(fixed set) = F; the C fixed circles become boundary circles of the
-    quotient, so h2 = 1 exactly when C = 0.  For the trivial action the
-    quotient is the surface itself.
-    """
-    if pr.kind == TRIVIAL:
-        return underlying_sing(pr)
-    chi = 2 - pr.beta
-    assert (chi + pr.fixed_points) % 2 == 0
-    chi_q = (chi + pr.fixed_points) // 2
-    h2 = 1 if pr.fixed_circles == 0 else 0
-    h1 = 1 + h2 - chi_q
-    assert h1 >= 0
-    return SingProfile(1, h1, h2)
+    """Betti numbers of the orbit space, from ``_QUOTIENT_SING``."""
+    return SingProfile(*_QUOTIENT_SING[cell(pr)](*pr[1:]))
 
 
 # ---------------------------------------------------------------------------

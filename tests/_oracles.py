@@ -1,7 +1,9 @@
 """Shared independent oracles and golden data for the test suite.
 
 Everything here is deliberately naive: the point is that these paths
-share no code with the implementations they check.
+share no code with the implementations they check.  The exception is
+``Affine`` and ``CELL_PROFILES``: they evaluate the package's own per-cell
+tables on symbols, so that the tests prove the tables for every beta.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from c2surf.bigraded import Bidegree
 from c2surf.checks import DEFAULT_LES_WINDOW, Violation
 from c2surf.surfaces import (
     BASE_TOKENS,
+    FREE_SPHERE,
+    FREE_TORUS,
     KINDS,
     NONFREE,
     TRIVIAL,
@@ -23,6 +27,7 @@ from c2surf.surfaces import (
     ParseError,
     SurgeryWord,
     WordError,
+    _ProfileFields,
     apply_op,
     base_profile,
     fixed_sing,
@@ -176,6 +181,108 @@ def naive_verify(d, pr) -> list[Violation]:
     if recovered != pr.beta:
         out.append(Violation("beta-recovery", "beta", pr.beta, recovered))
     return out
+
+
+class Affine:
+    """An affine form k0 + k1 x + k2 y + k3 z with integer coefficients, in
+    three parameters x, y, z that range over the natural numbers.
+
+    The per-cell tables of ``c2surf`` evaluate on these as on ints, so a
+    profile's fields as forms give every table's answer for every profile
+    of a cell at once.  ``+``, ``-`` and ``*`` by an int are exact; ``// n``
+    divides every coefficient, and raises ArithmeticError unless each is a
+    multiple of n, so a floor is never taken.  ``==`` compares the
+    coefficients with those of the other form, or of an int: two forms
+    that agree on every point have equal coefficients.  A form has no
+    truth value (TypeError), so a table entry that branches on one fails.
+    """
+
+    __slots__ = ("k",)
+
+    def __init__(self, *k: int):
+        self.k = k + (0,) * (4 - len(k))
+
+    @staticmethod
+    def of(v) -> "Affine":
+        """``v`` itself if a form, else the constant form of the int ``v``."""
+        if isinstance(v, Affine):
+            return v
+        assert type(v) is int, v
+        return Affine(v)
+
+    def __add__(self, other) -> "Affine":
+        return Affine(*(a + b for a, b in zip(self.k, Affine.of(other).k)))
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Affine":
+        return Affine(*(-a for a in self.k))
+
+    def __sub__(self, other) -> "Affine":
+        return self + -Affine.of(other)
+
+    def __rsub__(self, other) -> "Affine":
+        return -self + other
+
+    def __mul__(self, n: int) -> "Affine":
+        assert type(n) is int, n
+        return Affine(*(a * n for a in self.k))
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, n: int) -> "Affine":
+        if any(a % n for a in self.k):
+            raise ArithmeticError(f"({self}) // {n} is not exact")
+        return Affine(*(a // n for a in self.k))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is int:
+            other = Affine(other)
+        return isinstance(other, Affine) and self.k == other.k
+
+    __hash__ = None
+
+    def __bool__(self):
+        raise TypeError(f"the form {self} has no truth value")
+
+    def nonnegative(self) -> bool:
+        """Nonnegative at every point: a negative constant fails at 0, a
+        negative coefficient far out along its parameter."""
+        return min(self.k) >= 0
+
+    def at(self, x: int, y: int, z: int) -> int:
+        k0, k1, k2, k3 = self.k
+        return k0 + k1 * x + k2 * y + k3 * z
+
+    def __repr__(self) -> str:
+        terms = [f"{a}{name}" for a, name in zip(self.k, ("", "x", "y", "z")) if a]
+        return " + ".join(terms) or "0"
+
+
+X, Y, Z = Affine(0, 1), Affine(0, 0, 1), Affine(0, 0, 0, 1)
+_0 = Affine(0)
+
+# The profiles of each realizable cell (kind, C == 0), with beta, F and C
+# as forms in x, y, z >= 0: every point is a profile of the cell, and
+# every profile of the cell is one point (``validate_profile``'s
+# inequalities, solved; the tests compare both sides up to a beta bound).
+# Free: beta even, and >= 2 on a torus.  Nonfree, C = 0: F even and >= 2,
+# beta >= F - 2, beta = F (mod 2).  Nonfree, C > 0: beta >= F + 2C - 2,
+# beta = F (mod 2).
+CELL_PROFILES = {
+    (TRIVIAL, True): _ProfileFields(TRIVIAL, X, _0, _0),
+    (FREE_SPHERE, True): _ProfileFields(FREE_SPHERE, 2 * X, _0, _0),
+    (FREE_TORUS, True): _ProfileFields(FREE_TORUS, 2 * X + 2, _0, _0),
+    (NONFREE, True): _ProfileFields(NONFREE, 2 * X + 2 * Y, 2 * Y + 2, _0),
+    (NONFREE, False): _ProfileFields(NONFREE, 2 * X + Y + 2 * Z, Y, Z + 1),
+}
+
+
+def nonzero(counts) -> dict:
+    """A count table with forms or ints as values, as forms, without the
+    ones that are zero at every point: the table a tally keeps."""
+    out = {key: Affine.of(v) for key, v in dict(counts).items()}
+    return {key: v for key, v in out.items() if v != 0}
 
 
 def naive_render_grid(d, p_range, q_range) -> str:

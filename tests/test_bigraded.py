@@ -3,6 +3,7 @@
 import doctest
 import hashlib
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -372,6 +373,11 @@ def test_value_types_keep_their_semantics():
     assert POINT.dim_at((0, -2)) == POINT.dim_at(Bidegree(0, -2)) == 1
     with pytest.raises(ValueError):
         Summand.antipodal(0, -1)
+    assert type(Summand((1, 2)).shift) is Bidegree and str(Summand((1, 2))) == "S(1,2)M2"
+    for make, bad in ((lambda: Summand.free(1.5, 0), "1.5"), (lambda: Summand.antipodal(0, True), "True"),
+                      (lambda: Summand(Bidegree("0", 0)), "'0'")):
+        with pytest.raises(ValueError, match=re.escape(bad)):
+            make()
     with pytest.raises(AttributeError):
         Bidegree(1, 2).p = 3
     with pytest.raises(AttributeError):
@@ -398,7 +404,12 @@ def test_json_round_trip():
     assert Decomposition.from_json_obj({"free": [[0, 0, 1], [0, 0, 2]]}) == Decomposition(
         [Summand.free(0, 0)] * 3)
     for bad in ({"free": [[0, 0, 2.5]]}, {"antipodal": [[1, 0, -1]]}, {"free": [[0, 0, True]]},
-                {"free": [[0, 0, "1"]]}, {"free": [[0, 0, 2], [0, 0, -1]]}):
+                {"free": [[0, 0, "1"]]}, {"free": [[0, 0, 2], [0, 0, -1]]},
+                {"Free": [[0, 0, 1]]}, {"free": [[0, 0, 1]], "extra": 1}, {"extra": 1},
+                {"free": [[0, 0]]}, {"antipodal": [[1, 0, 1, 1]]}, {"free": [5]},
+                {"free": [[1.5, 0, 1]]}, {"free": [[0, 2.0, 1]]}, {"antipodal": [[0, 1.0, 1]]},
+                {"free": [[True, 0, 1]]}, {"antipodal": [[0, True, 1]]},
+                {"free": [["0", 0, 1]]}, {"antipodal": [[1, "0", 1]]}):
         with pytest.raises(ValueError):
             Decomposition.from_json_obj(bad)
 

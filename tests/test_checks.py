@@ -4,7 +4,7 @@ top class, beta recovery, and their sensitivity to corruption."""
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from _oracles import naive_forgetful_les, naive_verify
+from _oracles import CELL_PROFILES, Affine, naive_forgetful_les, naive_verify, nonzero
 from c2surf import checks
 from c2surf.bigraded import Bidegree, Decomposition, Summand
 from c2surf.checks import (
@@ -23,13 +23,14 @@ from c2surf.checks import (
     verify_profile,
     verify_word,
 )
-from c2surf.engine import closed_form
+from c2surf.engine import _CLOSED_FORMS, closed_form
 from c2surf.surfaces import (
     FREE_SPHERE,
     NONFREE,
     TRIVIAL,
     InvariantProfile,
     SingProfile,
+    cell,
     enumerate_profiles,
     parse_word,
     underlying_sing,
@@ -279,6 +280,21 @@ def test_expected_is_the_tally_of_the_closed_form():
     assert len(profiles) == 3624
     for pr in profiles:
         assert expected(pr) == tally(closed_form(pr)), pr
+
+
+def test_expected_is_the_tally_of_the_closed_form_on_every_cell():
+    # The proof of the sweep above for every beta, on each cell's symbolic
+    # profile: the closed-form table's counts are natural numbers, each
+    # "// 2" is exact, and their tally, each summand read through the real
+    # _reads, has the four tables expected reads, key for key.
+    for key, pr in CELL_PROFILES.items():
+        counts = _CLOSED_FORMS[cell(pr)](*pr[1:])
+        assert all(Affine.of(c).nonnegative() for c in counts.values()), key
+        got = tally(counts)
+        want = (enumerate(checks.quotient_sing(pr)), enumerate(checks.fixed_sing(pr)),
+                checks._TOPS[cell(pr)], enumerate(checks.underlying_sing(pr)))
+        for name, table, table_want in zip(Tally._fields, got, want):
+            assert nonzero(table) == nonzero(table_want), (key, name)
 
 
 def test_equal_profiles_share_one_expected_tally():

@@ -420,14 +420,15 @@ def test_parser_built_from_the_table_keeps_every_help_text(monkeypatch):
 
 
 def test_import_loads_no_dataclasses():
-    # dataclasses pulls in inspect and ast: milliseconds at every start.
-    # -S keeps a site .pth file from importing it first.
+    # dataclasses pulls in inspect and ast, fractions pulls in decimal:
+    # milliseconds at every start.  -S keeps a site .pth file from
+    # importing one first.
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
-         "import c2surf.cli, sys; print('dataclasses' in sys.modules)"],
+         "import c2surf.cli, sys; print('dataclasses' in sys.modules, 'fractions' in sys.modules)"],
         capture_output=True, text=True, env=env)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False False\n", "")
 
 
 # SHA-256 of the exit code and stdout of every call of ``correct_requests``

@@ -5,9 +5,11 @@ from collections import Counter
 import pytest
 
 import c2surf.surfaces
+from _oracles import CELL_PROFILES, Affine, nonzero
 from c2surf.bigraded import Decomposition, Summand
 from c2surf.checks import verify_decomposition
 from c2surf.engine import (
+    _CLOSED_FORMS,
     _RULES,
     TransformError,
     _plus_a0,
@@ -25,8 +27,11 @@ from c2surf.surfaces import (
     Op,
     ProfileError,
     WordError,
+    _ProfileFields,
+    _step,
     apply_op,
     base_profile,
+    cell,
     enumerate_profiles,
     invariants,
     parse_word,
@@ -300,6 +305,36 @@ def test_rule_table_covers_exactly_the_legal_cells_with_the_closed_form_incremen
             steps += 1
     assert set(_RULES) == legal
     assert steps == 10477
+
+
+def test_every_rule_is_the_closed_form_increment_on_every_cell():
+    # The proof of the sweep above for every beta: from each cell's
+    # symbolic profile, the real _step takes an antitube or FM exactly on
+    # the keys of _RULES, the closed form holds every summand its rule
+    # removes, and what the rule adds less what it removes is the closed
+    # form's increment, with each "// 2" exact.  FM from a cell with C > 0
+    # is taken on F = 0 too; an identity of forms holds on F >= 1 all the
+    # same.
+    legal = set()
+    for key, pr in CELL_PROFILES.items():
+        before = _CLOSED_FORMS[key](*pr[1:])
+        for op in (Op("AT11"), Op("AT10"), Op("FM")):
+            try:
+                fields = _step(*pr, op)
+            except WordError:
+                continue
+            rule = (op.token, pr.kind, pr.fixed_circles == 0)
+            legal.add(rule)
+            removed, added = _RULES[rule]
+            increment = dict(added.items())
+            for s in removed:
+                assert (Affine.of(before.get(s, 0)) - 1).nonnegative(), (rule, s)
+                increment[s] = increment.get(s, 0) - 1
+            change = dict(_CLOSED_FORMS[cell(_ProfileFields(*fields))](*fields[1:]))
+            for s, c in before.items():
+                change[s] = change.get(s, 0) - c
+            assert nonzero(increment) == nonzero(change), rule
+    assert legal == set(_RULES)
 
 
 ALL_OPS = [Op("AT11"), Op("AT10"), Op("FM"), Op("DCC"),

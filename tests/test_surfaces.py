@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import c2surf.surfaces
-from _oracles import naive_parse_word, search_profiles_by_words
-from c2surf.checks import Window
+from _oracles import CELL_PROFILES, Affine, naive_parse_word, search_profiles_by_words
+from c2surf.checks import _TOPS, Window
+from c2surf.engine import _CLOSED_FORMS, _RULES
 from c2surf.surfaces import (
     FREE_SPHERE,
     FREE_TORUS,
@@ -28,7 +29,10 @@ from c2surf.surfaces import (
     SurgeryWord,
     WordError,
     apply_op,
+    _FIXED_SING,
+    _QUOTIENT_SING,
     base_profile,
+    cell,
     enumerate_profiles,
     fixed_sing,
     invariants,
@@ -477,6 +481,61 @@ def test_quotient_h1_for_free_actions():
         assert quotient_sing(InvariantProfile(FREE_SPHERE, beta)).h1 == beta // 2 + 1
         if beta >= 2:
             assert quotient_sing(InvariantProfile(FREE_TORUS, beta)).h1 == beta // 2 + 1
+
+
+def test_orbit_space_euler_characteristic_on_every_cell():
+    # A proof for every profile, on each cell's symbolic one: the orbit
+    # space's and the fixed set's Betti numbers are natural numbers, chi(X)
+    # = 2 chi(X/C2) - chi(fixed set), the fixed set's chi is F (the whole
+    # surface under the trivial action), and X/C2 is connected, with h2 = 1
+    # exactly when C = 0; each "// 2" of the tables is exact.
+    def chi(s):
+        return s.h0 - s.h1 + s.h2
+
+    for key, pr in CELL_PROFILES.items():
+        quotient, fixed, surface = quotient_sing(pr), fixed_sing(pr), underlying_sing(pr)
+        assert all(Affine.of(h).nonnegative() for h in quotient + fixed), key
+        assert chi(surface) == 2 * chi(quotient) - chi(fixed), key
+        assert (quotient.h0, quotient.h2) == (1, 1 if pr.fixed_circles == 0 else 0), key
+        if pr.kind == TRIVIAL:
+            assert quotient == fixed == surface
+        else:
+            assert chi(fixed) == pr.fixed_points, key
+
+
+# -- cells ----------------------------------------------------------------------
+
+
+def test_every_cell_table_has_the_five_realizable_cells():
+    # closed_form, fixed_sing, quotient_sing and expected's top class each
+    # read one table keyed by cell(pr), and each has exactly the cells that
+    # realizable profiles fall in; _RULES's keys name only those.
+    cells = set(CELL_PROFILES)
+    assert len(cells) == 5
+    for table in (_CLOSED_FORMS, _FIXED_SING, _QUOTIENT_SING, _TOPS):
+        assert set(table) == cells
+    assert {key[1:] for key in _RULES} <= cells
+    assert {cell(pr) for pr in enumerate_profiles(6)} == cells
+
+
+def test_cell_parameters_reach_exactly_the_profiles_of_each_cell():
+    # The proofs run on CELL_PROFILES, so its points must be the cell's
+    # profiles: up to beta 14, each point is a valid profile of its cell,
+    # no two points are one profile, and every profile is some point.
+    bound = 14
+    for key, pr in CELL_PROFILES.items():
+        assert cell(pr) == key
+        fields = pr[1:]
+        ranges = [range(bound + 1) if any(v.k[i] for v in fields) else range(1)
+                  for i in (1, 2, 3)]
+        reached = []
+        for point in itertools.product(*ranges):
+            values = [v.at(*point) for v in fields]
+            if values[0] <= bound:
+                reached.append(InvariantProfile(pr.kind, *values))
+        want = [p for p in enumerate_profiles(bound) if cell(p) == key]
+        assert len(reached) == len(set(reached)) == len(want), key
+        assert set(reached) == set(want), key
 
 
 # -- enumeration --------------------------------------------------------------

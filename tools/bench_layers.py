@@ -1,12 +1,21 @@
-"""Time the layers of c2surf and write them to BENCH_23.json.
+"""Time the layers of c2surf and write them to BENCH_24.json.
 
 Run from anywhere, with no arguments, on the source of this checkout:
 
     python3 tools/bench_layers.py
 
-Each row is timed 7 times.  ``timings`` holds the minimum of the 7, in
-seconds, and ``spread`` their first and third quartiles (the second and
-sixth of the 7, sorted), so a row's noise shows next to it.  The rows are:
+Each row is timed 7 times, round-robin: repeat r of every row runs before
+repeat r + 1 of any row, so a row's repeats spread over the whole run.
+On a shared host whose speed changes for seconds at a time, 7 repeats
+back to back would all land in one speed state, and their quartiles would
+hide the gap between runs.  Each timed call follows one untimed call of
+the same row, so it finds the memos it reads as a back-to-back repeat
+found them, not as the row before it left them.  The prebuilt inputs are
+frozen out of the garbage collector (``gc.freeze``), so no row pays for a
+full collection that walks them.  ``timings`` holds the
+minimum of the 7, in seconds, and ``spread`` their first and third
+quartiles (the second and sixth of the 7, sorted), so a row's noise shows
+next to it.  The rows are:
 
 * ``profiles_by_words(20)``, ``(40)`` and ``(80)``: the catalog's rows,
   the inequality scan with one closed-form witness word per profile;
@@ -38,7 +47,7 @@ version, the CPUs this process may run on (``nproc``) and the commit
 lines of ``src/c2surf/*.py`` (``src_lines``), the size of the code that
 does the work.
 Standard library only, and separate from ``perfbench/``.  CI runs it on
-one Python version as a smoke test of about 15 s: it fails when the script
+one Python version as a smoke test of about 20 s: it fails when the script
 raises, as it does when a closed form fails its checks, a mutant passes
 them, the mutants' violations are not exactly 209,156 (a walk that drops
 or duplicates a report), a folded witness word leaves its closed form, or
@@ -48,6 +57,7 @@ a check no longer takes ``(t, pr)``.  No timing is a CI gate.
 from __future__ import annotations
 
 import contextlib
+import gc
 import json
 import os
 import platform
@@ -59,7 +69,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-OUT = ROOT / "BENCH_23.json"
+OUT = ROOT / "BENCH_24.json"
 REPEATS = 7
 
 sys.path.insert(0, str(SRC))
@@ -91,14 +101,17 @@ CHECKS = (check_quotient_row, check_rho_localization, check_forgetful_les,
           check_top_class, check_beta_recovery)
 
 
-def repeats(fn) -> list[float]:
-    """``REPEATS`` timed calls of ``fn``, in seconds."""
-    times = []
+def round_robin(rows: dict) -> dict[str, list[float]]:
+    """``REPEATS`` timed calls of each row's function, in seconds, taken in
+    rounds: every row once per round, each timed call after an untimed one."""
+    runs: dict[str, list[float]] = {name: [] for name in rows}
     for _ in range(REPEATS):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return times
+        for name, fn in rows.items():
+            fn()
+            start = time.perf_counter()
+            fn()
+            runs[name].append(time.perf_counter() - start)
+    return runs
 
 
 def verify_all(cases) -> None:
@@ -168,14 +181,14 @@ def tally_all(cases) -> None:
 
 
 def check_rows(cases) -> dict:
-    """Each check alone, repeated over the tallies of ``cases``."""
+    """Each check alone, over the tallies of ``cases``: one row per check."""
     tallied = [(tally(d), pr) for d, pr in cases]
     rows = {}
     for check in CHECKS:
         def run(check=check):
             for t, pr in tallied:
                 check(t, pr)
-        rows[f"{check.__name__} x{len(tallied)} mutant tallies"] = repeats(run)
+        rows[f"{check.__name__} x{len(tallied)} mutant tallies"] = run
     return rows
 
 
@@ -216,26 +229,33 @@ def main() -> None:
     wrong = mutants()
     if len(wrong) != 33228:
         raise AssertionError(f"expected 33228 mutants with beta <= 8, got {len(wrong)}")
-    runs = {
-        "profiles_by_words(20)": repeats(lambda: profiles_by_words(20)),
-        "profiles_by_words(40)": repeats(lambda: profiles_by_words(40)),
-        "profiles_by_words(80)": repeats(lambda: profiles_by_words(80)),
-        "parse_word x614 witness words (beta <= 20)": repeats(lambda: parse_all(texts)),
-        "transform fold x614 witness words (beta <= 20)": repeats(lambda: fold_all(words)),
-        "verify_decomposition x614 (beta <= 20)": repeats(lambda: verify_all(cases)),
-        "verify_decomposition x33228 mutants (beta <= 8)": repeats(lambda: reject_all(wrong)),
-        "expected x614 (beta <= 20, cold)": repeats(lambda: expected_cold(cases)),
-        "tally x33228 mutants": repeats(lambda: tally_all(wrong)),
+    rows = {
+        "profiles_by_words(20)": lambda: profiles_by_words(20),
+        "profiles_by_words(40)": lambda: profiles_by_words(40),
+        "profiles_by_words(80)": lambda: profiles_by_words(80),
+        "parse_word x614 witness words (beta <= 20)": lambda: parse_all(texts),
+        "transform fold x614 witness words (beta <= 20)": lambda: fold_all(words),
+        "verify_decomposition x614 (beta <= 20)": lambda: verify_all(cases),
+        "verify_decomposition x33228 mutants (beta <= 8)": lambda: reject_all(wrong),
+        "expected x614 (beta <= 20, cold)": lambda: expected_cold(cases),
+        "tally x33228 mutants": lambda: tally_all(wrong),
         **check_rows(wrong),
-        "catalog 40 (in-process)": repeats(catalog_40),
-        "python -m c2surf compute S22 (cold)": repeats(cold_compute),
+        "catalog 40 (in-process)": catalog_40,
+        "python -m c2surf compute S22 (cold)": cold_compute,
     }
+    # The inputs, mutant tallies included, stay alive for the whole run:
+    # moved out of the collector's reach, a full collection does not walk
+    # them inside whichever row triggers it (a 34 ms pause inside the 13 ms
+    # profiles_by_words(40) row, on 2 cores with Python 3.11).
+    gc.collect()
+    gc.freeze()
+    runs = round_robin(rows)
     timings = {name: min(times) for name, times in runs.items()}
     spread = {name: statistics.quantiles(times, n=4)[::2] for name, times in runs.items()}
     nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     record = {"commit": commit(), "python": platform.python_version(), "nproc": nproc,
-              "src_lines": src_lines(), "repeats": REPEATS, "statistic": "min", "unit": "s",
-              "timings": timings, "spread": spread}
+              "src_lines": src_lines(), "repeats": REPEATS, "order": "round-robin",
+              "statistic": "min", "unit": "s", "timings": timings, "spread": spread}
     OUT.write_text(json.dumps(record, indent=2) + "\n")
     for name, seconds in timings.items():
         q1, q3 = spread[name]
