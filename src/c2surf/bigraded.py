@@ -92,11 +92,10 @@ class Summand(_SummandFields):
 
     def __new__(cls, shift: Bidegree, n: int | None = None) -> "Summand":
         p, q = shift
-        # Ints, never bools, as in ``validate_profile``; exact ints skip the loop.
-        if not (type(p) is int and type(q) is int and (n is None or type(n) is int)):
-            for value in (p, q) if n is None else (p, q, n):
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise ValueError(f"summand shift and index must be integers, got {value!r}")
+        # Ints, never bools, as in ``validate_profile``.
+        for value in (p, q) if n is None else (p, q, n):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"summand shift and index must be integers, got {value!r}")
         if n is not None:
             if n < 0:
                 raise ValueError("antipodal index must be a natural number")
@@ -312,9 +311,12 @@ class Decomposition:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Decomposition":
-        """Inverse of ``to_json_obj``; repeated entries add up.  A key but
-        ``free`` and ``antipodal``, an entry not of three values, a non-int
-        shift or index and a count not natural are a ValueError naming them."""
+        """Inverse of ``to_json_obj``; repeated entries add up.  Anything but
+        a dict of lists, a key but ``free`` and ``antipodal``, an entry not of
+        three values, a non-int shift or index and a count not natural are a
+        ValueError naming them."""
+        if not isinstance(obj, dict) or not all(isinstance(v, list) for v in obj.values()):
+            raise ValueError(f"bad decomposition {obj!r} (want an object of lists)")
         unknown = sorted(map(repr, set(obj) - {"free", "antipodal"}))
         if unknown:
             raise ValueError(f"unknown decomposition key(s) {', '.join(unknown)}"

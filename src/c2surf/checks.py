@@ -134,8 +134,7 @@ class Violation(NamedTuple):
     actual: object
 
     def to_json_obj(self) -> dict:
-        return {"check": self.check, "location": self.location,
-                "expected": self.expected, "actual": self.actual}
+        return self._asdict()
 
     def __str__(self) -> str:
         return f"{self.check} at {self.location}: expected {self.expected}, got {self.actual}"
@@ -161,7 +160,7 @@ _new = tuple.__new__
 
 
 @lru_cache(maxsize=256)
-def _cell(p: int) -> str:
+def _row_location(p: int) -> str:
     """The location ``(p,0)`` of a quotient-row report."""
     return f"({p},0)"
 
@@ -251,7 +250,7 @@ def check_quotient_row(t: Tally, pr: InvariantProfile) -> list[Violation]:
     for p in walk:
         betti, actual = want.get(p, 0), row.get(p, 0)
         if actual != betti:
-            out.append(_new(Violation, ("quotient-row", _cell(p), betti, actual)))
+            out.append(_new(Violation, ("quotient-row", _row_location(p), betti, actual)))
     return out
 
 

@@ -21,16 +21,15 @@ else ``-4:6,-6:6``; ``--window`` without ``--grid``, ``--json`` with
 ``--grid``, and a window of more than ``MAX_GRID_CELLS`` cells, are bad
 input.  stdout carries data; diagnostics go to stderr.
 
-The three subcommands are declared once, in ``_COMMANDS``.  A plain argv
-is read from that table by ``_match``, which builds the namespace
-``parse_args`` would give, and never imports argparse.  Every other argv
-goes to the argparse parser ``_build_parser`` makes from the same table,
-once per process, which keeps its own help, usage and error text.
+The three subcommands are declared once, in ``_COMMANDS``, each with its
+handler.  A plain argv is read from that table by ``_match``, which builds
+the namespace ``parse_args`` would give, and never imports argparse.  Every
+other argv goes to an argparse parser ``_build_parser`` makes from the same
+table, which keeps its own help, usage and error text.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import re
@@ -185,26 +184,25 @@ def _cmd_catalog(args) -> int:
     return VERIFY_FAILED if any_failed else OK
 
 
-# The argv grammar, declared once: per subcommand its help, its positionals
-# as (name, help) and its options as flag -> (metavar, help), with metavar
-# None for a switch; ``--json`` stores ``json``, so no flag has an inner
-# "-".  ``_build_parser`` builds argparse from it, and ``_match`` reads it.
+# The argv grammar, declared once: per subcommand its handler, its help, its
+# positionals as (name, help) and its options as flag -> (metavar, help),
+# metavar None for a switch; ``--json`` stores ``json``, so no flag has an
+# inner "-".  ``_build_parser`` and ``_match`` read it, ``main`` the handler.
 _COMMANDS = {
-    "compute": ("decomposition of a word or profile",
+    "compute": (_cmd_compute, "decomposition of a word or profile",
                 (("input", "surgery word or profile JSON"),),
                 {"--json": (None, "canonical JSON output"),
                  "--grid": (None, "ASCII dimension grid"),
                  "--reduced": (None, "strip the unshifted M2 summand (nonfree/trivial only)"),
                  "--window": ("P0:P1,Q0:Q1", "grid window (with --grid)")}),
-    "verify": ("check a decomposition against the oracles",
+    "verify": (_cmd_verify, "check a decomposition against the oracles",
                (("input", "surgery word or profile JSON"),),
                {"--json": (None, "JSON violation report"),
                 "--inject": ("drop:P,Q", "corrupt the decomposition first (testing hook)")}),
-    "catalog": ("verified catalog up to a beta bound", (("beta_max", None),), {}),
+    "catalog": (_cmd_catalog, "verified catalog up to a beta bound", (("beta_max", None),), {}),
 }
 
 
-@functools.cache
 def _build_parser():
     """The argparse parser of ``_COMMANDS``, in the table's order."""
     import argparse
@@ -213,7 +211,7 @@ def _build_parser():
         prog="c2surf",
         description="RO(C2)-graded mod-2 cohomology of surfaces with involution")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, positionals, options) in _COMMANDS.items():
+    for name, (_, text, positionals, options) in _COMMANDS.items():
         command = sub.add_parser(name, help=text)
         for dest, help_text in positionals:
             command.add_argument(dest, help=help_text)
@@ -253,7 +251,7 @@ def _match(argv: list[str]) -> SimpleNamespace | None:
     spec = _COMMANDS.get(argv[0]) if argv else None
     if spec is None:
         return None
-    _, positionals, options = spec
+    _, _, positionals, options = spec
     values = {"command": argv[0]}
     for flag, (metavar, _) in options.items():
         values[flag[2:]] = None if metavar else False
@@ -296,10 +294,8 @@ def main(argv: list[str] | None = None) -> int:
         for dest, value in vars(args).items():
             if value == []:
                 setattr(args, dest, "--")
-    handler = {"compute": _cmd_compute, "verify": _cmd_verify,
-               "catalog": _cmd_catalog}[args.command]
     try:
-        code = handler(args)
+        code = _COMMANDS[args.command][0](args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -27,7 +27,6 @@ those alone, for its WordError.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NoReturn
 
 from .bigraded import Decomposition, Summand
 from .surfaces import (
@@ -140,7 +139,8 @@ def transform(d_y: Decomposition, pr_y: InvariantProfile, op: Op) -> Decompositi
     kind, _, f, c = pr_y
     token = op.token
     if kind == TRIVIAL or (token == "FM" and f == 0):
-        _refuse(pr_y, op)
+        apply_op(pr_y, op)
+        raise TransformError(f"no rewrite rule for op {token!r}")
     if token == "CS":
         # Connected summing glues two conjugate copies of a punctured Y:
         # each singular 1-class of the glued surface contributes one
@@ -156,10 +156,3 @@ def transform(d_y: Decomposition, pr_y: InvariantProfile, op: Op) -> Decompositi
             raise TransformError(f"{token} must remove {s}, which the input lacks:"
                                  " it is not in closed-form shape") from None
     return d_y.direct_sum(add)
-
-
-def _refuse(pr_y: InvariantProfile, op: Op) -> NoReturn:
-    """Raise the WordError of ``apply_op`` for a step ``transform`` has no
-    rule for; a step ``apply_op`` takes has a rule, so it never returns."""
-    apply_op(pr_y, op)
-    raise TransformError(f"no rewrite rule for op {op.token!r}")

@@ -62,8 +62,6 @@ FREE_TORUS = "free-torus"
 NONFREE = "nonfree"
 KINDS = (TRIVIAL, FREE_SPHERE, FREE_TORUS, NONFREE)
 
-_KIND_RANK = {k: i for i, k in enumerate(KINDS)}
-
 BASE_TOKENS = ("S22", "S21", "S2a", "T1a", "T1r")
 
 
@@ -128,18 +126,18 @@ class ClosedSurface(_SurfaceFields):
 _SURFACE_RE = re.compile(r"([TN])\[([0-9]+)\]")
 
 
-def parse_surface(token: str, position: int = 0) -> ClosedSurface:
+def parse_surface(token: str) -> ClosedSurface:
     m = _SURFACE_RE.fullmatch(token)
     try:
         genus = int(m.group(2)) if m else None
     except ValueError:              # more digits than int() accepts
         genus = None
     if genus is None:
-        raise ParseError(f"bad surface descriptor {token!r} (want T[g] or N[s])", position)
+        raise ParseError(f"bad surface descriptor {token!r} (want T[g] or N[s])", 0)
     try:
         return ClosedSurface(m.group(1) == "T", genus)
     except ValueError as exc:
-        raise ParseError(str(exc), position) from None
+        raise ParseError(str(exc), 0) from None
 
 
 class _PieceFields(NamedTuple):
@@ -301,9 +299,6 @@ class InvariantProfile(_ProfileFields):
     def _make(cls, iterable) -> "InvariantProfile":
         # ``_replace`` goes through here; keep every instance valid.
         return cls(*iterable)
-
-    def sort_key(self):
-        return (self.beta, _KIND_RANK[self.kind], self.fixed_points, self.fixed_circles)
 
     def __str__(self) -> str:
         return (f"{self.kind} beta={self.beta} F={self.fixed_points}"
@@ -503,12 +498,13 @@ def quotient_sing(pr: InvariantProfile) -> SingProfile:
 
 
 # ---------------------------------------------------------------------------
-# Catalog enumeration: the realizability inequalities scanned in
-# ``sort_key`` order, and one witness word per profile in closed form.
+# Catalog enumeration: the realizability inequalities scanned in order, and
+# one witness word per profile in closed form.
 
 
 def enumerate_profiles(beta_max: int) -> list[InvariantProfile]:
-    """Every realizable profile with beta <= beta_max, in ``sort_key`` order.
+    """Every realizable profile with beta <= beta_max, ordered by (beta,
+    kind in ``KINDS`` order, F, C).
 
     The scan walks the inequalities of ``validate_profile`` directly, and
     each profile is still validated when it is built.

@@ -31,7 +31,6 @@ from c2surf.surfaces import (
     apply_op,
     base_profile,
     fixed_sing,
-    parse_surface,
     quotient_sing,
     underlying_sing,
 )
@@ -377,11 +376,29 @@ def search_profiles_by_words(beta_max: int) -> dict:
     return {pr: witnesses[pr] for pr in order}
 
 
+def naive_surface(body: str, at: int) -> ClosedSurface:
+    """The surface of a descriptor ``T[g]`` or ``N[s]`` that starts at
+    ``at``, read character by character, or its ParseError there: the
+    genus is one or more ASCII digits."""
+    bad = ParseError(f"bad surface descriptor {body!r} (want T[g] or N[s])", at)
+    letter, digits = body[:2], body[2:-1]
+    if (letter not in ("T[", "N[") or not body.endswith("]") or not digits
+            or not all("0" <= ch <= "9" for ch in digits)):
+        raise bad
+    try:
+        genus = int(digits)
+    except ValueError:              # more digits than int() accepts
+        raise bad from None
+    if letter == "N[" and genus == 0:
+        raise ParseError("nonorientable genus must be >= 1", at)
+    return ClosedSurface(letter == "T[", genus)
+
+
 def naive_parse_word(text: str) -> SurgeryWord:
     """The word parser as it was before its token tables: each piece is
     stripped, located with ``raw.index`` and built as a fresh ``Base`` or
-    ``Op``.  The reference for ``parse_word``'s words, error positions and
-    messages."""
+    ``Op``, its surface read by ``naive_surface``.  The reference for
+    ``parse_word``'s words, error positions and messages."""
     pieces = text.split("+")
     pos = 0
     base = None
@@ -395,14 +412,14 @@ def naive_parse_word(text: str) -> SurgeryWord:
             if token in BASE_TOKENS:
                 base = Base(token)
             elif token.startswith("triv:"):
-                base = Base("triv", parse_surface(token[5:], at + 5))
+                base = Base("triv", naive_surface(token[5:], at + 5))
             else:
                 raise ParseError(f"unknown base {token!r}", at)
         else:
             if token in ("AT11", "AT10", "FM", "DCC"):
                 ops.append(Op(token))
             elif token.startswith("CS(") and token.endswith(")"):
-                ops.append(Op("CS", parse_surface(token[3:-1], at + 3)))
+                ops.append(Op("CS", naive_surface(token[3:-1], at + 3)))
             else:
                 raise ParseError(f"unknown op {token!r}", at)
         pos += len(raw) + 1

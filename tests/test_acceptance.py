@@ -17,6 +17,7 @@ from c2surf.cli import main as cli_main
 from c2surf.engine import closed_form, transform
 from c2surf.f2linalg import ChainComplex, F2Matrix, betti_f2
 from c2surf.surfaces import (
+    BASE_TOKENS,
     FREE_SPHERE,
     FREE_TORUS,
     NONFREE,
@@ -29,6 +30,7 @@ from c2surf.surfaces import (
     WordError,
     apply_op,
     base_profile,
+    cell,
     enumerate_profiles,
     invariants,
     parse_word,
@@ -122,17 +124,13 @@ _WORD_ALPHABET = ([Op("AT11"), Op("AT10"), Op("FM"), Op("DCC")]
                   + [Op("CS", ClosedSurface(True, g)) for g in range(1, 5)]
                   + [Op("CS", ClosedSurface(False, s)) for s in range(1, 9)])
 
-_CLOSED_BRANCHES_SEEN = set()
-_TRANSFORM_RULES_SEEN = set()
 
-
-def _branch(pr):
-    if pr.kind == NONFREE:
-        return "nonfree-C0" if pr.fixed_circles == 0 else "nonfree-C+"
-    return pr.kind
-
-
-def _fold_all_words(d, pr, depth, beta_max, counter):
+def _fold_all_words(d, pr, ops_left, beta_max, rules):
+    """Fold every legal op of ``_WORD_ALPHABET`` into ``(d, pr)``, up to
+    ``ops_left`` ops and beta <= beta_max, each step's ``transform``
+    checked against the closed form; add each step's rule case (op token,
+    cell of the profile before it) to ``rules``, and return the step count."""
+    steps = 0
     for op in _WORD_ALPHABET:
         try:
             nxt = apply_op(pr, op)
@@ -141,24 +139,22 @@ def _fold_all_words(d, pr, depth, beta_max, counter):
         if nxt.beta > beta_max:
             continue
         folded = transform(d, pr, op)
-        want = closed_form(nxt)
-        assert folded == want, (pr, op)
-        _TRANSFORM_RULES_SEEN.add((op.token, _branch(pr)))
-        _CLOSED_BRANCHES_SEEN.add(_branch(nxt))
-        counter[0] += 1
-        if depth + 1 < 5:
-            _fold_all_words(folded, nxt, depth + 1, beta_max, counter)
+        assert folded == closed_form(nxt), (pr, op)
+        rules.add((op.token, cell(pr)))
+        steps += 1
+        if ops_left > 1:
+            steps += _fold_all_words(folded, nxt, ops_left - 1, beta_max, rules)
+    return steps
 
 
 def test_criterion_5_incremental_equals_closed():
-    counter = [0]
-    for token in ("S22", "S21", "S2a", "T1a", "T1r"):
+    steps = 0
+    for token in BASE_TOKENS:
         pr = base_profile(Base(token))
-        _CLOSED_BRANCHES_SEEN.add(_branch(pr))
-        _fold_all_words(closed_form(pr), pr, 0, 16, counter)
-    assert counter[0] > 10_000
+        steps += _fold_all_words(closed_form(pr), pr, 5, 16, set())
+    assert steps > 10_000
     _report(5, f"transform fold equals closed form on every valid word with "
-               f"<= 5 ops and beta <= 16 ({counter[0]} surgery steps, zero mismatches)")
+               f"<= 5 ops and beta <= 16 ({steps} surgery steps, zero mismatches)")
 
 
 # The count and SHA-256 of every report of the sweep below, one
@@ -205,20 +201,23 @@ def test_criterion_7_f2_engine():
 
 
 def test_criterion_8_branch_coverage_is_complete():
-    # Desk-scale reproducibility: criteria 1-5 exercise every closed-form
-    # branch and every rewrite rule.  The trivial branch only occurs in
-    # the catalog sweep, so record it here explicitly.
+    # Desk-scale reproducibility: the closed form passes on every cell
+    # (kind, C == 0), and the fold of every word of <= 2 ops with beta <= 8
+    # takes every rewrite rule, each step checked against the closed form.
+    cells = set()
     for pr in enumerate_profiles(2):
-        closed_form(pr)
-        _CLOSED_BRANCHES_SEEN.add(_branch(pr))
-    expected_branches = {TRIVIAL, FREE_SPHERE, FREE_TORUS, "nonfree-C0", "nonfree-C+"}
-    assert _CLOSED_BRANCHES_SEEN >= expected_branches
-    expected_rules = set()
-    for token in ("CS", "DCC", "AT11", "AT10"):
-        expected_rules |= {(token, FREE_SPHERE), (token, FREE_TORUS),
-                           (token, "nonfree-C0"), (token, "nonfree-C+")}
-    expected_rules |= {("FM", "nonfree-C0"), ("FM", "nonfree-C+")}
-    missing = expected_rules - _TRANSFORM_RULES_SEEN
-    assert not missing, f"rules never exercised: {missing}"
-    _report(8, "criteria 1-5 covered all closed-form branches and all "
-               f"{len(expected_rules)} rewrite-rule cases")
+        assert verify_profile(pr) == [], pr
+        cells.add(cell(pr))
+    assert cells == {(TRIVIAL, True), (FREE_SPHERE, True), (FREE_TORUS, True),
+                     (NONFREE, True), (NONFREE, False)}
+    rules = set()
+    for token in BASE_TOKENS:
+        pr = base_profile(Base(token))
+        _fold_all_words(closed_form(pr), pr, 2, 8, rules)
+    expected_rules = {(token, key) for token in ("CS", "DCC", "AT11", "AT10")
+                      for key in cells - {(TRIVIAL, True)}}
+    expected_rules |= {("FM", (NONFREE, True)), ("FM", (NONFREE, False))}
+    assert len(expected_rules) == 18
+    assert rules == expected_rules, f"rules never exercised: {expected_rules - rules}"
+    _report(8, f"all {len(cells)} closed-form cells and all "
+               f"{len(expected_rules)} rewrite-rule cases exercised")

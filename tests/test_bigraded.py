@@ -1,6 +1,5 @@
 """Dimension tables, ranks, and multiset algebra for the basic modules."""
 
-import doctest
 import hashlib
 import json
 import re
@@ -36,10 +35,6 @@ from _oracles import (
 
 bidegrees = st.builds(Bidegree, st.integers(-25, 25), st.integers(-25, 25))
 small_n = st.integers(0, 6)
-
-
-def test_doctests():
-    assert doctest.testmod(c2surf.bigraded).failed == 0
 
 
 # -- the point module -------------------------------------------------------
@@ -409,7 +404,8 @@ def test_json_round_trip():
                 {"free": [[0, 0]]}, {"antipodal": [[1, 0, 1, 1]]}, {"free": [5]},
                 {"free": [[1.5, 0, 1]]}, {"free": [[0, 2.0, 1]]}, {"antipodal": [[0, 1.0, 1]]},
                 {"free": [[True, 0, 1]]}, {"antipodal": [[0, True, 1]]},
-                {"free": [["0", 0, 1]]}, {"antipodal": [[1, "0", 1]]}):
+                {"free": [["0", 0, 1]]}, {"antipodal": [[1, "0", 1]]},
+                [["free", 1]], 3, None, {"free": 5}, {"free": None}, "free"):
         with pytest.raises(ValueError):
             Decomposition.from_json_obj(bad)
 

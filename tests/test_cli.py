@@ -347,14 +347,15 @@ def fresh_process(argv):
 
 
 def test_parser_reuse_keeps_calls_independent(capsys, monkeypatch):
-    # One process reuses one parser: no flag may carry over to the next call.
+    # Calls in one process answer as fresh processes do: no flag carries
+    # over to the next call, through the matcher or through argparse.
     x = "S21 + AT10"
     sequence = [["compute", "--grid", "--window=0:2,0:2", x], ["compute", "--grid", x],
                 ["verify", "--json", x], ["verify", x], ["compute", "--reduced", x],
                 ["compute", x], ["verify", "--inject", "drop:1,1", x], ["verify", x]]
     for argv in sequence:
         assert run(capsys, *argv) == fresh_process(argv), argv
-    # An argparse error leaves the parser usable.
+    # An argparse error leaves the next call unharmed.
     with pytest.raises(SystemExit) as exc:
         main(["compute"])
     assert exc.value.code == 2
@@ -375,17 +376,18 @@ def test_parser_reuse_keeps_calls_independent(capsys, monkeypatch):
 
 
 def test_import_builds_no_parser():
-    # Neither the import nor a plain call builds the parser; the first argv
-    # the matcher declines does.
-    code = ("import c2surf.cli as cli\n"
-            "assert cli._build_parser.cache_info().currsize == 0\n"
+    # Neither the import nor a plain call builds a parser, so argparse is
+    # never imported; an argv the matcher declines builds one.  -S keeps a
+    # site .pth file from importing argparse first.
+    code = ("import sys, c2surf.cli as cli\n"
+            "assert 'argparse' not in sys.modules\n"
             "cli.main(['compute', 'S22'])\n"
-            "assert cli._build_parser.cache_info().currsize == 0\n"
+            "assert 'argparse' not in sys.modules\n"
             "cli.main(['compute', '--js', 'S22'])\n"
-            "assert cli._build_parser.cache_info().currsize == 1\n")
+            "assert 'argparse' in sys.modules\n")
     env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env)
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env=env)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -1,6 +1,5 @@
 """Words, profiles, realizability, and the singular profiles."""
 
-import doctest
 import enum
 import itertools
 import re
@@ -43,10 +42,6 @@ from c2surf.surfaces import (
     validate_profile,
     witness,
 )
-
-
-def test_doctests():
-    assert doctest.testmod(c2surf.surfaces).failed == 0
 
 
 # -- parsing ------------------------------------------------------------------
@@ -562,13 +557,15 @@ def test_enumeration_paths_agree():
 
 
 def test_every_scanned_profile_is_valid():
-    # Built through the validating constructor, each once, in sort_key order.
+    # Built through the validating constructor, each once, in order of
+    # (beta, kind in KINDS order, F, C).
     profiles = enumerate_profiles(40)
     assert len(profiles) == 3624
     for pr in profiles:
         assert type(pr) is InvariantProfile
         validate_profile(pr)
-    keys = [pr.sort_key() for pr in profiles]
+    keys = [(pr.beta, KINDS.index(pr.kind), pr.fixed_points, pr.fixed_circles)
+            for pr in profiles]
     assert keys == sorted(set(keys))
 
 
