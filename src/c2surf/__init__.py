@@ -29,8 +29,6 @@ from .checks import (
     expected,
     tally,
     verify_decomposition,
-    verify_profile,
-    verify_word,
 )
 from .engine import TransformError, closed_form, reduced_form, transform
 from .f2linalg import F2Matrix, betti_f2

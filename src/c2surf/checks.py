@@ -7,8 +7,9 @@ check compares two tallies of four count tables each: the candidate's
 (``tally``, one pass over its summands, each summand's part read through
 a memo keyed by the summand) and the profile's (``expected``, the tables
 a correct answer has, a memo keyed by the profile, since they depend on
-at most four integers).  Each check compares one pair of tables, and
-walks its locations only when the two differ, to report them:
+at most four integers); no table is read from the closed forms that a
+caller judges.  Each check compares one pair of tables, and walks its
+locations only when the two differ, to report them:
 
 * quotient row   -- the weight-zero row equals the singular cohomology of
   the orbit space, as ``quotient_sing`` gives it from the Euler
@@ -60,13 +61,11 @@ walks every p of its window.
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from typing import NamedTuple
 
 from .bigraded import Bidegree, Decomposition, Summand
-from .engine import closed_form
 from .surfaces import (
     FREE_SPHERE,
     FREE_TORUS,
@@ -74,10 +73,8 @@ from .surfaces import (
     TRIVIAL,
     InvariantProfile,
     SingProfile,
-    SurgeryWord,
     cell,
     fixed_sing,
-    invariants,
     quotient_sing,
     underlying_sing,
 )
@@ -108,17 +105,6 @@ class Window(_WindowFields):
 
     def __str__(self) -> str:
         return f"{self.pmin}:{self.pmax},{self.qmin}:{self.qmax}"
-
-    @classmethod
-    def parse(cls, text: str) -> "Window":
-        m = re.match(r"^(-?[0-9]+):(-?[0-9]+),(-?[0-9]+):(-?[0-9]+)$", text.strip())
-        try:
-            bounds = [int(g) for g in m.groups()] if m else None
-        except ValueError:          # more digits than int() accepts
-            bounds = None
-        if bounds is None:
-            raise ValueError(f"bad window {text!r} (want pmin:pmax,qmin:qmax)")
-        return cls(*bounds)
 
 
 DEFAULT_LES_WINDOW = Window(-2, 6, -8, 8)
@@ -322,11 +308,3 @@ def verify_decomposition(d: Decomposition, pr: InvariantProfile) -> list[Violati
     out += check_beta_recovery(t, pr)
     return out
 
-
-def verify_profile(pr: InvariantProfile) -> list[Violation]:
-    return verify_decomposition(closed_form(pr), pr)
-
-
-def verify_word(w: SurgeryWord) -> list[Violation]:
-    """Fold the word, compute the closed form, and run all checks."""
-    return verify_profile(invariants(w))

@@ -94,12 +94,32 @@ def _parse_input(text: str) -> InvariantProfile:
     return invariants(parse_word(text))
 
 
+# The integer grammars of --window, --inject and the catalog bound.  A digit is
+# ``[0-9]``, so ``١``, ``1_0`` and `` 1`` are bad input, not what ``int()`` reads.
+_WINDOW = re.compile(r"(-?[0-9]+):(-?[0-9]+),(-?[0-9]+):(-?[0-9]+)")
+_INJECTION = re.compile(r"drop:(-?[0-9]+),(-?[0-9]+)")
+_BOUND = re.compile(r"([0-9]+)")
+
+
+def _ints(pattern: re.Pattern, text: str, error: str) -> list[int]:
+    """``pattern``'s groups fullmatched on ``text``, as ints, else ``_InputError(error)``."""
+    m = pattern.fullmatch(text)
+    if m is not None:
+        try:
+            return [int(g) for g in m.groups()]
+        except ValueError:          # more digits than int() accepts
+            pass
+    raise _InputError(error)
+
+
 def _grid_window(flag_value: str | None) -> Window:
     if flag_value is None:
         return DEFAULT_GRID_WINDOW
+    bounds = _ints(_WINDOW, flag_value.strip(),
+                   f"bad window {flag_value!r} (want pmin:pmax,qmin:qmax)")
     try:
-        window = Window.parse(flag_value)
-    except ValueError as exc:
+        window = Window(*bounds)
+    except ValueError as exc:       # inverted
         raise _InputError(str(exc)) from None
     cells = (window.pmax - window.pmin + 1) * (window.qmax - window.qmin + 1)
     if cells > MAX_GRID_CELLS:
@@ -129,14 +149,7 @@ def _cmd_compute(args) -> int:
 def _apply_injection(decomposition: Decomposition, directive: str) -> Decomposition:
     """Test hook: 'drop:p,q' removes one free summand with that shift; p
     and q are plain ASCII integers, with no spaces or underscores."""
-    bad = _InputError(f"bad injection {directive!r} (want drop:p,q)")
-    m = re.fullmatch(r"drop:(-?[0-9]+),(-?[0-9]+)", directive)
-    if m is None:
-        raise bad
-    try:
-        p, q = map(int, m.groups())
-    except ValueError:          # more digits than int() accepts
-        raise bad from None
+    p, q = _ints(_INJECTION, directive, f"bad injection {directive!r} (want drop:p,q)")
     try:
         return decomposition.remove(Summand.free(p, q))
     except KeyError:
@@ -159,19 +172,10 @@ def _cmd_verify(args) -> int:
     return VERIFY_FAILED if violations else OK
 
 
-def _catalog_bound(text: str) -> int:
-    """The ``catalog`` bound: plain ASCII digits, so that ``١``, `` 1_0``
-    and ``-1`` are bad input rather than the number ``int()`` reads."""
-    if text.isascii() and text.isdigit():
-        try:
-            return int(text)
-        except ValueError:          # more digits than int() accepts
-            pass
-    raise _InputError(f"catalog bound must be ASCII digits, got {text!r}")
-
-
 def _cmd_catalog(args) -> int:
-    witnesses = profiles_by_words(_catalog_bound(args.beta_max))
+    (beta_max,) = _ints(_BOUND, args.beta_max,
+                        f"catalog bound must be ASCII digits, got {args.beta_max!r}")
+    witnesses = profiles_by_words(beta_max)
     any_failed = False
     for pr in witnesses:
         decomposition = closed_form(pr)

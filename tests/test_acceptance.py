@@ -12,7 +12,7 @@ import random
 import time
 
 from c2surf.bigraded import Decomposition, Summand, render_grid
-from c2surf.checks import verify_decomposition, verify_profile
+from c2surf.checks import verify_decomposition
 from c2surf.cli import main as cli_main
 from c2surf.engine import closed_form, transform
 from c2surf.f2linalg import ChainComplex, F2Matrix, betti_f2
@@ -24,7 +24,6 @@ from c2surf.surfaces import (
     TRIVIAL,
     Base,
     ClosedSurface,
-    InvariantProfile,
     Op,
     SingProfile,
     WordError,
@@ -111,7 +110,7 @@ def test_criterion_4_catalog_sweep():
     assert list(search_profiles_by_words(20)) == profiles, "enumeration paths disagree"
     violations = 0
     for pr in profiles:
-        violations += len(verify_profile(pr))
+        violations += len(verify_decomposition(closed_form(pr), pr))
     elapsed = time.perf_counter() - start
     assert violations == 0
     assert elapsed < 10.0, f"catalog sweep took {elapsed:.2f}s"
@@ -206,7 +205,7 @@ def test_criterion_8_branch_coverage_is_complete():
     # takes every rewrite rule, each step checked against the closed form.
     cells = set()
     for pr in enumerate_profiles(2):
-        assert verify_profile(pr) == [], pr
+        assert verify_decomposition(closed_form(pr), pr) == [], pr
         cells.add(cell(pr))
     assert cells == {(TRIVIAL, True), (FREE_SPHERE, True), (FREE_TORUS, True),
                      (NONFREE, True), (NONFREE, False)}

@@ -1,6 +1,9 @@
 """The structural oracles: quotient row, localization, exact sequence,
 top class, beta recovery, and their sensitivity to corruption."""
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -20,8 +23,6 @@ from c2surf.checks import (
     expected,
     tally,
     verify_decomposition,
-    verify_profile,
-    verify_word,
 )
 from c2surf.engine import _CLOSED_FORMS, closed_form
 from c2surf.surfaces import (
@@ -32,6 +33,7 @@ from c2surf.surfaces import (
     SingProfile,
     cell,
     enumerate_profiles,
+    invariants,
     parse_word,
     underlying_sing,
 )
@@ -46,13 +48,24 @@ X3_PROFILE = InvariantProfile(NONFREE, 1, 1, 1)
 
 
 def test_window_parsing():
-    w = Window.parse("-2:6,-8:8")
+    w = Window(-2, 6, -8, 8)
     assert (w.pmin, w.pmax, w.qmin, w.qmax) == (-2, 6, -8, 8)
     assert str(w) == "-2:6,-8:8"
-    with pytest.raises(ValueError):
-        Window.parse("junk")
-    with pytest.raises(ValueError):
-        Window.parse("3:1,0:0")
+    with pytest.raises(ValueError, match="inverted window 3:1,0:0"):
+        Window(3, 1, 0, 0)
+
+
+def test_checks_cannot_see_the_closed_form():
+    # The oracle imports only the types and the profile's Betti numbers,
+    # never ``engine``, whose closed form it judges.
+    imported = set()
+    for node in ast.walk(ast.parse(Path(checks.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert {name for name in imported if name.startswith((".", "c2surf"))} == {
+        ".bigraded", ".surfaces"}
 
 
 def test_quotient_row_worked_examples():
@@ -230,9 +243,9 @@ def test_far_antipodal_summands_are_rejected():
 
 
 def test_verify_all_worked_examples():
-    assert verify_word(parse_word("S21 + AT10")) == []
-    assert verify_word(parse_word("S2a + CS(T[1])")) == []
-    assert verify_word(parse_word("S22 + FM")) == []
+    for word in ("S21 + AT10", "S2a + CS(T[1])", "S22 + FM"):
+        pr = invariants(parse_word(word))
+        assert verify_decomposition(closed_form(pr), pr) == [], word
 
 
 def test_corrupted_decomposition_fails_les_and_beta_recovery():

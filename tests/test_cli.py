@@ -170,6 +170,9 @@ def test_grid_window_too_large_to_index_is_bad_input(capsys):
         assert (code, out) == (2, ""), text
         assert err == (f"error: window {text} has {cells} cells, more than the"
                        f" {MAX_GRID_CELLS} a grid may draw\n"), text
+    # An inverted window is bad input too, named by the Window constructor.
+    code, out, err = run(capsys, "compute", "--grid", "--window=3:1,0:0", "S22")
+    assert (code, out, err) == (2, "", "error: inverted window 3:1,0:0\n")
 
 
 def test_verify_takes_no_window(capsys):
@@ -376,9 +379,9 @@ def test_parser_reuse_keeps_calls_independent(capsys, monkeypatch):
 
 
 def test_import_builds_no_parser():
-    # Neither the import nor a plain call builds a parser, so argparse is
-    # never imported; an argv the matcher declines builds one.  -S keeps a
-    # site .pth file from importing argparse first.
+    # Neither the import nor a plain call builds a parser, so argparse (and
+    # the gettext it loads) is never imported; an argv the matcher declines
+    # builds one.  -S keeps a site .pth file from importing argparse first.
     code = ("import sys, c2surf.cli as cli\n"
             "assert 'argparse' not in sys.modules\n"
             "cli.main(['compute', 'S22'])\n"
@@ -388,19 +391,8 @@ def test_import_builds_no_parser():
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                           text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-
-
-def test_plain_call_imports_no_argparse():
-    # argparse (and the gettext it loads) is imported only to build the
-    # parser.  -S keeps a site .pth file from importing it first.
-    env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c",
-         "import c2surf.cli, sys; c2surf.cli.main(['compute', 'S22']);"
-         " print('argparse' in sys.modules)"],
-        capture_output=True, text=True, env=env)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "M2 + S(2,2)M2\nFalse\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, 'M2 + S(2,2)M2\n{"free":[[0,0,1],[2,2,1]],"antipodal":[]}\n', "")
 
 
 def _subparsers(parser):
@@ -552,7 +544,7 @@ def readme_examples():
 def test_readme_library_block_runs(capsys):
     section = readme_text().split("## Library", 1)[1]
     block = section.split("```python\n", 1)[1].split("```", 1)[0]
-    assert "verify_word" in block
+    assert "verify_decomposition" in block
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out == "M2 + S(1,1)M2 + S(2,1)M2\n"
 

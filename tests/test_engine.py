@@ -33,7 +33,6 @@ from c2surf.surfaces import (
     base_profile,
     cell,
     enumerate_profiles,
-    invariants,
     parse_word,
 )
 

@@ -1,4 +1,4 @@
-"""Time the layers of c2surf and write them to BENCH_25.json.
+"""Time the layers of c2surf and write them to BENCH_26.json.
 
 Run from anywhere, with no arguments, on the source of this checkout:
 
@@ -69,7 +69,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-OUT = ROOT / "BENCH_25.json"
+OUT = ROOT / "BENCH_26.json"
 REPEATS = 7
 
 sys.path.insert(0, str(SRC))
