@@ -379,12 +379,10 @@ def test_parser_reuse_keeps_calls_independent(capsys, monkeypatch):
 
 
 def test_import_builds_no_parser():
-    # Neither the import nor a plain call builds a parser, so argparse (and
-    # the gettext it loads) is never imported; an argv the matcher declines
-    # builds one.  -S keeps a site .pth file from importing argparse first.
+    # The import builds no parser, so argparse (and the gettext it loads) is
+    # not imported; an argv the matcher declines builds one.  -S keeps a site
+    # .pth file from importing argparse first.
     code = ("import sys, c2surf.cli as cli\n"
-            "assert 'argparse' not in sys.modules\n"
-            "cli.main(['compute', 'S22'])\n"
             "assert 'argparse' not in sys.modules\n"
             "cli.main(['compute', '--js', 'S22'])\n"
             "assert 'argparse' in sys.modules\n")
@@ -392,7 +390,18 @@ def test_import_builds_no_parser():
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                           text=True, env=env)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
-        0, 'M2 + S(2,2)M2\n{"free":[[0,0,1],[2,2,1]],"antipodal":[]}\n', "")
+        0, '{"free":[[0,0,1],[2,2,1]],"antipodal":[]}\n', "")
+
+
+def test_plain_call_imports_no_argparse():
+    # A plain call goes through the matcher alone and never imports argparse.
+    code = ("import sys, c2surf.cli as cli\n"
+            "cli.main(['compute', 'S22'])\n"
+            "assert 'argparse' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "M2 + S(2,2)M2\n", "")
 
 
 def _subparsers(parser):
