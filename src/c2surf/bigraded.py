@@ -100,9 +100,7 @@ class Summand(_SummandFields):
             if n < 0:
                 raise ValueError("antipodal index must be a natural number")
             q = 0
-        if type(shift) is not Bidegree or shift[1] != q:
-            shift = Bidegree(p, q)
-        return tuple.__new__(cls, (shift, n))
+        return tuple.__new__(cls, (Bidegree(p, q), n))
 
     @classmethod
     def _make(cls, iterable) -> "Summand":

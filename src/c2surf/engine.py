@@ -140,6 +140,7 @@ def transform(d_y: Decomposition, pr_y: InvariantProfile, op: Op) -> Decompositi
     token = op.token
     if kind == TRIVIAL or (token == "FM" and f == 0):
         apply_op(pr_y, op)
+        # A guard: test_transform_refuses_exactly_the_steps_apply_op_refuses pins equal refusals.
         raise TransformError(f"no rewrite rule for op {token!r}")
     if token == "CS":
         # Connected summing glues two conjugate copies of a punctured Y:

@@ -75,14 +75,6 @@ class F2Matrix:
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.data)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, F2Matrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.data) == (other.rows, other.cols, other.data)
-
-    def __repr__(self) -> str:
-        return f"F2Matrix({self.rows}x{self.cols})"
-
 
 class ChainComplex:
     """A two-step cellular chain complex over GF(2).
@@ -101,18 +93,6 @@ class ChainComplex:
         self.d1 = d1
         self.d2 = d2
 
-    @property
-    def n_vertices(self) -> int:
-        return self.d1.rows
-
-    @property
-    def n_edges(self) -> int:
-        return self.d1.cols
-
-    @property
-    def n_faces(self) -> int:
-        return self.d2.cols
-
 
 def betti_f2(c: ChainComplex) -> SingProfile:
     """Mod-2 Betti numbers: h_i = (number of i-cells) - rank d_i - rank d_{i+1}.
@@ -120,6 +100,5 @@ def betti_f2(c: ChainComplex) -> SingProfile:
     Over a field, cohomology and homology ranks agree, so these are also
     the dimensions of H^i(-; Z/2).
     """
-    r1 = c.d1.rank()
-    r2 = c.d2.rank()
-    return SingProfile(c.n_vertices - r1, c.n_edges - r1 - r2, c.n_faces - r2)
+    r1, r2 = c.d1.rank(), c.d2.rank()
+    return SingProfile(c.d1.rows - r1, c.d1.cols - r1 - r2, c.d2.cols - r2)

@@ -359,8 +359,6 @@ def validate_profile(pr: InvariantProfile) -> None:
         # and their homology classes sum to zero.
         if f % 2:
             raise ProfileError("C = 0 requires an even number of isolated fixed points")
-        if f < 2:
-            raise ProfileError("C = 0 requires F >= 2")
         if beta < f - 2:
             raise ProfileError("beta >= F - 2 violated")
     else:

@@ -340,18 +340,18 @@ def test_validate_profile_rejects_odd_points_without_circles():
 
 
 def test_validate_profile_kind_constraints():
-    with pytest.raises(ProfileError):
-        validate_profile(InvariantProfile(TRIVIAL, 2, 1, 0))
-    with pytest.raises(ProfileError):
-        validate_profile(InvariantProfile(FREE_SPHERE, 3))
-    with pytest.raises(ProfileError):
-        validate_profile(InvariantProfile(FREE_TORUS, 0))
-    with pytest.raises(ProfileError):
-        validate_profile(InvariantProfile(NONFREE, 0, 0, 0))
-    with pytest.raises(ProfileError):
-        validate_profile(InvariantProfile("weird", 0))
-    with pytest.raises(ProfileError):
-        validate_profile(InvariantProfile(NONFREE, -2, 2, 0))
+    for fields, message in (
+        ((TRIVIAL, 2, 1, 0), "trivial actions have F = 0 and C = 0"),
+        ((FREE_SPHERE, 3), "free sphere-like actions need beta even"),
+        ((FREE_TORUS, 0), "free torus-like actions need beta even and >= 2"),
+        ((NONFREE, 0, 0, 0), "nonfree actions have a nonempty fixed set"),
+        (("weird", 0), "unknown kind 'weird'"),
+        ((NONFREE, -2, 2, 0), "beta, F, C must be nonnegative"),
+        # C = 0 with F even and F >= 2: only the lower bound on beta is left.
+        ((NONFREE, 0, 4, 0), "beta >= F - 2 violated"),
+    ):
+        with pytest.raises(ProfileError, match=re.escape(message)):
+            validate_profile(InvariantProfile(*fields))
 
 
 def test_profile_json_round_trip():
