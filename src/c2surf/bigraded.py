@@ -24,14 +24,17 @@ dimension is additive over the direct sum.
 
 ``Bidegree`` and ``Summand`` are ``NamedTuple``s, so they hash and compare
 like plain tuples and compare equal to them: ``Bidegree(1, 2) == (1, 2)``.
-A ``Decomposition`` is one tuple of ``(summand, count)`` pairs in
+A ``Decomposition`` is one dict from summand to count, in
 ``Summand.sort_key`` order.  Construction counts into a plain dict and
-sorts once; ``direct_sum`` keeps the left operand's order, and sorts only
-when the right one brings a summand the left lacks.
+sorts it once; ``direct_sum`` and ``remove`` start from a copy of their
+operand's dict, which keeps its order and its stored hashes, and
+``direct_sum`` sorts only when the right operand brings a summand the left
+lacks, by a memoized sort key.
 
-All values are immutable and every operation is a pure function (the
-table cache is a thread-safe ``functools.lru_cache``), so the whole module
-is safe to use from concurrent threads without locking.
+All values are immutable (a decomposition's dict is never mutated once
+built, only copied) and every operation is a pure function (the caches are
+thread-safe ``functools.lru_cache``s), so the whole module is safe to use
+from concurrent threads without locking.
 
 >>> point = Summand.free(0, 0)
 >>> point.dim_at((0, 0)), point.dim_at((1, 0)), point.dim_at((0, -2))
@@ -160,7 +163,7 @@ class Summand(_SummandFields):
 
     def sort_key(self):
         # Free summands before antipodal ones, then (p, q, n) lexicographic.
-        # Fields are read by position: this runs once per summand per sort.
+        # Fields are read by position; ``_sort_key`` memoizes it for sorting.
         (p, q), n = self
         if n is None:
             return (0, p, q, -1)
@@ -177,12 +180,13 @@ class Decomposition:
     """A finite formal multiset of summands; the empty one is the zero module.
 
     Instances are immutable.  Construction counts the (already canonical)
-    summands once into a plain dict and sorts it once, by
-    ``Summand.sort_key``, into a tuple of ``(summand, count)`` pairs;
-    equality and hashing compare that tuple, so ``S(1,1)A0`` and
-    ``S(1,0)A0`` give equal decompositions.  The algebra below builds its
-    results from counts it knows are valid, without validating again, and
-    keeps its operand's order wherever the order cannot change.
+    summands once into a plain dict and rebuilds it in ``Summand.sort_key``
+    order, a dict never mutated afterwards.  Equality compares the dicts,
+    exact because both are in that one order, so ``S(1,1)A0`` and
+    ``S(1,0)A0`` give equal decompositions.  The algebra below copies its
+    operand's dict, keeping its order and the summands' stored hashes,
+    builds its result from counts it knows are valid without validating
+    again, and sorts only when a summand is new.
 
     >>> x1 = Decomposition([Summand.free(0, 0), Summand.free(1, 0),
     ...                     Summand.free(1, 1), Summand.free(2, 1)])
@@ -192,7 +196,7 @@ class Decomposition:
     M2 + S(1,0)M2 + S(1,1)M2 + S(2,1)M2
     """
 
-    __slots__ = ("_items",)
+    __slots__ = ("_counts",)
 
     def __init__(self, summands: Iterable[Summand] | dict[Summand, int] = ()):
         counts = {}
@@ -204,30 +208,30 @@ class Decomposition:
         else:
             for s in summands:
                 counts[s] = counts.get(s, 0) + 1
-        self._items = _sorted_items(counts)
+        self._counts = _sorted_counts(counts)
 
     @classmethod
-    def _from_items(cls, items: tuple) -> "Decomposition":
-        """The decomposition of ``items``, taken as they are: positive int
-        counts of distinct summands, already in sort_key order."""
+    def _from_counts(cls, counts: dict) -> "Decomposition":
+        """The decomposition of ``counts``, taken as it is and owned from
+        now on: positive int counts of summands, already in sort_key order."""
         d = object.__new__(cls)
-        d._items = items
+        d._counts = counts
         return d
 
     # -- multiset access ----------------------------------------------------
 
     def items(self) -> Iterator[tuple[Summand, int]]:
         """Distinct summands with multiplicities, in canonical order."""
-        return iter(self._items)
+        return iter(self._counts.items())
 
     def __len__(self) -> int:
-        return sum(c for _, c in self._items)
+        return sum(self._counts.values())
 
     # -- pointwise evaluation ----------------------------------------------
 
     def dim_at(self, b) -> int:
         """Total dimension in bidegree ``b`` (suspension shifts applied)."""
-        return sum(c * s.dim_at(b) for s, c in self._items)
+        return sum(c * s.dim_at(b) for s, c in self._counts.items())
 
     def rank_at(self, b, generator: str) -> int:
         """Rank of multiplication by ``generator`` ("rho" or "tau") at ``b``.
@@ -247,18 +251,18 @@ class Decomposition:
         if step is None:
             raise ValueError(f"unknown generator {generator!r}")
         target = (b[0] + step[0], b[1] + step[1])
-        return sum(c * s.dim_at(b) * s.dim_at(target) for s, c in self._items)
+        return sum(c * s.dim_at(b) * s.dim_at(target) for s, c in self._counts.items())
 
     # -- algebra -------------------------------------------------------------
 
     def direct_sum(self, other: "Decomposition") -> "Decomposition":
-        counts = dict(self._items)
+        counts = self._counts.copy()
         for s, c in other.items():
             counts[s] = counts.get(s, 0) + c
-        if len(counts) == len(self._items):
-            # No new summand: the dict still holds self's keys in self's order.
-            return Decomposition._from_items(tuple(counts.items()))
-        return Decomposition._from_items(_sorted_items(counts))
+        if len(counts) == len(self._counts):
+            # No new summand: the copy still holds self's keys in self's order.
+            return Decomposition._from_counts(counts)
+        return Decomposition._from_counts(_sorted_counts(counts))
 
     __add__ = direct_sum
 
@@ -267,25 +271,25 @@ class Decomposition:
 
         Raises KeyError if the decomposition does not contain it.
         """
-        counts = dict(self._items)
-        left = counts.get(summand, 0) - 1
+        left = self._counts.get(summand, 0) - 1
         if left < 0:
             raise KeyError(f"decomposition has no summand {summand}")
+        counts = self._counts.copy()
         if left:
             counts[summand] = left
         else:
-            counts.pop(summand, None)
-        return Decomposition._from_items(tuple(counts.items()))
+            del counts[summand]
+        return Decomposition._from_counts(counts)
 
     # -- comparison / serialization ------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Decomposition):
             return NotImplemented
-        return self._items == other._items
+        return self._counts == other._counts
 
     def __hash__(self) -> int:
-        return hash(self._items)
+        return hash(tuple(self._counts.items()))
 
     def __str__(self) -> str:
         parts = []
@@ -340,9 +344,14 @@ def _check_multiplicity(c) -> None:
         raise ValueError("negative multiplicity")
 
 
-def _sorted_items(counts: dict) -> tuple:
-    """``(summand, count)`` pairs of ``counts`` in sort_key order."""
-    return tuple([(s, counts[s]) for s in sorted(counts, key=Summand.sort_key)])
+# ``Summand.sort_key`` through the module's usual bounded memo: a fold
+# re-sorts the same few summands at every step that brings a new one.
+_sort_key = lru_cache(maxsize=1024)(Summand.sort_key)
+
+
+def _sorted_counts(counts: dict) -> dict:
+    """``counts`` rebuilt in sort_key order."""
+    return {s: counts[s] for s in sorted(counts, key=_sort_key)}
 
 
 _GLYPHS = ".123456789"           # render_grid's cell for a total below 10

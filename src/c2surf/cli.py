@@ -9,7 +9,7 @@ Three subcommands:
   ok line names the fixed forgetful-LES window, ``-2:6,-8:8``, which never
   changes the verdict (see ``checks``).
 * ``catalog BETA_MAX`` -- one verified row per realizable profile with
-  beta <= BETA_MAX (plain ASCII digits).
+  beta <= BETA_MAX (plain ASCII digits, at most ``MAX_CATALOG_BETA``).
 
 Exit codes: 0 ok, 1 verification failure, 2 bad input, 141 stdout closed
 by its reader (see README); any other exception is a program error and
@@ -53,6 +53,11 @@ DEFAULT_GRID_WINDOW = Window(-4, 6, -6, 6)
 # The most cells ``compute --grid`` draws: a 316 x 316 window, far wider than
 # a screen.  A larger one is bad input, before its grid is allocated.
 MAX_GRID_CELLS = 100_000
+# The largest ``catalog`` bound: 184,084 rows, 7-12 s and 140 MB on a
+# 2-core host.  A larger one is bad input, refused before any row is built:
+# every row is built before the first prints, and the row count grows about
+# as the cube of the bound.
+MAX_CATALOG_BETA = 160
 
 OK = 0
 VERIFY_FAILED = 1
@@ -175,6 +180,9 @@ def _cmd_verify(args) -> int:
 def _cmd_catalog(args) -> int:
     (beta_max,) = _ints(_BOUND, args.beta_max,
                         f"catalog bound must be ASCII digits, got {args.beta_max!r}")
+    if beta_max > MAX_CATALOG_BETA:
+        raise _InputError(f"catalog bound {beta_max} is more than the"
+                          f" {MAX_CATALOG_BETA} a catalog may list")
     witnesses = profiles_by_words(beta_max)
     any_failed = False
     for pr in witnesses:

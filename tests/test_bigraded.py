@@ -16,8 +16,8 @@ from c2surf.bigraded import (
     render_grid,
 )
 
-from c2surf.engine import closed_form
-from c2surf.surfaces import enumerate_profiles
+from c2surf.engine import closed_form, transform
+from c2surf.surfaces import ClosedSurface, Op, WordError, apply_op, enumerate_profiles
 
 from _oracles import (
     GOLDEN_M2_SQUARE,
@@ -347,6 +347,43 @@ def test_remove():
     assert len(d.remove(Summand.free(1, 1))) == 3
     with pytest.raises(KeyError):
         d.remove(Summand.free(5, 5))
+
+
+FOLD_PROFILES = enumerate_profiles(8)
+FOLD_OPS = [Op("AT11"), Op("AT10"), Op("FM"), Op("DCC"), Op("CS", ClosedSurface(True, 1)),
+            Op("CS", ClosedSurface(False, 3))]
+
+
+@given(decompositions, decompositions, summand_strategy, st.sampled_from(FOLD_PROFILES),
+       st.lists(st.sampled_from(FOLD_OPS), max_size=8))
+def test_the_algebra_never_mutates_what_it_reads(d1, d2, s, pr, ops):
+    # Results copy their operand's dict, and closed_form hands one shared
+    # decomposition to every caller: no operation may write to what it read.
+    def frozen(d):
+        return d.to_json_obj(), str(d)
+
+    read = [(d1, frozen(d1)), (d2, frozen(d2))]     # each operand, as it was
+    results = [d1 + d2, d2 + d1, d1 + d1] + [d1.remove(t) for t, _ in d1.items()]
+    if s not in dict(d1.items()):
+        with pytest.raises(KeyError):
+            d1.remove(s)
+    d = closed_form(pr)
+    for op in ops:
+        try:
+            nxt = apply_op(pr, op)
+        except WordError:
+            continue
+        read.append((d, frozen(d)))
+        d, pr = transform(d, pr, op), nxt
+        results.append(d)
+    assert [frozen(d) for d, _ in read] == [was for _, was in read]
+    # Dict equality ignores order: only the order items() gives shows it.
+    for r in results:
+        keys = [s.sort_key() for s, _ in r.items()]
+        assert keys == sorted(set(keys)), r
+    # Every memo entry still reads as a fresh build of its profile.
+    for pr in FOLD_PROFILES:
+        assert frozen(closed_form(pr)) == frozen(closed_form.__wrapped__(pr)), pr
 
 
 # SHA-256 of one line per profile of enumerate_profiles(20), in its order:

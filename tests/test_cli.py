@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from _oracles import reference_parser
-from c2surf.cli import MAX_GRID_CELLS, _build_parser, _match, _preprocess, main
+from c2surf.cli import MAX_CATALOG_BETA, MAX_GRID_CELLS, _build_parser, _match, _preprocess, main
 from c2surf.engine import closed_form
 from c2surf.surfaces import enumerate_profiles
 
@@ -250,6 +250,11 @@ def test_double_dash_window_is_bad_input(capsys):
       for text in ("drop: 1 ,1_1", "drop:\uff11,1", "drop:1," + "9" * 5000)),
     *((["catalog", text], f"error: catalog bound must be ASCII digits, got {text!r}\n")
       for text in ("\u0661", " 1_0", "x", "-1", "9" * 5000)),
+    # Plain digits over the cap: refused before a row is built, not run
+    # until the host runs out of memory.
+    *((["catalog", str(bound)], f"error: catalog bound {bound} is more than the"
+       f" {MAX_CATALOG_BETA} a catalog may list\n")
+      for bound in (MAX_CATALOG_BETA + 1, 99999999999999999999999999)),
     # More digits than int() accepts: the input is named, not Python's limit.
     (["compute", "--grid", "--window=0:1,0:" + "9" * 5000, "S22"],
      f"error: bad window {'0:1,0:' + '9' * 5000!r} (want pmin:pmax,qmin:qmax)\n"),

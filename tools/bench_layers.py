@@ -1,4 +1,4 @@
-"""Time the layers of c2surf and write them to BENCH_27.json.
+"""Time the layers of c2surf and write them to BENCH_28.json.
 
 Run from anywhere, with no arguments, on the source of this checkout:
 
@@ -21,8 +21,11 @@ next to it.  The rows are:
   the inequality scan with one closed-form witness word per profile;
 * ``parse_word`` over the witness-word texts of the 614 profiles with
   beta <= 20;
-* the ``transform``/``apply_op`` fold of those words, parsed beforehand:
-  each step is compared with ``closed_form`` of its profile;
+* the fold of those words, as two rows over the same steps, built and
+  checked beforehand (each step must land on ``closed_form`` of the
+  profile it reaches): ``transform`` alone, called as
+  ``transform(d, pr, op)`` on each step's decomposition and profile, and
+  ``apply_op`` alone, called as ``apply_op(pr, op)``;
 * ``verify_decomposition`` over the 614 profiles with beta <= 20, their
   closed forms computed beforehand (the accept path);
 * ``verify_decomposition`` over the 33,228 single-summand mutants of the
@@ -69,7 +72,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-OUT = ROOT / "BENCH_27.json"
+OUT = ROOT / "BENCH_28.json"
 REPEATS = 7
 
 sys.path.insert(0, str(SRC))
@@ -125,17 +128,31 @@ def parse_all(texts) -> None:
         parse_word(text)
 
 
-def fold_all(words) -> None:
-    """Fold each word op by op with ``transform``; every step must land on
-    the closed form of the profile ``apply_op`` reaches."""
+def fold_steps(words) -> list:
+    """The ``(decomposition, profile, op)`` of every step of folding each
+    word op by op with ``transform``; every step must land on the closed
+    form of the profile ``apply_op`` reaches."""
+    steps = []
     for word in words:
         pr = base_profile(word.base)
         d = closed_form(pr)
         for op in word.ops:
+            steps.append((d, pr, op))
             d = transform(d, pr, op)
             pr = apply_op(pr, op)
             if d != closed_form(pr):
                 raise AssertionError(f"{word}: {op} gives {d}, not the closed form of {pr}")
+    return steps
+
+
+def transform_all(steps) -> None:
+    for d, pr, op in steps:
+        transform(d, pr, op)
+
+
+def apply_op_all(steps) -> None:
+    for _, pr, op in steps:
+        apply_op(pr, op)
 
 
 def mutants() -> list:
@@ -225,7 +242,7 @@ def main() -> None:
     if len(cases) != 614:
         raise AssertionError(f"expected 614 profiles with beta <= 20, got {len(cases)}")
     texts = [str(witness(pr)) for _, pr in cases]
-    words = [parse_word(text) for text in texts]
+    steps = fold_steps(parse_word(text) for text in texts)
     wrong = mutants()
     if len(wrong) != 33228:
         raise AssertionError(f"expected 33228 mutants with beta <= 8, got {len(wrong)}")
@@ -234,7 +251,8 @@ def main() -> None:
         "profiles_by_words(40)": lambda: profiles_by_words(40),
         "profiles_by_words(80)": lambda: profiles_by_words(80),
         "parse_word x614 witness words (beta <= 20)": lambda: parse_all(texts),
-        "transform fold x614 witness words (beta <= 20)": lambda: fold_all(words),
+        f"transform x{len(steps)} fold steps (beta <= 20)": lambda: transform_all(steps),
+        f"apply_op x{len(steps)} fold steps (beta <= 20)": lambda: apply_op_all(steps),
         "verify_decomposition x614 (beta <= 20)": lambda: verify_all(cases),
         "verify_decomposition x33228 mutants (beta <= 8)": lambda: reject_all(wrong),
         "expected x614 (beta <= 20, cold)": lambda: expected_cold(cases),
