@@ -250,17 +250,17 @@ def test_double_dash_window_is_bad_input(capsys):
       for text in ("drop: 1 ,1_1", "drop:\uff11,1", "drop:1," + "9" * 5000)),
     *((["catalog", text], f"error: catalog bound must be ASCII digits, got {text!r}\n")
       for text in ("\u0661", " 1_0", "x", "-1", "9" * 5000)),
-    # Plain digits over the cap: refused before a row is built, not run
-    # until the host runs out of memory.
-    *((["catalog", str(bound)], f"error: catalog bound {bound} is more than the"
-       f" {MAX_CATALOG_BETA} a catalog may list\n")
-      for bound in (MAX_CATALOG_BETA + 1, 99999999999999999999999999)),
     # More digits than int() accepts: the input is named, not Python's limit.
     (["compute", "--grid", "--window=0:1,0:" + "9" * 5000, "S22"],
      f"error: bad window {'0:1,0:' + '9' * 5000!r} (want pmin:pmax,qmin:qmax)\n"),
     (["compute", "S22 + CS(T[" + "9" * 5000 + "])"],
      f"error: at position 9: bad surface descriptor {'T[' + '9' * 5000 + ']'!r}"
      " (want T[g] or N[s])\n"),
+    # Plain digits over the cap: refused before a row is built, not run
+    # until the host runs out of memory.
+    *((["catalog", str(bound)], f"error: catalog bound {bound} is more than the"
+       f" {MAX_CATALOG_BETA} a catalog may list\n")
+      for bound in (MAX_CATALOG_BETA + 1, 99999999999999999999999999)),
 ])
 def test_integers_are_plain_ascii_digits(capsys, argv, err):
     # int() and \d accept any Unicode digit, and int() also "_" and spaces:
