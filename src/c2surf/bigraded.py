@@ -29,7 +29,9 @@ A ``Decomposition`` is one dict from summand to count, in
 sorts it once; ``direct_sum`` and ``remove`` start from a copy of their
 operand's dict, which keeps its order and its stored hashes, and
 ``direct_sum`` sorts only when the right operand brings a summand the left
-lacks, by a memoized sort key.
+lacks, by a memoized sort key.  A decomposition's text joins the texts of
+its summands, each spelled once into a bounded memo (``_text``), so a
+catalog row that repeats the same few summands does not spell them again.
 
 All values are immutable (a decomposition's dict is never mutated once
 built, only copied) and every operation is a pure function (the caches are
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, Iterator, NamedTuple
+from typing import ItemsView, Iterable, NamedTuple
 
 
 class Bidegree(NamedTuple):
@@ -220,9 +222,10 @@ class Decomposition:
 
     # -- multiset access ----------------------------------------------------
 
-    def items(self) -> Iterator[tuple[Summand, int]]:
-        """Distinct summands with multiplicities, in canonical order."""
-        return iter(self._counts.items())
+    def items(self) -> ItemsView[Summand, int]:
+        """Distinct summands with multiplicities, in canonical order: a
+        read-only view of the decomposition's dict."""
+        return self._counts.items()
 
     def __len__(self) -> int:
         return sum(self._counts.values())
@@ -292,10 +295,8 @@ class Decomposition:
         return hash(tuple(self._counts.items()))
 
     def __str__(self) -> str:
-        parts = []
-        for s, c in self.items():
-            parts.append(str(s) + (f"^{c}" if c > 1 else ""))
-        return " + ".join(parts) if parts else "0"
+        return " + ".join([f"{_text(s)}^{c}" if c > 1 else _text(s)
+                           for s, c in self._counts.items()]) or "0"
 
     def __repr__(self) -> str:
         return f"Decomposition<{self}>"
@@ -344,9 +345,11 @@ def _check_multiplicity(c) -> None:
         raise ValueError("negative multiplicity")
 
 
-# ``Summand.sort_key`` through the module's usual bounded memo: a fold
-# re-sorts the same few summands at every step that brings a new one.
+# ``Summand.sort_key`` and ``Summand.__str__`` through the module's usual
+# bounded memos: a fold re-sorts the same few summands at every step that
+# brings a new one, and a catalog spells the same few in every row.
 _sort_key = lru_cache(maxsize=1024)(Summand.sort_key)
+_text = lru_cache(maxsize=1024)(Summand.__str__)
 
 
 def _sorted_counts(counts: dict) -> dict:

@@ -53,7 +53,7 @@ DEFAULT_GRID_WINDOW = Window(-4, 6, -6, 6)
 # The most cells ``compute --grid`` draws: a 316 x 316 window, far wider than
 # a screen.  A larger one is bad input, before its grid is allocated.
 MAX_GRID_CELLS = 100_000
-# The largest ``catalog`` bound: 184,084 rows, 7-12 s and 140 MB on a
+# The largest ``catalog`` bound: 184,084 rows, 8-9 s and 117 MB on a
 # 2-core host.  A larger one is bad input, refused before any row is built:
 # every row is built before the first prints, and the row count grows about
 # as the cube of the bound.
@@ -183,14 +183,13 @@ def _cmd_catalog(args) -> int:
     if beta_max > MAX_CATALOG_BETA:
         raise _InputError(f"catalog bound {beta_max} is more than the"
                           f" {MAX_CATALOG_BETA} a catalog may list")
-    witnesses = profiles_by_words(beta_max)
     any_failed = False
-    for pr in witnesses:
+    for pr, word in profiles_by_words(beta_max).items():
         decomposition = closed_form(pr)
         violations = verify_decomposition(decomposition, pr)
         status = "ok" if not violations else "FAIL"
         any_failed = any_failed or bool(violations)
-        print(f"{witnesses[pr]}\t{pr.kind}\tbeta={pr.beta}"
+        print(f"{word}\t{pr.kind}\tbeta={pr.beta}"
               f" F={pr.fixed_points} C={pr.fixed_circles}"
               f"\t{decomposition}\t{status}")
     return VERIFY_FAILED if any_failed else OK

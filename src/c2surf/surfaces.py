@@ -36,15 +36,19 @@ with a rule to keep check it in ``__new__``, which ``_replace`` and
 token, with a surface exactly when it is ``triv`` or ``CS``, and a
 ``SurgeryWord`` is a ``Base`` and a tuple of ``Op``s.  The plain bases
 and ops are built once, in tables, and ``parse_word`` reads each other
-piece once, into a bounded memo.  A surgery is one step on the integer
-fields ``(kind, beta, F, C)``, taken once per op: ``apply_op`` takes
-one, ``invariants`` folds a word on them, and both build the
-``InvariantProfile`` they end on through a bounded memo keyed by the
-four fields, so a profile reached again is not validated again.  The
-Betti numbers of the fixed set and the orbit space are read from one
+piece once, into a bounded memo.  A word's text joins the texts of its
+pieces, each spelled once into a bounded memo (``_piece_text``), as a
+decomposition's text does (``bigraded._text``).  A surgery is one step on
+the integer fields ``(kind, beta, F, C)``, taken once per op:
+``apply_op`` takes one, ``invariants`` folds a word on them, and both
+build the ``InvariantProfile`` they end on through a bounded memo keyed
+by the four fields, so a profile reached again is not validated again.
+The Betti numbers of the fixed set and the orbit space are read from one
 table each, keyed by ``cell(pr) = (kind, C == 0)``.  The catalog needs
 no search: ``enumerate_profiles`` scans the realizability inequalities,
-and ``witness`` writes down a shortest word for each profile.
+and ``witness`` writes down a shortest word for each profile, its last
+op, if it needs one to fill beta, shared through a bounded memo
+(``_fill``).
 
 >>> invariants(parse_word("S21 + AT10"))
 InvariantProfile(kind='nonfree', beta=2, fixed_points=0, fixed_circles=2)
@@ -206,8 +210,13 @@ class SurgeryWord(_WordFields):
         return cls(*iterable)
 
     def __str__(self) -> str:
-        return " + ".join([str(self.base)] + [str(op) for op in self.ops])
+        return " + ".join([_piece_text(self.base), *map(_piece_text, self.ops)])
 
+
+# ``_Piece.__str__`` through a bounded memo: a catalog's words repeat a few
+# pieces, each spelled once.  No base token is an op token, so a piece's two
+# fields alone pick its text.
+_piece_text = lru_cache(maxsize=256)(_Piece.__str__)
 
 # The plain tokens, built once: a parse looks each piece up here first.
 _BASES = {token: Base(token) for token in Base._PLAIN}
@@ -524,9 +533,11 @@ def enumerate_profiles(beta_max: int) -> list[InvariantProfile]:
     return out
 
 
+@lru_cache(maxsize=256)
 def _fill(r: int) -> tuple[Op, ...]:
     """The first single op that adds an even r > 0 to beta and nothing
-    else (none for r = 0): DCC, else CS(T[r/4]), else CS(N[r/2])."""
+    else (none for r = 0): DCC, else CS(T[r/4]), else CS(N[r/2]).
+    Memoized, so the witnesses that share an r share its op."""
     if r == 0:
         return ()
     if r == 2:

@@ -250,6 +250,21 @@ def test_construction_is_canonical(specs, data):
     assert str(d) == str(e) and d.to_json_obj() == e.to_json_obj()
 
 
+@given(st.dictionaries(summand_strategy, st.integers(1, 4), max_size=6))
+def test_text_is_the_plain_spelling(counts):
+    # A decomposition spells each summand through a memo: its text is still
+    # the plain one, each summand's own text with ^c past one copy, in
+    # sort_key order, or "0" for the zero module.
+    d = Decomposition(counts)
+    order = sorted(counts, key=Summand.sort_key)
+    want = " + ".join([Summand.__str__(s) + (f"^{counts[s]}" if counts[s] > 1 else "")
+                       for s in order]) or "0"
+    assert str(d) == str(d) == want and repr(d) == f"Decomposition<{want}>"
+    assert str(Decomposition([s for s in order for _ in range(counts[s])])) == want
+    assert str(Decomposition()) == "0"
+    assert c2surf.bigraded._text.cache_info().maxsize == 1024
+
+
 @given(summand_strategy, st.builds(Bidegree, st.integers(-4, 4), st.integers(-4, 4)),
        bidegrees)
 def test_suspension_equivariance(s, t, b):

@@ -147,6 +147,7 @@ def test_bases_and_ops_are_valid_by_construction(make, args, message):
     ((Op("FM"),), "a word's base must be a Base, got Op(token='FM'"),
     ((Base("S22"), ("FM",)), "a word's op must be an Op, got 'FM'"),
     ((Base("S22"), (Op("FM"), Base("S21"))), "a word's op must be an Op, got Base(token='S21'"),
+    ((Base("S22"), (Op("FM"), "AT11", 3)), "a word's op must be an Op, got 'AT11'"),
     ((Base("S22"), [Op("FM")]), "a word's ops must be a tuple, got [Op(token='FM'"),
     ((Base("S22"), Op("FM")), "a word's ops must be a tuple, got Op(token='FM'"),
 ])
@@ -162,6 +163,23 @@ def test_words_are_valid_by_construction(args, message):
     good = SurgeryWord(Base("S22"), (Op("FM"),))
     with pytest.raises(ValueError, match=message):
         good._replace(**dict(zip(SurgeryWord._fields, args)))
+
+
+_surfaces = st.builds(ClosedSurface, st.booleans(), st.integers(1, 12))
+
+
+@given(st.one_of(st.sampled_from([Base(t) for t in Base._PLAIN]),
+                 st.builds(Base, st.just("triv"), _surfaces)),
+       st.lists(st.one_of(st.sampled_from([Op(t) for t in Op._PLAIN]),
+                          st.builds(Op, st.just("CS"), _surfaces)), max_size=6).map(tuple))
+def test_word_text_is_the_piece_by_piece_join(base, ops):
+    # A word spells each piece through a memo: its text is still the plain
+    # join of its pieces' own texts, and parses back to the word.
+    w = SurgeryWord(base, ops)
+    want = " + ".join(c2surf.surfaces._Piece.__str__(piece) for piece in (base, *ops))
+    assert str(w) == str(w) == want and parse_word(want) == w
+    assert (c2surf.surfaces._piece_text.cache_info().maxsize
+            == c2surf.surfaces._fill.cache_info().maxsize == 256)
 
 
 # -- invariant folding --------------------------------------------------------
@@ -607,6 +625,10 @@ def test_expected_witnesses():
                          ((NONFREE, 7, 1, 1), "S22 + FM + CS(N[3])"),
                          ((NONFREE, 6, 0, 3), "S21 + AT10 + AT10 + DCC")]:
         assert str(witness(InvariantProfile(*fields))) == word, fields
+    # Profiles with the same beta left to fill share that op.
+    fill = witness(InvariantProfile(FREE_SPHERE, 8)).ops[-1]
+    assert witness(InvariantProfile(FREE_TORUS, 10)).ops[-1] is fill
+    assert witness(InvariantProfile(NONFREE, 8, 2, 0)).ops[-1] is fill
 
 
 # -- value semantics ------------------------------------------------------------

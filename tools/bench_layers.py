@@ -1,4 +1,4 @@
-"""Time the layers of c2surf and write them to BENCH_28.json.
+"""Time the layers of c2surf and write them to BENCH_29.json.
 
 Run from anywhere, with no arguments, on the source of this checkout:
 
@@ -28,6 +28,9 @@ next to it.  The rows are:
   ``apply_op`` alone, called as ``apply_op(pr, op)``;
 * ``verify_decomposition`` over the 614 profiles with beta <= 20, their
   closed forms computed beforehand (the accept path);
+* the text of a catalog row, ``str`` of each of those closed forms and of
+  each of their witness words, every text checked beforehand against its
+  plain spelling (each summand's or piece's own ``__str__``, joined);
 * ``verify_decomposition`` over the 33,228 single-summand mutants of the
   acceptance suite's mutation sweep (profiles with beta <= 8; every
   removal, and every added free summand with p, q in [-4, 12] or
@@ -53,8 +56,9 @@ Standard library only, and separate from ``perfbench/``.  CI runs it on
 one Python version as a smoke test of about 20 s: it fails when the script
 raises, as it does when a closed form fails its checks, a mutant passes
 them, the mutants' violations are not exactly 209,156 (a walk that drops
-or duplicates a report), a folded witness word leaves its closed form, or
-a check no longer takes ``(t, pr)``.  No timing is a CI gate.
+or duplicates a report), a folded witness word leaves its closed form, a
+closed form or a witness word is spelled otherwise than plainly, or a
+check no longer takes ``(t, pr)``.  No timing is a CI gate.
 """
 
 from __future__ import annotations
@@ -72,7 +76,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-OUT = ROOT / "BENCH_28.json"
+OUT = ROOT / "BENCH_29.json"
 REPEATS = 7
 
 sys.path.insert(0, str(SRC))
@@ -92,6 +96,7 @@ from c2surf.checks import (  # noqa: E402
 )
 from c2surf.engine import closed_form, transform  # noqa: E402
 from c2surf.surfaces import (  # noqa: E402
+    _Piece,
     apply_op,
     base_profile,
     enumerate_profiles,
@@ -153,6 +158,25 @@ def transform_all(steps) -> None:
 def apply_op_all(steps) -> None:
     for _, pr, op in steps:
         apply_op(pr, op)
+
+
+def check_texts(cases, words) -> None:
+    """Each closed form and each witness word must print as its plain
+    spelling: its summands' or pieces' own texts, joined."""
+    for (d, pr), word in zip(cases, words):
+        plain = " + ".join([Summand.__str__(s) + (f"^{c}" if c > 1 else "")
+                            for s, c in d.items()]) or "0"
+        if str(d) != plain:
+            raise AssertionError(f"closed form of {pr} prints {d}, not {plain}")
+        plain = " + ".join([_Piece.__str__(piece) for piece in (word.base, *word.ops)])
+        if str(word) != plain:
+            raise AssertionError(f"witness of {pr} prints {word}, not {plain}")
+
+
+def text_all(cases, words) -> None:
+    for (d, _), word in zip(cases, words):
+        str(d)
+        str(word)
 
 
 def mutants() -> list:
@@ -241,7 +265,9 @@ def main() -> None:
     cases = [(closed_form(pr), pr) for pr in enumerate_profiles(20)]
     if len(cases) != 614:
         raise AssertionError(f"expected 614 profiles with beta <= 20, got {len(cases)}")
-    texts = [str(witness(pr)) for _, pr in cases]
+    words = [witness(pr) for _, pr in cases]
+    check_texts(cases, words)
+    texts = [str(word) for word in words]
     steps = fold_steps(parse_word(text) for text in texts)
     wrong = mutants()
     if len(wrong) != 33228:
@@ -254,6 +280,7 @@ def main() -> None:
         f"transform x{len(steps)} fold steps (beta <= 20)": lambda: transform_all(steps),
         f"apply_op x{len(steps)} fold steps (beta <= 20)": lambda: apply_op_all(steps),
         "verify_decomposition x614 (beta <= 20)": lambda: verify_all(cases),
+        "row text x614 (beta <= 20)": lambda: text_all(cases, words),
         "verify_decomposition x33228 mutants (beta <= 8)": lambda: reject_all(wrong),
         "expected x614 (beta <= 20, cold)": lambda: expected_cold(cases),
         "tally x33228 mutants": lambda: tally_all(wrong),
