@@ -147,9 +147,9 @@ def test_bases_and_ops_are_valid_by_construction(make, args, message):
     ((Op("FM"),), "a word's base must be a Base, got Op(token='FM'"),
     ((Base("S22"), ("FM",)), "a word's op must be an Op, got 'FM'"),
     ((Base("S22"), (Op("FM"), Base("S21"))), "a word's op must be an Op, got Base(token='S21'"),
-    ((Base("S22"), (Op("FM"), "AT11", 3)), "a word's op must be an Op, got 'AT11'"),
     ((Base("S22"), [Op("FM")]), "a word's ops must be a tuple, got [Op(token='FM'"),
     ((Base("S22"), Op("FM")), "a word's ops must be a tuple, got Op(token='FM'"),
+    ((Base("S22"), (Op("FM"), "AT11", 3)), "a word's op must be an Op, got 'AT11'"),
 ])
 def test_words_are_valid_by_construction(args, message):
     # A word is folded by the fields of its pieces, so a string or a list
