@@ -181,14 +181,15 @@ class Summand(_SummandFields):
 class Decomposition:
     """A finite formal multiset of summands; the empty one is the zero module.
 
-    Instances are immutable.  Construction counts the (already canonical)
-    summands once into a plain dict and rebuilds it in ``Summand.sort_key``
-    order, a dict never mutated afterwards.  Equality compares the dicts,
-    exact because both are in that one order, so ``S(1,1)A0`` and
-    ``S(1,0)A0`` give equal decompositions.  The algebra below copies its
-    operand's dict, keeping its order and the summands' stored hashes,
-    builds its result from counts it knows are valid without validating
-    again, and sorts only when a summand is new.
+    Instances are immutable.  Construction names, in a ValueError, a member
+    that is not a ``Summand`` or a count that is not a natural number.  It
+    counts the (already canonical) summands once into a plain dict and
+    rebuilds it in ``Summand.sort_key`` order, a dict never mutated
+    afterwards.  Equality compares the dicts, exact because both are in that
+    one order, so ``S(1,1)A0`` and ``S(1,0)A0`` give equal decompositions.
+    The algebra below copies its operand's dict, keeping its order and the
+    summands' stored hashes, builds its result from counts it knows are
+    valid without validating again, and sorts only when a summand is new.
 
     >>> x1 = Decomposition([Summand.free(0, 0), Summand.free(1, 0),
     ...                     Summand.free(1, 1), Summand.free(2, 1)])
@@ -204,11 +205,13 @@ class Decomposition:
         counts = {}
         if isinstance(summands, dict):          # a Counter included
             for s, c in summands.items():
+                _check_summand(s)
                 _check_multiplicity(c)
                 if c:
                     counts[s] = c
         else:
             for s in summands:
+                _check_summand(s)
                 counts[s] = counts.get(s, 0) + 1
         self._counts = _sorted_counts(counts)
 
@@ -336,6 +339,13 @@ class Decomposition:
 
 
 _STEPS = {"rho": (1, 1), "tau": (0, 1)}      # each generator's bidegree
+
+
+def _check_summand(s) -> None:
+    # A plain tuple hashes like the summand it spells, so name it here,
+    # before it reaches the sort key or the text.
+    if not isinstance(s, Summand):
+        raise ValueError(f"a decomposition's member must be a Summand, got {s!r}")
 
 
 def _check_multiplicity(c) -> None:

@@ -34,16 +34,18 @@ with a rule to keep check it in ``__new__``, which ``_replace`` and
 ``_make`` go through too: a ``ClosedSurface`` has a valid genus, an
 ``InvariantProfile`` is realizable, a ``Base`` or ``Op`` has a known
 token, with a surface exactly when it is ``triv`` or ``CS``, and a
-``SurgeryWord`` is a ``Base`` and a tuple of ``Op``s.  The plain bases
-and ops are built once, in tables, and ``parse_word`` reads each other
-piece once, into a bounded memo.  A word's text joins the texts of its
-pieces, each spelled once into a bounded memo (``_piece_text``), as a
-decomposition's text does (``bigraded._text``).  A surgery is one step on
-the integer fields ``(kind, beta, F, C)``, taken once per op:
-``apply_op`` takes one, ``invariants`` folds a word on them, and both
-build the ``InvariantProfile`` they end on through a bounded memo keyed
-by the four fields, so a profile reached again is not validated again.
-The Betti numbers of the fixed set and the orbit space are read from one
+``SurgeryWord`` is a ``Base`` and a tuple of ``Op``s.  ``parse_word``
+reads every piece through one bounded memo (``_read_piece``), which
+reads a ``triv:*`` or ``CS(...)`` piece by the ``_FORMAT`` its printer
+uses, and ``witness`` hands out plain bases and ops built once, in
+tables.  A word's text joins the texts of its pieces, each spelled once
+into a bounded memo (``_piece_text``), as a decomposition's text does
+(``bigraded._text``).  A surgery is one step on the integer fields
+``(kind, beta, F, C)``, taken once per op: ``apply_op`` takes one,
+``invariants`` folds a word on them, and both build the
+``InvariantProfile`` they end on through a bounded memo keyed by the
+four fields, so a profile reached again is not validated again.  The
+Betti numbers of the fixed set and the orbit space are read from one
 table each, keyed by ``cell(pr) = (kind, C == 0)``.  The catalog needs
 no search: ``enumerate_profiles`` scans the realizability inequalities,
 and ``witness`` writes down a shortest word for each profile, its last
@@ -218,58 +220,44 @@ class SurgeryWord(_WordFields):
 # fields alone pick its text.
 _piece_text = lru_cache(maxsize=256)(_Piece.__str__)
 
-# The plain tokens, built once: a parse looks each piece up here first.
+# The plain tokens, built once, for ``witness`` and ``_fill`` to hand out.
 _BASES = {token: Base(token) for token in Base._PLAIN}
 _OPS = {token: Op(token) for token in Op._PLAIN}
 
 
 def parse_word(text: str) -> SurgeryWord:
     """Parse the word DSL; raises ParseError with a character position.
-    A piece that is not in a token table is read by ``_piece``.
+    Piece 0 is read by ``_read_piece`` as a ``Base``, the rest as ``Op``s.
 
     >>> str(parse_word("S2a + CS(T[1])"))
     'S2a + CS(T[1])'
     """
-    first, *rest = text.split("+")
-    base = _BASES.get(first.strip()) or _piece(Base, first, 0)
-    pos = len(first) + 1
-    ops = []
-    for raw in rest:
-        ops.append(_OPS.get(raw.strip()) or _piece(Op, raw, pos))
+    pieces, pos = [], 0
+    for raw in text.split("+"):
+        token = raw.strip()
+        try:
+            pieces.append(_read_piece(Op if pieces else Base, token))
+        except ParseError as exc:
+            raise ParseError(exc.message, pos + raw.index(token) + exc.position) from None
         pos += len(raw) + 1
-    return SurgeryWord(base, tuple(ops))
-
-
-def _piece(want: type, raw: str, pos: int) -> Base | Op:
-    """The ``want`` (``Base`` or ``Op``) of a piece that starts at ``pos``
-    and is not a plain token, or its positioned ParseError."""
-    token = raw.strip()
-    piece = _read_piece(token)
-    if type(piece) is want:
-        return piece
-    at = pos + raw.index(token)
-    if type(piece) is tuple and piece[0] is want:
-        raise ParseError(piece[1], at + piece[2])
-    raise ParseError(f"unknown {want.__name__.lower()} {token!r}" if token else "empty token", at)
+    return SurgeryWord(pieces[0], tuple(pieces[1:]))
 
 
 @lru_cache(maxsize=256)
-def _read_piece(token: str) -> Base | Op | tuple[type, str, int] | None:
-    """The ``Base`` of a stripped ``triv:*`` piece or the ``Op`` of a
-    ``CS(...)`` one; for a bad surface, that type, the message of its
-    ParseError and its offset in the token; else None.  Memoized, as words
-    repeat few pieces; no exception is kept."""
-    if token.startswith("triv:"):
-        make, body, offset = Base, token[5:], 5
-    elif token.startswith("CS(") and token.endswith(")"):
-        make, body, offset = Op, token[3:-1], 3
-    else:
-        return None
+def _read_piece(want: type, token: str) -> Base | Op:
+    """The ``want`` (``Base`` or ``Op``) that a stripped token spells: a
+    plain token, or ``want._FORMAT`` around a surface; else a ParseError at
+    an offset in the token.  Memoized, as words repeat few pieces; an
+    exception is not kept, so a bad piece is read again each time."""
+    if token in want._PLAIN:
+        return want(token)
+    head, tail = want._FORMAT.split("{}")
+    if not (token.startswith(head) and token.endswith(tail)):
+        raise ParseError(f"unknown {want.__name__.lower()} {token!r}" if token else "empty token", 0)
     try:
-        surface = parse_surface(body)
+        return want(want._WITH_SURFACE, parse_surface(token[len(head):len(token) - len(tail)]))
     except ParseError as exc:
-        return make, exc.message, offset
-    return make(make._WITH_SURFACE, surface)
+        raise ParseError(exc.message, len(head)) from None
 
 
 # ---------------------------------------------------------------------------

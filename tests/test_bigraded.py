@@ -332,6 +332,14 @@ def test_construction_matches_the_oracle(pairs):
     for bad in (-1, 1.0, 2.5, True, "1", None):
         with pytest.raises(ValueError):
             Decomposition({s: bad})
+    # A member that is not a Summand, a plain tuple that hashes like one
+    # included, is named by both constructor shapes, never read later.
+    for bad in (((0, 0), None), ((1, 0), None), "M2", None):
+        message = re.escape(f"must be a Summand, got {bad!r}")
+        with pytest.raises(ValueError, match=message):
+            Decomposition([s, bad])
+        with pytest.raises(ValueError, match=message):
+            Decomposition({bad: 1})
 
 
 @given(spec_pairs, spec_pairs, st.data())

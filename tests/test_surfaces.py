@@ -6,7 +6,7 @@ import re
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import c2surf.surfaces
 from _oracles import CELL_PROFILES, Affine, naive_parse_word, search_profiles_by_words
@@ -77,6 +77,13 @@ def test_cs_pieces_keep_their_positioned_errors_after_a_good_one():
             parse_word(text)
         assert _parsed(parse_word, text) == _parsed(naive_parse_word, text)
         assert err.value.position == text.rindex("CS(") + 3
+    # The same for triv: bases, each bad one seen twice.
+    assert str(parse_word("triv:T[1]")) == "triv:T[1]"
+    for text in ["triv:T[x]", " triv:N[0]", "triv:T[x]", " triv:N[0]"]:
+        with pytest.raises(ParseError) as err:
+            parse_word(text)
+        assert _parsed(parse_word, text) == _parsed(naive_parse_word, text)
+        assert err.value.position == text.index("triv:") + 5
 
 
 # Pieces of generated word texts: every base and op, the descriptors of
@@ -111,6 +118,13 @@ def _parsed(parse, text):
 
 @settings(max_examples=400)
 @given(_piece(_GOOD_BASES), st.lists(_piece(_GOOD_OPS), max_size=6))
+@example("triv:", [])
+@example("S22", ["CS()"])
+@example("S22 ", [" CS("])
+@example("S22", ["triv:T[1]"])
+@example("CS(T[1])", [])
+@example("", [])
+@example("S22", [""])
 def test_parse_word_matches_the_naive_parser(base, ops):
     text = "+".join([base] + ops)
     assert _parsed(parse_word, text) == _parsed(naive_parse_word, text)
@@ -179,7 +193,8 @@ def test_word_text_is_the_piece_by_piece_join(base, ops):
     want = " + ".join(c2surf.surfaces._Piece.__str__(piece) for piece in (base, *ops))
     assert str(w) == str(w) == want and parse_word(want) == w
     assert (c2surf.surfaces._piece_text.cache_info().maxsize
-            == c2surf.surfaces._fill.cache_info().maxsize == 256)
+            == c2surf.surfaces._fill.cache_info().maxsize
+            == c2surf.surfaces._read_piece.cache_info().maxsize == 256)
 
 
 # -- invariant folding --------------------------------------------------------
