@@ -36,7 +36,9 @@ locations only when the two differ, to report them:
   every q alike, so it is one fact, reported once, at location ``p=<p>``,
   for each p in the p range of ``DEFAULT_LES_WINDOW``.
 * top class      -- the free summands in topological dimension >= 2, per
-  shift, against ``_TOPS`` of the profile's cell (``surfaces.cell``).
+  shift, against one at (2, 2 - d), d the top degree of the fixed set
+  (``fixed_sing``): 2 under the trivial action, 1 with a fixed circle, 0
+  with fixed points only.  A free action, with no fixed set, has none.
 * beta recovery  -- dimension-one generator count: the p = 1 entry of the
   same per-p count of underlying classes, against beta.
 
@@ -66,18 +68,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .bigraded import Bidegree, Decomposition, Summand
-from .surfaces import (
-    FREE_SPHERE,
-    FREE_TORUS,
-    NONFREE,
-    TRIVIAL,
-    InvariantProfile,
-    SingProfile,
-    cell,
-    fixed_sing,
-    quotient_sing,
-    underlying_sing,
-)
+from .surfaces import InvariantProfile, SingProfile, fixed_sing, quotient_sing, underlying_sing
 
 
 class _WindowFields(NamedTuple):
@@ -197,26 +188,22 @@ def _counts(sing: SingProfile) -> dict[int, int]:
     return {p: h for p, h in enumerate(sing) if h}
 
 
-# The top-class table of ``expected``, per cell: a nonfree surface has one
-# free summand with p >= 2, in weight 1 if some circle is fixed and weight
-# 2 if only points are; a trivial action one in weight 0; a free action
-# none, as it has no free summands at all.
-_TOPS = {
-    (TRIVIAL, True): {Bidegree(2, 0): 1},
-    (FREE_SPHERE, True): {},
-    (FREE_TORUS, True): {},
-    (NONFREE, True): {Bidegree(2, 2): 1},
-    (NONFREE, False): {Bidegree(2, 1): 1},
-}
+def _tops(free: dict[int, int]) -> dict[Bidegree, int]:
+    """The top-class table of a correct answer: one free summand at
+    (2, 2 - d), d the top degree of the fixed set whose nonzero Betti
+    numbers are ``free``, and none if the fixed set is empty."""
+    return {Bidegree(2, 2 - max(free)): 1} if free else {}
 
 
 @lru_cache(maxsize=1024)
 def expected(pr: InvariantProfile) -> Tally:
     """The tally that a correct answer for ``pr`` has: the orbit space's
-    Betti numbers as ``row``, the fixed set's as ``free``, ``_TOPS`` of its
-    cell as ``tops`` and the surface's as ``classes``.  A memo keyed by the
-    profile; every caller shares its tables, so they are read, never changed."""
-    return _new(Tally, (_counts(quotient_sing(pr)), _counts(fixed_sing(pr)), _TOPS[cell(pr)],
+    Betti numbers as ``row``, the fixed set's as ``free``, the top class
+    that the fixed set's top degree places (``_tops``) as ``tops`` and the
+    surface's as ``classes``.  A memo keyed by the profile; every caller
+    shares its tables, so they are read, never changed."""
+    free = _counts(fixed_sing(pr))
+    return _new(Tally, (_counts(quotient_sing(pr)), free, _tops(free),
                         _counts(underlying_sing(pr))))
 
 

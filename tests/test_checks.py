@@ -27,6 +27,7 @@ from c2surf.checks import (
 from c2surf.engine import _CLOSED_FORMS, closed_form
 from c2surf.surfaces import (
     FREE_SPHERE,
+    FREE_TORUS,
     NONFREE,
     TRIVIAL,
     InvariantProfile,
@@ -222,6 +223,49 @@ def test_top_class_detects_misplacement():
     assert check_top_class(tally(wrong), X2_PROFILE)
 
 
+def test_every_top_summand_edit_of_the_closed_form_table_fails_its_whole_cell():
+    # An edit of a _CLOSED_FORMS entry's top summand, S(2,q)M2, is caught
+    # on every profile of the cell with beta <= 8: moved to another weight,
+    # dropped, or added to a free cell.  The rule it breaks is read off the
+    # fixed set, not off a second table that could be edited to match.
+    weights = [Summand.free(2, q) for q in (0, 1, 2)]
+    by_cell = {}
+    for pr in enumerate_profiles(8):
+        by_cell.setdefault(cell(pr), []).append(pr)
+    assert {key: len(prs) for key, prs in by_cell.items()} == {
+        (TRIVIAL, True): 9, (FREE_SPHERE, True): 5, (FREE_TORUS, True): 4,
+        (NONFREE, True): 15, (NONFREE, False): 55}
+    edits = []
+    for key, prs in by_cell.items():
+        tops = [s for s in _CLOSED_FORMS[key](*prs[0][1:]) if s in weights]
+        for top in tops:
+            edits += [(key, top, s) for s in weights if s != top] + [(key, top, None)]
+        if not tops:
+            edits += [(key, None, s) for s in weights]
+    assert len(edits) == 15
+
+    def edited(entry, drop, add):
+        def counts(b, f, c):
+            out = dict(entry(b, f, c))
+            if drop is not None:
+                assert out.pop(drop) == 1
+            if add is not None:
+                out[add] = out.get(add, 0) + 1
+            return out
+        return counts
+
+    saved = dict(_CLOSED_FORMS)
+    try:
+        for key, drop, add in edits:
+            _CLOSED_FORMS[key] = edited(saved[key], drop, add)
+            closed_form.cache_clear()
+            for pr in by_cell[key]:
+                assert verify_decomposition(closed_form(pr), pr), (key, drop, add, pr)
+    finally:
+        _CLOSED_FORMS.update(saved)
+        closed_form.cache_clear()
+
+
 def test_beta_recovery():
     assert check_beta_recovery(tally(closed_form(X2_PROFILE)), X2_PROFILE) == []
     for pr in enumerate_profiles(8):
@@ -327,7 +371,8 @@ def test_expected_is_the_tally_of_the_closed_form_on_every_cell():
         assert all(Affine.of(c).nonnegative() for c in counts.values()), key
         got = tally(counts)
         want = (enumerate(checks.quotient_sing(pr)), enumerate(checks.fixed_sing(pr)),
-                checks._TOPS[cell(pr)], enumerate(checks.underlying_sing(pr)))
+                checks._tops(nonzero(enumerate(checks.fixed_sing(pr)))),
+                enumerate(checks.underlying_sing(pr)))
         for name, table, table_want in zip(Tally._fields, got, want):
             assert nonzero(table) == nonzero(table_want), (key, name)
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import c2surf.surfaces
 from _oracles import CELL_PROFILES, Affine, naive_parse_word, search_profiles_by_words
-from c2surf.checks import _TOPS, Window
+from c2surf.checks import Window
 from c2surf.engine import _CLOSED_FORMS, _RULES
 from c2surf.surfaces import (
     FREE_SPHERE,
@@ -535,12 +535,12 @@ def test_orbit_space_euler_characteristic_on_every_cell():
 
 
 def test_every_cell_table_has_the_five_realizable_cells():
-    # closed_form, fixed_sing, quotient_sing and expected's top class each
-    # read one table keyed by cell(pr), and each has exactly the cells that
-    # realizable profiles fall in; _RULES's keys name only those.
+    # closed_form, fixed_sing and quotient_sing each read one table keyed
+    # by cell(pr), and each has exactly the cells that realizable profiles
+    # fall in; _RULES's keys name only those.
     cells = set(CELL_PROFILES)
     assert len(cells) == 5
-    for table in (_CLOSED_FORMS, _FIXED_SING, _QUOTIENT_SING, _TOPS):
+    for table in (_CLOSED_FORMS, _FIXED_SING, _QUOTIENT_SING):
         assert set(table) == cells
     assert {key[1:] for key in _RULES} <= cells
     assert {cell(pr) for pr in enumerate_profiles(6)} == cells

@@ -1,4 +1,4 @@
-"""Time the layers of c2surf and write them to BENCH_30.json.
+"""Time the layers of c2surf and write them to BENCH_<n>.json, named by ``OUT``.
 
 Run from anywhere, with no arguments, on the source of this checkout:
 
@@ -76,7 +76,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-OUT = ROOT / "BENCH_30.json"
+OUT = ROOT / "BENCH_31.json"
 REPEATS = 7
 
 sys.path.insert(0, str(SRC))
