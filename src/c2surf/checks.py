@@ -42,17 +42,18 @@ locations only when the two differ, to report them:
 * beta recovery  -- dimension-one generator count: the p = 1 entry of the
   same per-p count of underlying classes, against beta.
 
-``verify_decomposition`` tallies the decomposition once and runs the
-five in that order, each as ``check(t, pr)``, every one of them even when
-the two tallies are equal.  Its window, p in [-2, 6] and q in [-8, 8], is
-fixed, and it only bounds where the forgetful-LES identity is reported:
-it never changes a verdict.  The other checks read every summand, and a
-summand with an underlying degree outside p in [-2, 6] fails one of
-them, whatever else the decomposition holds.  Such a degree lies in the
-summand's weight-zero support, which the quotient row allows only in
-[0, 2], unless the summand is S(a,1)M2, with an empty weight-zero row:
-then a - 1 is no fixed-set degree, which fails rho localization, and
-a >= 7 also fails the top class.
+``verify_decomposition`` tallies the decomposition once, reads the
+profile's tally once, and runs the five in that order, each as
+``check(t, want)``, every one of them even when the two tallies are
+equal.  No check reads the profile itself.  Its window, p in [-2, 6] and
+q in [-8, 8], is fixed, and it only bounds where the forgetful-LES
+identity is reported: it never changes a verdict.  The other checks
+read every summand, and a summand with an underlying degree outside p in
+[-2, 6] fails one of them, whatever else the decomposition holds.  Such a
+degree lies in the summand's weight-zero support, which the quotient row
+allows only in [0, 2], unless the summand is S(a,1)M2, with an empty
+weight-zero row: then a - 1 is no fixed-set degree, which fails rho
+localization, and a >= 7 also fails the top class.
 
 A violation reports counts, never one list entry per summand: rho
 localization as sorted ``[k, count]`` pairs, the top class as sorted
@@ -207,42 +208,42 @@ def expected(pr: InvariantProfile) -> Tally:
                         _counts(underlying_sing(pr))))
 
 
-def check_quotient_row(t: Tally, pr: InvariantProfile) -> list[Violation]:
+def check_quotient_row(t: Tally, want: Tally) -> list[Violation]:
     """The q = 0 row of the decomposition against the orbit-space Betti
     numbers of ``quotient_sing``, compared over the summands' weight-zero
     supports and p in [0, 2]: exact, since both sides vanish everywhere
     else.  Equal tables have no violation; only unequal ones are walked."""
-    want, row = expected(pr).row, t.row
-    if row == want:
+    betti_row, row = want.row, t.row
+    if row == betti_row:
         return []
-    # ``want`` has keys in [0, 2] only: walk the row's keys outside it and
-    # 0, 1, 2, in ascending order.
+    # ``betti_row`` has keys in [0, 2] only: walk the row's keys outside it
+    # and 0, 1, 2, in ascending order.
     walk = sorted(row)
     walk[bisect_left(walk, 0):bisect_right(walk, 2)] = (0, 1, 2)
     out = []
     for p in walk:
-        betti, actual = want.get(p, 0), row.get(p, 0)
+        betti, actual = betti_row.get(p, 0), row.get(p, 0)
         if actual != betti:
             out.append(_new(Violation, ("quotient-row", _row_location(p), betti, actual)))
     return out
 
 
-def check_rho_localization(t: Tally, pr: InvariantProfile) -> list[Violation]:
+def check_rho_localization(t: Tally, want: Tally) -> list[Violation]:
     """Free-summand diagonal degrees against the fixed-set degrees.
 
     Inverting rho turns S(p,q)M2 into a rank-one module remembering only
     p - q, and kills every rho-nilpotent antipodal summand.  Both sides are
     compared, and reported, as counts per degree.
     """
-    want, actual = expected(pr).free, t.free
-    if want != actual:
+    fixed, actual = want.free, t.free
+    if fixed != actual:
         return [_new(Violation, ("rho-localization", "fixed-set degrees",
-                                 [[k, want[k]] for k in sorted(want)],
+                                 [[k, fixed[k]] for k in sorted(fixed)],
                                  [[k, actual[k]] for k in sorted(actual)]))]
     return []
 
 
-def check_forgetful_les(t: Tally, pr: InvariantProfile,
+def check_forgetful_les(t: Tally, want: Tally,
                         window: Window = DEFAULT_LES_WINDOW) -> list[Violation]:
     """The forgetful-sequence rank identity, one violation per wrong p of
     the window's p range, at location ``p=<p>``.
@@ -250,48 +251,50 @@ def check_forgetful_les(t: Tally, pr: InvariantProfile,
     Its right-hand side at (p, q) is the count of underlying classes at p,
     whatever q is, so a wrong count at p fails at every q of the window
     alike, and the window's q range never changes the report.  A count
-    equal to ``expected(pr).classes`` at every p fails nowhere; only an
-    unequal one is walked over the window's p range.
+    equal to ``want.classes`` at every p fails nowhere; only an unequal one
+    is walked over the window's p range.
     """
-    count, want = t.classes, expected(pr).classes
-    if count == want:
+    count, surface = t.classes, want.classes
+    if count == surface:
         return []
     out = []
     for p in range(window.pmin, window.pmax + 1):
-        betti, actual = want.get(p, 0), count.get(p, 0)
+        betti, actual = surface.get(p, 0), count.get(p, 0)
         if actual != betti:
             out.append(_new(Violation, ("forgetful-les", _degree(p), betti, actual)))
     return out
 
 
-def check_top_class(t: Tally, pr: InvariantProfile) -> list[Violation]:
+def check_top_class(t: Tally, want: Tally) -> list[Violation]:
     """Uniqueness and position of the free summand in dimension >= 2, and
     its absence for a free action, compared as counts per shift (the rule
     is ``expected``'s)."""
-    want, tops = expected(pr).tops, t.tops
-    if tops != want:
+    top, tops = want.tops, t.tops
+    if tops != top:
         return [_new(Violation, ("top-class", "free summands with p >= 2",
-                                 [[*b, want[b]] for b in sorted(want)],
+                                 [[*b, top[b]] for b in sorted(top)],
                                  [[*b, tops[b]] for b in sorted(tops)]))]
     return []
 
 
-def check_beta_recovery(t: Tally, pr: InvariantProfile) -> list[Violation]:
-    """Count of singular 1-classes carried by the summands against beta."""
-    recovered = t.classes.get(1, 0)
-    if recovered != pr.beta:
-        return [_new(Violation, ("beta-recovery", "beta", pr.beta, recovered))]
+def check_beta_recovery(t: Tally, want: Tally) -> list[Violation]:
+    """Count of singular 1-classes carried by the summands against beta,
+    read as the surface's h1 (``want.classes`` drops a zero, so beta 0
+    reads 0)."""
+    beta, recovered = want.classes.get(1, 0), t.classes.get(1, 0)
+    if recovered != beta:
+        return [_new(Violation, ("beta-recovery", "beta", beta, recovered))]
     return []
 
 
 def verify_decomposition(d: Decomposition, pr: InvariantProfile) -> list[Violation]:
     """Every violation of the five checks, in order, on a candidate
-    decomposition, tallied once."""
-    t = tally(d)
-    out = check_quotient_row(t, pr)
-    out += check_rho_localization(t, pr)
-    out += check_forgetful_les(t, pr)
-    out += check_top_class(t, pr)
-    out += check_beta_recovery(t, pr)
+    decomposition, tallied once, against ``expected(pr)``, read once."""
+    t, want = tally(d), expected(pr)
+    out = check_quotient_row(t, want)
+    out += check_rho_localization(t, want)
+    out += check_forgetful_les(t, want)
+    out += check_top_class(t, want)
+    out += check_beta_recovery(t, want)
     return out
 

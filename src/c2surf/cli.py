@@ -83,6 +83,9 @@ def _unique_keys(pairs: list) -> dict:
 # One decoder for every request: ``json.loads`` with a hook builds a new one
 # per call, which doubles the cost of reading a profile.
 _PROFILE_JSON = json.JSONDecoder(object_pairs_hook=_unique_keys)
+# One encoder for ``compute --json`` and ``verify --json``, for the same
+# reason: ``json.dumps`` with ``separators`` builds a new one per call.
+_COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
 def _parse_input(text: str) -> InvariantProfile:
@@ -145,7 +148,7 @@ def _cmd_compute(args) -> int:
         print(render_grid(decomposition, (window.pmin, window.pmax),
                           (window.qmin, window.qmax)))
     elif args.json:
-        print(json.dumps(decomposition.to_json_obj(), separators=(",", ":")))
+        print(_COMPACT_JSON.encode(decomposition.to_json_obj()))
     else:
         print(decomposition)
     return OK
@@ -168,7 +171,7 @@ def _cmd_verify(args) -> int:
         decomposition = _apply_injection(decomposition, args.inject)
     violations = verify_decomposition(decomposition, profile)
     if args.json:
-        print(json.dumps([v.to_json_obj() for v in violations], separators=(",", ":")))
+        print(_COMPACT_JSON.encode([v.to_json_obj() for v in violations]))
     elif violations:
         for v in violations:
             print(f"FAIL: {v}")
@@ -185,13 +188,12 @@ def _cmd_catalog(args) -> int:
                           f" {MAX_CATALOG_BETA} a catalog may list")
     any_failed = False
     for pr, word in profiles_by_words(beta_max).items():
+        kind, beta, f, c = pr
         decomposition = closed_form(pr)
         violations = verify_decomposition(decomposition, pr)
         status = "ok" if not violations else "FAIL"
         any_failed = any_failed or bool(violations)
-        print(f"{word}\t{pr.kind}\tbeta={pr.beta}"
-              f" F={pr.fixed_points} C={pr.fixed_circles}"
-              f"\t{decomposition}\t{status}")
+        print(f"{word}\t{kind}\tbeta={beta} F={f} C={c}\t{decomposition}\t{status}")
     return VERIFY_FAILED if any_failed else OK
 
 

@@ -521,6 +521,11 @@ def enumerate_profiles(beta_max: int) -> list[InvariantProfile]:
     return out
 
 
+# Builds a ``witness`` word without the Python-level ``__new__`` of
+# ``SurgeryWord``: its pieces come from constructors that checked them.
+_new = tuple.__new__
+
+
 @lru_cache(maxsize=256)
 def _fill(r: int) -> tuple[Op, ...]:
     """The first single op that adds an even r > 0 to beta and nothing
@@ -552,15 +557,15 @@ def witness(pr: InvariantProfile) -> SurgeryWord:
     kind, beta, f, c = pr
     if kind == TRIVIAL:
         surface = ClosedSurface(True, beta // 2) if beta % 2 == 0 else ClosedSurface(False, beta)
-        return SurgeryWord(Base("triv", surface))
+        return _new(SurgeryWord, (Base("triv", surface), ()))
     if kind == FREE_SPHERE:
-        return SurgeryWord(_BASES["S2a"], _fill(beta))
+        return _new(SurgeryWord, (_BASES["S2a"], _fill(beta)))
     if kind == FREE_TORUS:
-        return SurgeryWord(_BASES["T1a"], _fill(beta - 2))
+        return _new(SurgeryWord, (_BASES["T1a"], _fill(beta - 2)))
     fm = f % 2
     base, at11, at10 = ("S22", (f + fm) // 2 - 1, c - fm) if f else ("S21", 0, c - 1)
     ops = (_OPS["AT11"],) * at11 + (_OPS["AT10"],) * at10 + (_OPS["FM"],) * fm
-    return SurgeryWord(_BASES[base], ops + _fill(beta - f - 2 * c + 2))
+    return _new(SurgeryWord, (_BASES[base], ops + _fill(beta - f - 2 * c + 2)))
 
 
 def profiles_by_words(beta_max: int) -> dict[InvariantProfile, SurgeryWord]:

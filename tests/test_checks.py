@@ -71,15 +71,15 @@ def test_checks_cannot_see_the_closed_form():
 
 def test_quotient_row_worked_examples():
     x2 = closed_form(X2_PROFILE)
-    assert check_quotient_row(tally(x2), X2_PROFILE) == []
+    assert check_quotient_row(tally(x2), expected(X2_PROFILE)) == []
     # The weight-zero row of the X2 answer really is (1, 4, 1): the top
     # class only shows up there through its theta class.
     assert [x2.dim_at((p, 0)) for p in (-1, 0, 1, 2, 3)] == [0, 1, 4, 1, 0]
     x3 = closed_form(X3_PROFILE)
-    assert check_quotient_row(tally(x3), X3_PROFILE) == []
+    assert check_quotient_row(tally(x3), expected(X3_PROFILE)) == []
     assert [x3.dim_at((p, 0)) for p in (-1, 0, 1, 2, 3)] == [0, 1, 0, 0, 0]
     s2a = closed_form(InvariantProfile(FREE_SPHERE, 0))
-    assert check_quotient_row(tally(s2a), InvariantProfile(FREE_SPHERE, 0)) == []
+    assert check_quotient_row(tally(s2a), expected(InvariantProfile(FREE_SPHERE, 0))) == []
     assert [s2a.dim_at((p, 0)) for p in (0, 1, 2)] == [1, 1, 1]
 
 
@@ -90,28 +90,28 @@ def free_diagonals(d):
 
 
 def test_rho_localization_worked_examples():
-    assert check_rho_localization(tally(closed_form(X1_PROFILE)), X1_PROFILE) == []
+    assert check_rho_localization(tally(closed_form(X1_PROFILE)), expected(X1_PROFILE)) == []
     # X1's free shifts (0,0),(1,0),(1,1),(2,1) have p-q multiset {0,0,1,1},
     # matching two fixed circles.
     assert free_diagonals(closed_form(X1_PROFILE)) == [0, 0, 1, 1]
     # X2: eight isolated points, eight zeros.
     assert free_diagonals(closed_form(X2_PROFILE)) == [0] * 8
-    assert check_rho_localization(tally(closed_form(X2_PROFILE)), X2_PROFILE) == []
+    assert check_rho_localization(tally(closed_form(X2_PROFILE)), expected(X2_PROFILE)) == []
     free = InvariantProfile(FREE_SPHERE, 6)
-    assert check_rho_localization(tally(closed_form(free)), free) == []
+    assert check_rho_localization(tally(closed_form(free)), expected(free)) == []
 
 
 def test_rho_localization_reports_counts_per_degree():
     # X2 has eight fixed points; dropping an S(1,1)M2 leaves seven free
     # summands on the diagonal p - q = 0, and an added S(3,1)M2 sits at 2.
     wrong = closed_form(X2_PROFILE).remove(S11) + Decomposition([Summand.free(3, 1)])
-    assert check_rho_localization(tally(wrong), X2_PROFILE) == [
+    assert check_rho_localization(tally(wrong), expected(X2_PROFILE)) == [
         ("rho-localization", "fixed-set degrees", [[0, 8]], [[0, 7], [2, 1]])]
 
 
 def test_rho_localization_covers_trivial_actions():
     trivial = InvariantProfile(TRIVIAL, 3)
-    assert check_rho_localization(tally(closed_form(trivial)), trivial) == []
+    assert check_rho_localization(tally(closed_form(trivial)), expected(trivial)) == []
 
 
 def test_forgetful_les_hand_values():
@@ -137,7 +137,7 @@ def test_forgetful_les_third_example_full_sweep():
     x3 = closed_form(X3_PROFILE)
     assert naive_forgetful_les(x3, SingProfile(1, 1, 1), Window(-2, 5, -6, 6)) == []
     assert tally(x3).classes == {0: 1, 1: 1, 2: 1} == expected(X3_PROFILE).classes
-    assert check_forgetful_les(tally(x3), X3_PROFILE, Window(-2, 5, -6, 6)) == []
+    assert check_forgetful_les(tally(x3), expected(X3_PROFILE), Window(-2, 5, -6, 6)) == []
 
 
 summands = st.one_of(
@@ -168,7 +168,7 @@ def test_forgetful_les_matches_the_naive_sweep(d, pr, window):
     for v in sweep:
         p, q = (int(x) for x in v.location.strip("()").split(","))
         by_p.setdefault(p, []).append((q, v.expected, v.actual))
-    got = check_forgetful_les(tally(d), pr, window)
+    got = check_forgetful_les(tally(d), expected(pr), window)
     assert [v.location for v in got] == [f"p={p}" for p in sorted(by_p)]
     qs = list(range(window.qmin, window.qmax + 1))
     for v in got:
@@ -193,34 +193,35 @@ def test_a_summand_outside_the_les_window_fails_another_check(extra, pr):
     assume(outside)
     right = closed_form(pr)
     for d in [extra, right + extra, *(right + Decomposition([s]) for s in outside)]:
-        assert (check_quotient_row(tally(d), pr) or check_rho_localization(tally(d), pr)
-                or check_top_class(tally(d), pr)), (str(d), pr)
+        t, want = tally(d), expected(pr)
+        assert (check_quotient_row(t, want) or check_rho_localization(t, want)
+                or check_top_class(t, want)), (str(d), pr)
 
 
 def test_top_class_positions():
-    assert check_top_class(tally(closed_form(X2_PROFILE)), X2_PROFILE) == []
+    assert check_top_class(tally(closed_form(X2_PROFILE)), expected(X2_PROFILE)) == []
     assert dict(closed_form(X2_PROFILE).items())[Summand.free(2, 2)] == 1
-    assert check_top_class(tally(closed_form(X1_PROFILE)), X1_PROFILE) == []
+    assert check_top_class(tally(closed_form(X1_PROFILE)), expected(X1_PROFILE)) == []
     trivial = InvariantProfile(TRIVIAL, 2)
-    assert check_top_class(tally(closed_form(trivial)), trivial) == []
+    assert check_top_class(tally(closed_form(trivial)), expected(trivial)) == []
     assert dict(closed_form(trivial).items())[Summand.free(2, 0)] == 1
     # A free action has no free summands, so none with p >= 2.
     sphere = InvariantProfile(FREE_SPHERE, 0)
-    assert check_top_class(tally(closed_form(sphere)), sphere) == []
+    assert check_top_class(tally(closed_form(sphere)), expected(sphere)) == []
     assert check_top_class(tally(closed_form(sphere) + Decomposition([Summand.free(2, 2)])),
-                           sphere) == [("top-class", "free summands with p >= 2",
+                           expected(sphere)) == [("top-class", "free summands with p >= 2",
                                         [], [[2, 2, 1]])]
     # Counts per shift, in the [p, q, count] shape of the wire format.
     x2 = closed_form(X2_PROFILE)
     assert check_top_class(tally(x2 + Decomposition([Summand.free(2, 2), Summand.free(3, 0)])),
-                           X2_PROFILE) == [("top-class", "free summands with p >= 2",
+                           expected(X2_PROFILE)) == [("top-class", "free summands with p >= 2",
                                             [[2, 2, 1]], [[2, 2, 2], [3, 0, 1]])]
 
 
 def test_top_class_detects_misplacement():
     wrong = closed_form(X2_PROFILE).remove(Summand.free(2, 2)).direct_sum(
         Decomposition([Summand.free(2, 1)]))
-    assert check_top_class(tally(wrong), X2_PROFILE)
+    assert check_top_class(tally(wrong), expected(X2_PROFILE))
 
 
 def test_every_top_summand_edit_of_the_closed_form_table_fails_its_whole_cell():
@@ -267,9 +268,9 @@ def test_every_top_summand_edit_of_the_closed_form_table_fails_its_whole_cell():
 
 
 def test_beta_recovery():
-    assert check_beta_recovery(tally(closed_form(X2_PROFILE)), X2_PROFILE) == []
+    assert check_beta_recovery(tally(closed_form(X2_PROFILE)), expected(X2_PROFILE)) == []
     for pr in enumerate_profiles(8):
-        assert check_beta_recovery(tally(closed_form(pr)), pr) == []
+        assert check_beta_recovery(tally(closed_form(pr)), expected(pr)) == []
 
 
 S22_PROFILE = InvariantProfile(NONFREE, 0, 2, 0)
@@ -283,7 +284,7 @@ def test_far_antipodal_summands_are_rejected():
         wrong = closed_form(S22_PROFILE).direct_sum(Decomposition([extra]))
         violations = verify_decomposition(wrong, S22_PROFILE)
         assert violations, extra
-        assert check_quotient_row(tally(wrong), S22_PROFILE), extra
+        assert check_quotient_row(tally(wrong), expected(S22_PROFILE)), extra
 
 
 def test_verify_all_worked_examples():
@@ -346,10 +347,10 @@ def test_beta_recovery_reports_what_the_les_reports_at_p1(extra, pr):
     # So beta recovery fails exactly when the LES fails at p = 1, with the
     # same two sides.
     for d in (extra, closed_form(pr) + extra):
-        t = tally(d)
-        les = [(v.expected, v.actual) for v in check_forgetful_les(t, pr)
+        t, want = tally(d), expected(pr)
+        les = [(v.expected, v.actual) for v in check_forgetful_les(t, want)
                if v.location == "p=1"]
-        assert [(v.expected, v.actual) for v in check_beta_recovery(t, pr)] == les, str(d)
+        assert [(v.expected, v.actual) for v in check_beta_recovery(t, want)] == les, str(d)
 
 
 def test_expected_is_the_tally_of_the_closed_form():
@@ -426,10 +427,29 @@ def test_verify_calls_each_check_once_in_order(monkeypatch):
     assert calls == names
 
 
+def test_verify_looks_up_the_expected_tally_once(monkeypatch):
+    # verify_decomposition reads expected(pr) once and hands it to all five
+    # checks, which never read the profile: one lookup per verification,
+    # on a correct answer and on a wrong one alike.
+    lookups = []
+
+    def spy(pr, _real=checks.expected):
+        lookups.append(pr)
+        return _real(pr)
+    monkeypatch.setattr(checks, "expected", spy)
+    right = closed_form(X2_PROFILE)
+    wrong = right.remove(S11)
+    assert verify_decomposition(right, X2_PROFILE) == []
+    assert lookups == [X2_PROFILE]
+    assert verify_decomposition(wrong, X2_PROFILE) == naive_verify(wrong, X2_PROFILE) != []
+    assert lookups == [X2_PROFILE, X2_PROFILE]
+
+
 def test_verify_reads_each_betti_profile_once(monkeypatch):
-    # Every check takes (t, pr) and reads the profile's Betti numbers
-    # through the memoized expected(pr): two verifies of one profile, with
-    # the memo cold, build each of the three singular profiles once.
+    # Every check takes (t, want), with want the profile's tally that
+    # verify_decomposition reads once through the memoized expected(pr):
+    # two verifies of one profile, with the memo cold, build each of the
+    # three singular profiles once.
     calls = []
     for name in ("underlying_sing", "fixed_sing", "quotient_sing"):
         def spy(pr, _name=name, _real=getattr(checks, name)):

@@ -603,10 +603,16 @@ def test_every_scanned_profile_is_valid():
 
 
 def test_witness_words_fold_back_to_their_profiles():
+    # witness assembles its words without SurgeryWord's checks, so each one
+    # must also be the word the checking constructor builds: a Base and a
+    # tuple of Ops.
     witnesses = profiles_by_words(80)
     assert len(witnesses) == 24844
     for pr, word in witnesses.items():
         assert invariants(word) == pr
+        assert SurgeryWord(*word) == word
+        assert isinstance(word.base, Base)
+        assert type(word.ops) is tuple and all(isinstance(op, Op) for op in word.ops)
 
 
 def test_word_search_matches_the_object_level_search():

@@ -40,7 +40,9 @@ next to it.  The rows are:
   and the memo of its Betti-number tables cleared at the start of each
   repeat (the cold path of the profile side);
 * ``tally`` alone over those mutants, and each of the five checks alone
-  over their tallies, built beforehand, called as ``check(t, pr)``;
+  over their tallies and their profiles' ``expected`` tallies, both built
+  beforehand, called as ``check(t, want)``, so each row times only the
+  comparison;
 * an in-process ``catalog 40``, with stdout sent to a null sink (its
   3,624 profiles overflow the 1024-entry memos of ``closed_form`` and
   ``expected``, so this row runs mostly cold);
@@ -58,7 +60,7 @@ raises, as it does when a closed form fails its checks, a mutant passes
 them, the mutants' violations are not exactly 209,156 (a walk that drops
 or duplicates a report), a folded witness word leaves its closed form, a
 closed form or a witness word is spelled otherwise than plainly, or a
-check no longer takes ``(t, pr)``.  No timing is a CI gate.
+check no longer takes ``(t, want)``.  No timing is a CI gate.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-OUT = ROOT / "BENCH_31.json"
+OUT = ROOT / "BENCH_32.json"
 REPEATS = 7
 
 sys.path.insert(0, str(SRC))
@@ -222,13 +224,14 @@ def tally_all(cases) -> None:
 
 
 def check_rows(cases) -> dict:
-    """Each check alone, over the tallies of ``cases``: one row per check."""
-    tallied = [(tally(d), pr) for d, pr in cases]
+    """Each check alone, over the tallies of ``cases`` and of their
+    profiles' correct answers: one row per check."""
+    tallied = [(tally(d), expected(pr)) for d, pr in cases]
     rows = {}
     for check in CHECKS:
         def run(check=check):
-            for t, pr in tallied:
-                check(t, pr)
+            for t, want in tallied:
+                check(t, want)
         rows[f"{check.__name__} x{len(tallied)} mutant tallies"] = run
     return rows
 
