@@ -4,6 +4,10 @@ Everything here is deliberately naive: the point is that these paths
 share no code with the implementations they check.  The exception is
 ``Affine`` and ``CELL_PROFILES``: they evaluate the package's own per-cell
 tables on symbols, so that the tests prove the tables for every beta.
+
+Each recorded answer is written here once, for every test and for
+``tools/bench_layers.py``: the hand-worked answers (``WORKED``) and the
+mutant sweep with the count and digest of its reports.
 """
 
 from __future__ import annotations
@@ -11,9 +15,11 @@ from __future__ import annotations
 import argparse
 import random
 from collections import Counter
+from typing import NamedTuple
 
-from c2surf.bigraded import Bidegree
+from c2surf.bigraded import Bidegree, Decomposition, Summand
 from c2surf.checks import DEFAULT_LES_WINDOW, Violation
+from c2surf.engine import closed_form
 from c2surf.surfaces import (
     BASE_TOKENS,
     FREE_SPHERE,
@@ -23,6 +29,7 @@ from c2surf.surfaces import (
     TRIVIAL,
     Base,
     ClosedSurface,
+    InvariantProfile,
     Op,
     ParseError,
     SurgeryWord,
@@ -30,10 +37,83 @@ from c2surf.surfaces import (
     _ProfileFields,
     apply_op,
     base_profile,
+    enumerate_profiles,
     fixed_sing,
     quotient_sing,
     underlying_sing,
 )
+
+M2 = Summand.free(0, 0)
+S10 = Summand.free(1, 0)
+S11 = Summand.free(1, 1)
+S21 = Summand.free(2, 1)
+S22 = Summand.free(2, 2)
+A0_1 = Summand.antipodal(1, 0)
+
+
+class Worked(NamedTuple):
+    """A hand-worked answer: the word or profile JSON it comes from, its
+    profile, and the answer as ``compute`` prints it and as a decomposition."""
+
+    source: str
+    profile: InvariantProfile
+    text: str
+    answer: Decomposition
+
+
+# The paper's three worked examples.
+X1 = Worked("S21 + AT10", InvariantProfile(NONFREE, 2, 0, 2),
+            "M2 + S(1,0)M2 + S(1,1)M2 + S(2,1)M2", Decomposition([M2, S10, S11, S21]))
+X2 = Worked('{"kind":"nonfree","beta":14,"F":8,"C":0}', InvariantProfile(NONFREE, 14, 8, 0),
+            "M2 + S(1,1)M2^6 + S(2,2)M2 + S(1,0)A0^4",
+            Decomposition([M2] + [S11] * 6 + [A0_1] * 4 + [S22]))
+X3 = Worked("S22 + FM", InvariantProfile(NONFREE, 1, 1, 1), "M2 + S(1,1)M2 + S(2,1)M2",
+            Decomposition([M2, S11, S21]))
+_T1A = Worked("T1a", InvariantProfile(FREE_TORUS, 2), "A1 + S(1,0)A1",
+              Decomposition([Summand.antipodal(0, 1), Summand.antipodal(1, 1)]))
+
+# Every hand-worked answer, keyed by its source: the three above, the free
+# examples (the two free tori are one profile), the two nonfree bases and a
+# trivial action.
+WORKED = {w.source: w for w in (
+    X1, X2, X3,
+    Worked("S2a + CS(T[1])", InvariantProfile(FREE_SPHERE, 4), "A2 + S(1,0)A0^2",
+           Decomposition([A0_1, A0_1, Summand.antipodal(0, 2)])),
+    _T1A, _T1A._replace(source="T1r"),
+    Worked("T1a + DCC", InvariantProfile(FREE_TORUS, 4), "A1 + S(1,0)A0 + S(1,0)A1",
+           Decomposition([Summand.antipodal(0, 1), A0_1, Summand.antipodal(1, 1)])),
+    Worked("S22", InvariantProfile(NONFREE, 0, 2, 0), "M2 + S(2,2)M2",
+           Decomposition([M2, S22])),
+    Worked("S21", InvariantProfile(NONFREE, 0, 0, 1), "M2 + S(2,1)M2",
+           Decomposition([M2, S21])),
+    Worked("triv:T[1]", InvariantProfile(TRIVIAL, 2), "M2 + S(1,0)M2^2 + S(2,0)M2",
+           Decomposition([M2, S10, S10, Summand.free(2, 0)])),
+)}
+
+
+def mutant_sweep() -> list[tuple[Decomposition, InvariantProfile]]:
+    """The single-summand mutants of the closed forms of the profiles with
+    beta <= 8, each with its profile, in the order acceptance criterion 6
+    judges them: per profile, each summand removed once, then each free
+    summand with p, q in [-4, 12] and each antipodal one with p in [-4, 12]
+    and n <= 4 added once."""
+    pool = ([Summand.free(p, q) for p in range(-4, 13) for q in range(-4, 13)]
+            + [Summand.antipodal(p, n) for p in range(-4, 13) for n in range(5)])
+    cases = []
+    for pr in enumerate_profiles(8):
+        d = closed_form(pr)
+        cases += [(d.remove(s), pr) for s, _ in d.items()]
+        cases += [(d.direct_sum(Decomposition([s])), pr) for s in pool]
+    return cases
+
+
+# The number of mutants, and the count and SHA-256 of every report that
+# verify_decomposition makes on them, one "<violation>\n" line each, in
+# sweep order: a check that drops, repeats, reorders or rewords a report
+# changes the last two.
+MUTANTS = 33_228
+MUTANT_REPORTS = 209_156
+MUTANT_REPORTS_SHA256 = "fd9ce914ec6bfc0b51268bec56d594c6593ed786e5a29b9068a3b16a75c77129"
 
 
 def naive_rank(rows: list[list[int]]) -> int:

@@ -41,17 +41,19 @@ from _oracles import (
     GOLDEN_A1_0_3,
     GOLDEN_A2_0_3,
     GOLDEN_M2_0_3,
+    M2,
+    MUTANT_REPORTS,
+    MUTANT_REPORTS_SHA256,
+    MUTANTS,
+    WORKED,
+    X1,
+    X2,
+    X3,
+    mutant_sweep,
     naive_rank,
     random_matrix,
     search_profiles_by_words,
 )
-
-M2 = Summand.free(0, 0)
-S10 = Summand.free(1, 0)
-S11 = Summand.free(1, 1)
-S21 = Summand.free(2, 1)
-S22 = Summand.free(2, 2)
-A0_1 = Summand.antipodal(1, 0)
 
 
 def _report(n, text):
@@ -65,28 +67,19 @@ def _compute_cli(capsys, *argv) -> str:
 
 def test_criterion_1_worked_examples(capsys):
     start = time.perf_counter()
-    expected = {
-        "S21 + AT10": Decomposition([M2, S10, S11, S21]),
-        '{"kind":"nonfree","beta":14,"F":8,"C":0}':
-            Decomposition([M2] + [S11] * 6 + [A0_1] * 4 + [S22]),
-        "S22 + FM": Decomposition([M2, S11, S21]),
-    }
-    for text, want in expected.items():
-        got = _compute_cli(capsys, "--json", text)
-        assert Decomposition.from_json_obj(json.loads(got)) == want, text
+    for w in (X1, X2, X3):
+        got = _compute_cli(capsys, "--json", w.source)
+        assert Decomposition.from_json_obj(json.loads(got)) == w.answer, w.source
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"worked examples took {elapsed:.2f}s"
     _report(1, f"three worked examples reproduced exactly in {elapsed * 1000:.0f}ms")
 
 
 def test_criterion_2_free_examples():
-    got = closed_form(invariants(parse_word("S2a + CS(T[1])")))
-    assert got == Decomposition([A0_1, A0_1, Summand.antipodal(0, 2)])
-    for base in ("T1a", "T1r"):
-        got = closed_form(invariants(parse_word(base)))
-        assert got == Decomposition([Summand.antipodal(0, 1),
-                                     Summand.antipodal(1, 1)])
-    _report(2, "free sphere and free torus decompositions exact")
+    free = [w for w in WORKED.values() if w.profile.kind in (FREE_SPHERE, FREE_TORUS)]
+    for w in free:
+        assert closed_form(invariants(parse_word(w.source))) == w.answer, w.source
+    _report(2, f"{len(free)} free sphere and free torus decompositions exact")
 
 
 def test_criterion_3_figure_fidelity():
@@ -156,29 +149,16 @@ def test_criterion_5_incremental_equals_closed():
                f"<= 5 ops and beta <= 16 ({steps} surgery steps, zero mismatches)")
 
 
-# The count and SHA-256 of every report of the sweep below, one
-# "<violation>\n" line each, in sweep order: a check that drops, repeats,
-# reorders or rewords a report changes them.
-MUTANT_REPORTS = 209_156
-MUTANT_REPORTS_SHA256 = "fd9ce914ec6bfc0b51268bec56d594c6593ed786e5a29b9068a3b16a75c77129"
-
-
 def test_criterion_6_mutation_sensitivity():
-    pool = ([Summand.free(p, q) for p in range(-4, 13) for q in range(-4, 13)]
-            + [Summand.antipodal(p, n) for p in range(-4, 13) for n in range(5)])
     tried = reports = 0
     digest = hashlib.sha256()
-    for pr in enumerate_profiles(8):
-        d = closed_form(pr)
-        mutants = [d.remove(s) for s, _ in d.items()]
-        mutants += [d.direct_sum(Decomposition([s])) for s in pool]
-        for mutant in mutants:
-            tried += 1
-            violations = verify_decomposition(mutant, pr)
-            assert violations, f"silently accepted {mutant} for {pr}"
-            reports += len(violations)
-            digest.update("".join(f"{v}\n" for v in violations).encode())
-    assert tried == 33_228
+    for mutant, pr in mutant_sweep():
+        tried += 1
+        violations = verify_decomposition(mutant, pr)
+        assert violations, f"silently accepted {mutant} for {pr}"
+        reports += len(violations)
+        digest.update("".join(f"{v}\n" for v in violations).encode())
+    assert tried == MUTANTS
     assert (reports, digest.hexdigest()) == (MUTANT_REPORTS, MUTANT_REPORTS_SHA256)
     _report(6, f"every one of {tried} single-summand mutations broke a check "
                f"({reports} reports, as recorded)")

@@ -21,6 +21,8 @@ from c2surf.surfaces import ClosedSurface, Op, WordError, apply_op, enumerate_pr
 
 from _oracles import (
     GOLDEN_M2_SQUARE,
+    X1,
+    X2,
     an_dim,
     an_rho_rank,
     m2_dim,
@@ -143,15 +145,10 @@ def test_row_support_matches_the_dimensions(a, b, n, q):
 # -- summands and decompositions ---------------------------------------------
 
 
-def x1_decomposition():
-    return Decomposition([Summand.free(0, 0), Summand.free(1, 0),
-                          Summand.free(1, 1), Summand.free(2, 1)])
-
-
 def test_dim_at_examples():
     assert Decomposition([Summand.free(0, 0)]).dim_at((0, 1)) == 1
     # Oracle: evaluate the four summands pointwise with m2_dim.
-    x1 = x1_decomposition()
+    x1 = X1.answer
     for b in [(1, 0), (1, 1)]:
         manual = sum(m2_dim(*(Bidegree(*b) - s.shift)) for s, _ in x1.items())
         assert x1.dim_at(b) == manual
@@ -164,10 +161,7 @@ def test_rank_at_examples():
     assert Decomposition([Summand.free(0, 0)]).rank_at((0, 0), "rho") == 1
     two_a0 = Decomposition([Summand.antipodal(0, 0), Summand.antipodal(1, 0)])
     assert two_a0.rank_at((0, 3), "rho") == 0
-    x2 = Decomposition([Summand.free(0, 0)]
-                       + [Summand.free(1, 1)] * 6
-                       + [Summand.antipodal(1, 0)] * 4
-                       + [Summand.free(2, 2)])
+    x2 = X2.answer
     # Oracle: per-summand rank tables summed by hand: 1 (point module at
     # the cone) + 6 (each S(1,1) at its origin) + 0 + 0.
     assert x2.rank_at((1, 1), "rho") == 7
@@ -366,7 +360,7 @@ def test_remove_matches_the_oracle(pairs, spec, from_d):
 
 
 def test_remove():
-    d = x1_decomposition()
+    d = X1.answer
     assert len(d.remove(Summand.free(1, 1))) == 3
     with pytest.raises(KeyError):
         d.remove(Summand.free(5, 5))
@@ -450,8 +444,7 @@ def test_value_types_keep_their_semantics():
 
 
 def test_json_round_trip():
-    x2 = Decomposition([Summand.free(0, 0)] + [Summand.free(1, 1)] * 6
-                       + [Summand.antipodal(1, 0)] * 4 + [Summand.free(2, 2)])
+    x2 = X2.answer
     obj = x2.to_json_obj()
     assert obj == {"free": [[0, 0, 1], [1, 1, 6], [2, 2, 1]],
                    "antipodal": [[1, 0, 4]]}

@@ -7,7 +7,19 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from _oracles import CELL_PROFILES, Affine, naive_forgetful_les, naive_verify, nonzero
+from _oracles import (
+    CELL_PROFILES,
+    M2,
+    S11,
+    WORKED,
+    X1,
+    X2,
+    X3,
+    Affine,
+    naive_forgetful_les,
+    naive_verify,
+    nonzero,
+)
 from c2surf import checks
 from c2surf.bigraded import Bidegree, Decomposition, Summand
 from c2surf.checks import (
@@ -34,18 +46,8 @@ from c2surf.surfaces import (
     SingProfile,
     cell,
     enumerate_profiles,
-    invariants,
-    parse_word,
     underlying_sing,
 )
-
-M2 = Summand.free(0, 0)
-S10 = Summand.free(1, 0)
-S11 = Summand.free(1, 1)
-
-X1_PROFILE = InvariantProfile(NONFREE, 2, 0, 2)
-X2_PROFILE = InvariantProfile(NONFREE, 14, 8, 0)
-X3_PROFILE = InvariantProfile(NONFREE, 1, 1, 1)
 
 
 def test_window_parsing():
@@ -70,13 +72,13 @@ def test_checks_cannot_see_the_closed_form():
 
 
 def test_quotient_row_worked_examples():
-    x2 = closed_form(X2_PROFILE)
-    assert check_quotient_row(tally(x2), expected(X2_PROFILE)) == []
+    x2 = closed_form(X2.profile)
+    assert check_quotient_row(tally(x2), expected(X2.profile)) == []
     # The weight-zero row of the X2 answer really is (1, 4, 1): the top
     # class only shows up there through its theta class.
     assert [x2.dim_at((p, 0)) for p in (-1, 0, 1, 2, 3)] == [0, 1, 4, 1, 0]
-    x3 = closed_form(X3_PROFILE)
-    assert check_quotient_row(tally(x3), expected(X3_PROFILE)) == []
+    x3 = closed_form(X3.profile)
+    assert check_quotient_row(tally(x3), expected(X3.profile)) == []
     assert [x3.dim_at((p, 0)) for p in (-1, 0, 1, 2, 3)] == [0, 1, 0, 0, 0]
     s2a = closed_form(InvariantProfile(FREE_SPHERE, 0))
     assert check_quotient_row(tally(s2a), expected(InvariantProfile(FREE_SPHERE, 0))) == []
@@ -90,13 +92,13 @@ def free_diagonals(d):
 
 
 def test_rho_localization_worked_examples():
-    assert check_rho_localization(tally(closed_form(X1_PROFILE)), expected(X1_PROFILE)) == []
+    assert check_rho_localization(tally(closed_form(X1.profile)), expected(X1.profile)) == []
     # X1's free shifts (0,0),(1,0),(1,1),(2,1) have p-q multiset {0,0,1,1},
     # matching two fixed circles.
-    assert free_diagonals(closed_form(X1_PROFILE)) == [0, 0, 1, 1]
+    assert free_diagonals(closed_form(X1.profile)) == [0, 0, 1, 1]
     # X2: eight isolated points, eight zeros.
-    assert free_diagonals(closed_form(X2_PROFILE)) == [0] * 8
-    assert check_rho_localization(tally(closed_form(X2_PROFILE)), expected(X2_PROFILE)) == []
+    assert free_diagonals(closed_form(X2.profile)) == [0] * 8
+    assert check_rho_localization(tally(closed_form(X2.profile)), expected(X2.profile)) == []
     free = InvariantProfile(FREE_SPHERE, 6)
     assert check_rho_localization(tally(closed_form(free)), expected(free)) == []
 
@@ -104,8 +106,8 @@ def test_rho_localization_worked_examples():
 def test_rho_localization_reports_counts_per_degree():
     # X2 has eight fixed points; dropping an S(1,1)M2 leaves seven free
     # summands on the diagonal p - q = 0, and an added S(3,1)M2 sits at 2.
-    wrong = closed_form(X2_PROFILE).remove(S11) + Decomposition([Summand.free(3, 1)])
-    assert check_rho_localization(tally(wrong), expected(X2_PROFILE)) == [
+    wrong = closed_form(X2.profile).remove(S11) + Decomposition([Summand.free(3, 1)])
+    assert check_rho_localization(tally(wrong), expected(X2.profile)) == [
         ("rho-localization", "fixed-set degrees", [[0, 8]], [[0, 7], [2, 1]])]
 
 
@@ -134,10 +136,10 @@ def test_forgetful_les_free_orbit():
 
 
 def test_forgetful_les_third_example_full_sweep():
-    x3 = closed_form(X3_PROFILE)
+    x3 = closed_form(X3.profile)
     assert naive_forgetful_les(x3, SingProfile(1, 1, 1), Window(-2, 5, -6, 6)) == []
-    assert tally(x3).classes == {0: 1, 1: 1, 2: 1} == expected(X3_PROFILE).classes
-    assert check_forgetful_les(tally(x3), expected(X3_PROFILE), Window(-2, 5, -6, 6)) == []
+    assert tally(x3).classes == {0: 1, 1: 1, 2: 1} == expected(X3.profile).classes
+    assert check_forgetful_les(tally(x3), expected(X3.profile), Window(-2, 5, -6, 6)) == []
 
 
 summands = st.one_of(
@@ -179,8 +181,8 @@ def test_forgetful_les_matches_the_naive_sweep(d, pr, window):
 
 @settings(max_examples=300)
 @given(decompositions, st.sampled_from(PROFILES_TO_12))
-@example(Decomposition([Summand.free(-5, 1)]), X2_PROFILE)
-@example(Decomposition([Summand.free(9, 1), Summand.antipodal(-3, 2)]), X1_PROFILE)
+@example(Decomposition([Summand.free(-5, 1)]), X2.profile)
+@example(Decomposition([Summand.free(9, 1), Summand.antipodal(-3, 2)]), X1.profile)
 def test_a_summand_outside_the_les_window_fails_another_check(extra, pr):
     # The verify window never changes a verdict: a summand with an
     # underlying degree outside its p range fails the quotient row, rho
@@ -199,9 +201,9 @@ def test_a_summand_outside_the_les_window_fails_another_check(extra, pr):
 
 
 def test_top_class_positions():
-    assert check_top_class(tally(closed_form(X2_PROFILE)), expected(X2_PROFILE)) == []
-    assert dict(closed_form(X2_PROFILE).items())[Summand.free(2, 2)] == 1
-    assert check_top_class(tally(closed_form(X1_PROFILE)), expected(X1_PROFILE)) == []
+    assert check_top_class(tally(closed_form(X2.profile)), expected(X2.profile)) == []
+    assert dict(closed_form(X2.profile).items())[Summand.free(2, 2)] == 1
+    assert check_top_class(tally(closed_form(X1.profile)), expected(X1.profile)) == []
     trivial = InvariantProfile(TRIVIAL, 2)
     assert check_top_class(tally(closed_form(trivial)), expected(trivial)) == []
     assert dict(closed_form(trivial).items())[Summand.free(2, 0)] == 1
@@ -212,16 +214,16 @@ def test_top_class_positions():
                            expected(sphere)) == [("top-class", "free summands with p >= 2",
                                         [], [[2, 2, 1]])]
     # Counts per shift, in the [p, q, count] shape of the wire format.
-    x2 = closed_form(X2_PROFILE)
+    x2 = closed_form(X2.profile)
     assert check_top_class(tally(x2 + Decomposition([Summand.free(2, 2), Summand.free(3, 0)])),
-                           expected(X2_PROFILE)) == [("top-class", "free summands with p >= 2",
+                           expected(X2.profile)) == [("top-class", "free summands with p >= 2",
                                             [[2, 2, 1]], [[2, 2, 2], [3, 0, 1]])]
 
 
 def test_top_class_detects_misplacement():
-    wrong = closed_form(X2_PROFILE).remove(Summand.free(2, 2)).direct_sum(
+    wrong = closed_form(X2.profile).remove(Summand.free(2, 2)).direct_sum(
         Decomposition([Summand.free(2, 1)]))
-    assert check_top_class(tally(wrong), expected(X2_PROFILE))
+    assert check_top_class(tally(wrong), expected(X2.profile))
 
 
 def test_every_top_summand_edit_of_the_closed_form_table_fails_its_whole_cell():
@@ -268,7 +270,7 @@ def test_every_top_summand_edit_of_the_closed_form_table_fails_its_whole_cell():
 
 
 def test_beta_recovery():
-    assert check_beta_recovery(tally(closed_form(X2_PROFILE)), expected(X2_PROFILE)) == []
+    assert check_beta_recovery(tally(closed_form(X2.profile)), expected(X2.profile)) == []
     for pr in enumerate_profiles(8):
         assert check_beta_recovery(tally(closed_form(pr)), expected(pr)) == []
 
@@ -288,14 +290,13 @@ def test_far_antipodal_summands_are_rejected():
 
 
 def test_verify_all_worked_examples():
-    for word in ("S21 + AT10", "S2a + CS(T[1])", "S22 + FM"):
-        pr = invariants(parse_word(word))
-        assert verify_decomposition(closed_form(pr), pr) == [], word
+    for w in WORKED.values():
+        assert verify_decomposition(w.answer, w.profile) == [], w.source
 
 
 def test_corrupted_decomposition_fails_les_and_beta_recovery():
-    corrupted = closed_form(X2_PROFILE).remove(S11)
-    violations = verify_decomposition(corrupted, X2_PROFILE)
+    corrupted = closed_form(X2.profile).remove(S11)
+    violations = verify_decomposition(corrupted, X2.profile)
     checks = {v.check for v in violations}
     assert "forgetful-les" in checks
     assert "beta-recovery" in checks
@@ -303,8 +304,8 @@ def test_corrupted_decomposition_fails_les_and_beta_recovery():
 
 
 def test_violation_serialization():
-    corrupted = closed_form(X3_PROFILE).remove(S11)
-    violations = verify_decomposition(corrupted, X3_PROFILE)
+    corrupted = closed_form(X3.profile).remove(S11)
+    violations = verify_decomposition(corrupted, X3.profile)
     assert violations
     obj = violations[0].to_json_obj()
     assert set(obj) == {"check", "location", "expected", "actual"}
@@ -315,7 +316,7 @@ PROFILES_TO_20 = enumerate_profiles(20)
 
 @settings(max_examples=300)
 @given(decompositions, st.sampled_from(PROFILES_TO_20))
-@example(Decomposition({S11: 10**20, Summand.antipodal(1, 0): 3}), X2_PROFILE)
+@example(Decomposition({S11: 10**20, Summand.antipodal(1, 0): 3}), X2.profile)
 def test_verify_matches_the_per_check_walks(extra, pr):
     # The tally is the five old walks over the summands done in one pass:
     # every violation, its order and both its sides, agree with them, with
@@ -342,7 +343,7 @@ def test_beta_recovery_is_the_p1_row_of_the_forgetful_les_on_every_cell():
 
 
 @given(decompositions, st.sampled_from(PROFILES_TO_20))
-@example(Decomposition([S11]), X2_PROFILE)
+@example(Decomposition([S11]), X2.profile)
 def test_beta_recovery_reports_what_the_les_reports_at_p1(extra, pr):
     # So beta recovery fails exactly when the LES fails at p = 1, with the
     # same two sides.
@@ -381,18 +382,18 @@ def test_expected_is_the_tally_of_the_closed_form_on_every_cell():
 def test_equal_profiles_share_one_expected_tally():
     # The memo is keyed by the profile's value: a profile built again, or
     # read from JSON, reads the same tables and gets the same violations.
-    wrong = closed_form(X2_PROFILE).remove(S11) + Decomposition([Summand.free(2, 1)])
-    again = InvariantProfile.from_json_obj(X2_PROFILE.to_json_obj())
-    assert again == X2_PROFILE and again is not X2_PROFILE
+    wrong = closed_form(X2.profile).remove(S11) + Decomposition([Summand.free(2, 1)])
+    again = InvariantProfile.from_json_obj(X2.profile.to_json_obj())
+    assert again == X2.profile and again is not X2.profile
     checks.expected.cache_clear()
-    first = verify_decomposition(wrong, X2_PROFILE)
-    assert first == naive_verify(wrong, X2_PROFILE)
+    first = verify_decomposition(wrong, X2.profile)
+    assert first == naive_verify(wrong, X2.profile)
     assert {v.check for v in first} == {"rho-localization", "forgetful-les",
                                         "top-class", "beta-recovery"}
     assert verify_decomposition(wrong, again) == first
     info = checks.expected.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
-    assert expected(again) is expected(X2_PROFILE)
+    assert expected(again) is expected(X2.profile)
 
 
 def test_equal_betti_numbers_share_one_expected_table():
@@ -422,8 +423,8 @@ def test_verify_calls_each_check_once_in_order(monkeypatch):
             calls.append(_name)
             return _check(*args)
         monkeypatch.setattr(checks, name, spy)
-    wrong = closed_form(X2_PROFILE).remove(S11)
-    assert verify_decomposition(wrong, X2_PROFILE) == naive_verify(wrong, X2_PROFILE)
+    wrong = closed_form(X2.profile).remove(S11)
+    assert verify_decomposition(wrong, X2.profile) == naive_verify(wrong, X2.profile)
     assert calls == names
 
 
@@ -437,12 +438,12 @@ def test_verify_looks_up_the_expected_tally_once(monkeypatch):
         lookups.append(pr)
         return _real(pr)
     monkeypatch.setattr(checks, "expected", spy)
-    right = closed_form(X2_PROFILE)
+    right = closed_form(X2.profile)
     wrong = right.remove(S11)
-    assert verify_decomposition(right, X2_PROFILE) == []
-    assert lookups == [X2_PROFILE]
-    assert verify_decomposition(wrong, X2_PROFILE) == naive_verify(wrong, X2_PROFILE) != []
-    assert lookups == [X2_PROFILE, X2_PROFILE]
+    assert verify_decomposition(right, X2.profile) == []
+    assert lookups == [X2.profile]
+    assert verify_decomposition(wrong, X2.profile) == naive_verify(wrong, X2.profile) != []
+    assert lookups == [X2.profile, X2.profile]
 
 
 def test_verify_reads_each_betti_profile_once(monkeypatch):
@@ -457,9 +458,9 @@ def test_verify_reads_each_betti_profile_once(monkeypatch):
             return _real(pr)
         monkeypatch.setattr(checks, name, spy)
     checks.expected.cache_clear()
-    wrong = closed_form(X2_PROFILE).remove(S11)
+    wrong = closed_form(X2.profile).remove(S11)
     for _ in range(2):
-        assert verify_decomposition(wrong, X2_PROFILE) == naive_verify(wrong, X2_PROFILE)
+        assert verify_decomposition(wrong, X2.profile) == naive_verify(wrong, X2.profile)
     assert sorted(calls) == ["fixed_sing", "quotient_sing", "underlying_sing"]
 
 
@@ -482,9 +483,9 @@ def test_reports_and_tallies_equal_the_constructed_ones():
     # each one is, in every way a reader sees, the one the public
     # four-argument constructor builds.
     sphere = InvariantProfile(FREE_SPHERE, 0)
-    wrong = closed_form(X2_PROFILE).remove(S11) + Decomposition(
+    wrong = closed_form(X2.profile).remove(S11) + Decomposition(
         [Summand.free(2, 1), Summand.antipodal(-3, 0)])
-    for d, pr in ((wrong, X2_PROFILE), (Decomposition([Summand.antipodal(7, 0)]), sphere)):
+    for d, pr in ((wrong, X2.profile), (Decomposition([Summand.antipodal(7, 0)]), sphere)):
         violations = verify_decomposition(d, pr)
         assert {v.check for v in violations} >= {"quotient-row", "forgetful-les"}
         for v in violations:

@@ -11,7 +11,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from _oracles import reference_parser
+from _oracles import WORKED, X3, reference_parser
 from c2surf.cli import MAX_CATALOG_BETA, MAX_GRID_CELLS, _build_parser, _match, _preprocess, main
 from c2surf.engine import closed_form
 from c2surf.surfaces import enumerate_profiles
@@ -26,22 +26,17 @@ def run(capsys, *argv):
 
 
 def test_compute_word(capsys):
-    code, out, _ = run(capsys, "compute", "S21 + AT10")
-    assert code == 0
-    assert out.strip() == "M2 + S(1,0)M2 + S(1,1)M2 + S(2,1)M2"
+    words = [w for w in WORKED.values() if not w.source.startswith("{")]
+    assert any(w.source.startswith("triv:") for w in words)
+    for w in words:
+        assert run(capsys, "compute", w.source) == (0, w.text + "\n", ""), w.source
 
 
 def test_compute_profile_json(capsys):
-    code, out, _ = run(capsys, "compute",
-                       '{"kind":"nonfree","beta":14,"F":8,"C":0}')
-    assert code == 0
-    assert out.strip() == "M2 + S(1,1)M2^6 + S(2,2)M2 + S(1,0)A0^4"
-
-
-def test_compute_trivial_surface(capsys):
-    code, out, _ = run(capsys, "compute", "triv:T[1]")
-    assert code == 0
-    assert out.strip() == "M2 + S(1,0)M2^2 + S(2,0)M2"
+    profiles = [w for w in WORKED.values() if w.source.startswith("{")]
+    assert profiles
+    for w in profiles:
+        assert run(capsys, "compute", w.source) == (0, w.text + "\n", ""), w.source
 
 
 def test_compute_json_round_trip(capsys):
@@ -326,10 +321,10 @@ def test_compute_and_verify_agree_on_validity(capsys):
 
 def test_module_entry_point_subprocess():
     env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-m", "c2surf", "compute", "S22 + FM"],
+    proc = subprocess.run([sys.executable, "-m", "c2surf", "compute", X3.source],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
-    assert proc.stdout.strip() == "M2 + S(1,1)M2 + S(2,1)M2"
+    assert proc.stdout.strip() == X3.text
 
 
 def test_closed_stdout_pipe_exits_141_without_a_traceback():
@@ -406,7 +401,7 @@ def test_plain_call_imports_no_argparse():
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                           text=True, env=env)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "M2 + S(2,2)M2\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, WORKED["S22"].text + "\n", "")
 
 
 def _subparsers(parser):
@@ -560,7 +555,7 @@ def test_readme_library_block_runs(capsys):
     block = section.split("```python\n", 1)[1].split("```", 1)[0]
     assert "verify_decomposition" in block
     exec(compile(block, "README.md", "exec"), {})
-    assert capsys.readouterr().out == "M2 + S(1,1)M2 + S(2,1)M2\n"
+    assert capsys.readouterr().out == X3.text + "\n"
 
 
 def test_plain_requests_skip_argparse(capsys, monkeypatch):

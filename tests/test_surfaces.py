@@ -2,6 +2,7 @@
 
 import enum
 import itertools
+import json
 import re
 from types import SimpleNamespace
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import c2surf.surfaces
-from _oracles import CELL_PROFILES, Affine, naive_parse_word, search_profiles_by_words
+from _oracles import CELL_PROFILES, WORKED, Affine, naive_parse_word, search_profiles_by_words
 from c2surf.checks import Window
 from c2surf.engine import _CLOSED_FORMS, _RULES
 from c2surf.surfaces import (
@@ -209,10 +210,12 @@ def test_base_profiles():
 
 
 def test_invariants_worked_examples():
-    assert invariants(parse_word("S22 + FM")) == InvariantProfile(NONFREE, 1, 1, 1)
-    assert invariants(parse_word("S21 + AT10")) == InvariantProfile(NONFREE, 2, 0, 2)
-    assert invariants(parse_word("S2a + CS(T[1])")) == InvariantProfile(FREE_SPHERE, 4)
-    assert invariants(parse_word("T1a + DCC")) == InvariantProfile(FREE_TORUS, 4)
+    for w in WORKED.values():
+        if w.source.startswith("{"):
+            pr = InvariantProfile.from_json_obj(json.loads(w.source))
+        else:
+            pr = invariants(parse_word(w.source))
+        assert pr == w.profile, w.source
 
 
 def test_validate_rejects_surgery_on_trivial_base():
@@ -379,6 +382,8 @@ def test_validate_profile_kind_constraints():
         ((FREE_TORUS, 0), "free torus-like actions need beta even and >= 2"),
         ((NONFREE, 0, 0, 0), "nonfree actions have a nonempty fixed set"),
         (("weird", 0), "unknown kind 'weird'"),
+        # An unhashable kind is named as bad input, never reaching a memo.
+        (([NONFREE], 0, 2, 0), "unknown kind ['nonfree']"),
         ((NONFREE, -2, 2, 0), "beta, F, C must be nonnegative"),
         # C = 0 with F even and F >= 2: only the lower bound on beta is left.
         ((NONFREE, 0, 4, 0), "beta >= F - 2 violated"),
@@ -406,7 +411,8 @@ def test_construction_accepts_exactly_the_realizable_profiles():
                 pass
     assert accepted == set(enumerate_profiles(10))
     for fields in [(TRIVIAL, 2.5), (TRIVIAL, "2"), (TRIVIAL, True), (NONFREE, 4, 2.0, 0),
-                   (NONFREE, 2, 2, False), (NONFREE, 4, None, 0)]:
+                   (NONFREE, 2, 2, False), (NONFREE, 4, None, 0), (NONFREE, 4.0, 2, 0),
+                   (NONFREE, 4, 2, "0"), (FREE_SPHERE, 2.0)]:
         with pytest.raises(ProfileError, match="must be an integer"):
             InvariantProfile(*fields)
 

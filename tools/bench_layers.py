@@ -31,11 +31,11 @@ next to it.  The rows are:
 * the text of a catalog row, ``str`` of each of those closed forms and of
   each of their witness words, every text checked beforehand against its
   plain spelling (each summand's or piece's own ``__str__``, joined);
-* ``verify_decomposition`` over the 33,228 single-summand mutants of the
-  acceptance suite's mutation sweep (profiles with beta <= 8; every
-  removal, and every added free summand with p, q in [-4, 12] or
-  antipodal one with p in [-4, 12], n <= 4), built beforehand, each of
-  which must fail, with 209,156 violations in all (the reject path);
+* ``verify_decomposition`` over the single-summand mutants of the
+  acceptance suite's mutation sweep (``mutant_sweep`` in
+  ``tests/_oracles.py``, which records their number and their count of
+  violations), built beforehand, each of which must fail, with the
+  recorded count of violations in all (the reject path);
 * ``expected`` alone over the 614 profiles with beta <= 20, its memo
   and the memo of its Betti-number tables cleared at the start of each
   repeat (the cold path of the profile side);
@@ -57,8 +57,8 @@ does the work.
 Standard library only, and separate from ``perfbench/``.  CI runs it on
 one Python version as a smoke test of about 20 s: it fails when the script
 raises, as it does when a closed form fails its checks, a mutant passes
-them, the mutants' violations are not exactly 209,156 (a walk that drops
-or duplicates a report), a folded witness word leaves its closed form, a
+them, the mutants' violations are not exactly the recorded count (a walk
+that drops or duplicates a report), a folded witness word leaves its closed form, a
 closed form or a witness word is spelled otherwise than plainly, or a
 check no longer takes ``(t, want)``.  No timing is a CI gate.
 """
@@ -78,13 +78,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-OUT = ROOT / "BENCH_32.json"
+OUT = ROOT / "BENCH_33.json"
 REPEATS = 7
 
-sys.path.insert(0, str(SRC))
+sys.path[:0] = [str(SRC), str(ROOT / "tests")]
 
+from _oracles import MUTANT_REPORTS, MUTANTS, mutant_sweep  # noqa: E402
 from c2surf import cli  # noqa: E402
-from c2surf.bigraded import Decomposition, Summand  # noqa: E402
+from c2surf.bigraded import Summand  # noqa: E402
 from c2surf.checks import (  # noqa: E402
     _counts,
     check_beta_recovery,
@@ -181,23 +182,6 @@ def text_all(cases, words) -> None:
         str(word)
 
 
-def mutants() -> list:
-    """The single-summand mutants of the acceptance sweep, with profiles."""
-    pool = ([Summand.free(p, q) for p in range(-4, 13) for q in range(-4, 13)]
-            + [Summand.antipodal(p, n) for p in range(-4, 13) for n in range(5)])
-    cases = []
-    for pr in enumerate_profiles(8):
-        d = closed_form(pr)
-        cases += [(d.remove(s), pr) for s, _ in d.items()]
-        cases += [(d.direct_sum(Decomposition([s])), pr) for s in pool]
-    return cases
-
-
-# The violations of every mutant of ``mutants()``, pinned with their digest
-# in tests/test_acceptance.py.
-MUTANT_REPORTS = 209156
-
-
 def reject_all(cases) -> None:
     reports = 0
     for d, pr in cases:
@@ -272,9 +256,9 @@ def main() -> None:
     check_texts(cases, words)
     texts = [str(word) for word in words]
     steps = fold_steps(parse_word(text) for text in texts)
-    wrong = mutants()
-    if len(wrong) != 33228:
-        raise AssertionError(f"expected 33228 mutants with beta <= 8, got {len(wrong)}")
+    wrong = mutant_sweep()
+    if len(wrong) != MUTANTS:
+        raise AssertionError(f"expected {MUTANTS} mutants with beta <= 8, got {len(wrong)}")
     rows = {
         "profiles_by_words(20)": lambda: profiles_by_words(20),
         "profiles_by_words(40)": lambda: profiles_by_words(40),
@@ -284,9 +268,9 @@ def main() -> None:
         f"apply_op x{len(steps)} fold steps (beta <= 20)": lambda: apply_op_all(steps),
         "verify_decomposition x614 (beta <= 20)": lambda: verify_all(cases),
         "row text x614 (beta <= 20)": lambda: text_all(cases, words),
-        "verify_decomposition x33228 mutants (beta <= 8)": lambda: reject_all(wrong),
+        f"verify_decomposition x{MUTANTS} mutants (beta <= 8)": lambda: reject_all(wrong),
         "expected x614 (beta <= 20, cold)": lambda: expected_cold(cases),
-        "tally x33228 mutants": lambda: tally_all(wrong),
+        f"tally x{MUTANTS} mutants": lambda: tally_all(wrong),
         **check_rows(wrong),
         "catalog 40 (in-process)": catalog_40,
         "python -m c2surf compute S22 (cold)": cold_compute,
