@@ -263,8 +263,10 @@ def naive_verify(d, pr) -> list[Violation]:
 
 
 class Affine:
-    """An affine form k0 + k1 x + k2 y + k3 z with integer coefficients, in
-    three parameters x, y, z that range over the natural numbers.
+    """An affine form k0 + k1 x + k2 y + k3 z + k4 w with integer
+    coefficients, in four parameters that range over the natural numbers:
+    x, y, z of a cell's profiles, and w, the beta of the surface that CS
+    sums in.
 
     The per-cell tables of ``c2surf`` evaluate on these as on ints, so a
     profile's fields as forms give every table's answer for every profile
@@ -279,7 +281,7 @@ class Affine:
     __slots__ = ("k",)
 
     def __init__(self, *k: int):
-        self.k = k + (0,) * (4 - len(k))
+        self.k = k + (0,) * (5 - len(k))
 
     @staticmethod
     def of(v) -> "Affine":
@@ -329,16 +331,16 @@ class Affine:
         negative coefficient far out along its parameter."""
         return min(self.k) >= 0
 
-    def at(self, x: int, y: int, z: int) -> int:
-        k0, k1, k2, k3 = self.k
-        return k0 + k1 * x + k2 * y + k3 * z
+    def at(self, x: int, y: int, z: int, w: int = 0) -> int:
+        k0, k1, k2, k3, k4 = self.k
+        return k0 + k1 * x + k2 * y + k3 * z + k4 * w
 
     def __repr__(self) -> str:
-        terms = [f"{a}{name}" for a, name in zip(self.k, ("", "x", "y", "z")) if a]
+        terms = [f"{a}{name}" for a, name in zip(self.k, ("", "x", "y", "z", "w")) if a]
         return " + ".join(terms) or "0"
 
 
-X, Y, Z = Affine(0, 1), Affine(0, 0, 1), Affine(0, 0, 0, 1)
+X, Y, Z, W = Affine(0, 1), Affine(0, 0, 1), Affine(0, 0, 0, 1), Affine(0, 0, 0, 0, 1)
 _0 = Affine(0)
 
 # The profiles of each realizable cell (kind, C == 0), with beta, F and C

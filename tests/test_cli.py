@@ -550,6 +550,17 @@ def readme_examples():
             if line.startswith("c2surf ")]
 
 
+def test_readme_example_outputs_are_what_the_cli_prints(capsys):
+    # Each README command directly followed by a "# " line shows its stdout.
+    lines = readme_text().splitlines()
+    shown = [(shlex.split(line, comments=True)[1:], after.removeprefix("# "))
+             for line, after in zip(lines, lines[1:])
+             if line.startswith("c2surf ") and after.startswith("# ")]
+    assert len(shown) >= 2
+    for argv, out in shown:
+        assert run(capsys, *argv) == (0, out + "\n", ""), argv
+
+
 def test_readme_library_block_runs(capsys):
     section = readme_text().split("## Library", 1)[1]
     block = section.split("```python\n", 1)[1].split("```", 1)[0]

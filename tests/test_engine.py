@@ -1,14 +1,30 @@
 """Closed formulas, the reduced flag, and the incremental rewrite rules."""
 
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 import c2surf.surfaces
-from _oracles import A0_1, CELL_PROFILES, M2, S10, S11, S21, S22, WORKED, X1, X3, Affine, nonzero
+from _oracles import (
+    A0_1,
+    CELL_PROFILES,
+    M2,
+    S10,
+    S11,
+    S21,
+    S22,
+    W,
+    WORKED,
+    X1,
+    X3,
+    Affine,
+    nonzero,
+)
 from c2surf.bigraded import Decomposition, Summand
 from c2surf.engine import (
     _CLOSED_FORMS,
+    _PLUS_A0,
     _RULES,
     TransformError,
     _plus_a0,
@@ -288,6 +304,28 @@ def test_every_rule_is_the_closed_form_increment_on_every_cell():
                 change[s] = change.get(s, 0) - c
             assert nonzero(increment) == nonzero(change), rule
     assert legal == set(_RULES)
+
+
+def test_connected_sum_and_cross_cap_are_the_closed_form_increment_on_every_cell():
+    # The proof of the CS and DCC steps for every beta: from each nontrivial
+    # cell's symbolic profile, the real _step takes CS(Y) with beta(Y) = w,
+    # and DCC, and the closed form grows by exactly what transform adds,
+    # S(1,0)A0^w and S(1,0)A0, with each "// 2" exact.  _step reads only
+    # the op's token and its surface's beta, so a stand-in carries w.
+    cs = SimpleNamespace(token="CS", surface=SimpleNamespace(beta=W))
+    cells = [key for key, pr in CELL_PROFILES.items() if pr.kind != TRIVIAL]
+    assert len(cells) == 4
+    for op, addend in ((cs, {A0_1: W}), (Op("DCC"), {A0_1: 1})):
+        for key in cells:
+            pr = CELL_PROFILES[key]
+            fields = _step(*pr, op)
+            change = dict(_CLOSED_FORMS[cell(_ProfileFields(*fields))](*fields[1:]))
+            for s, c in _CLOSED_FORMS[key](*pr[1:]).items():
+                change[s] = change.get(s, 0) - c
+            assert nonzero(change) == nonzero(addend), (op.token, key)
+    for k in range(9):
+        assert _plus_a0(k) == Decomposition({A0_1: k})
+    assert _PLUS_A0 == _plus_a0(1)
 
 
 ALL_OPS = [Op("AT11"), Op("AT10"), Op("FM"), Op("DCC"),
