@@ -22,10 +22,8 @@ else ``-4:6,-6:6``; ``--window`` without ``--grid``, ``--json`` with
 input.  stdout carries data; diagnostics go to stderr.
 
 The three subcommands are declared once, in ``_COMMANDS``, each with its
-handler.  A plain argv is read from that table by ``_match``, which builds
-the namespace ``parse_args`` would give, and never imports argparse.  Every
-other argv goes to an argparse parser ``_build_parser`` makes from the same
-table, which keeps its own help, usage and error text.
+handler.  ``_read`` reads every argv from that table, and ``_help`` prints
+it for ``-h``/``--help``; a bad argv is bad input, named.
 """
 
 from __future__ import annotations
@@ -98,8 +96,15 @@ def _parse_input(text: str) -> InvariantProfile:
         except (ValueError, RecursionError) as exc:
             # JSONDecodeError, an over-long integer, or nesting too deep
             raise _InputError(f"bad profile JSON: {exc}") from None
-        return InvariantProfile.from_json_obj(obj)
-    return invariants(parse_word(text))
+        return InvariantProfile.from_json_obj(obj)     # json reads no int it cannot print
+    profile = invariants(parse_word(text))
+    # An int prints in at most sys.get_int_max_str_digits() digits: 0 (or no
+    # such function, before 3.10.7) means no limit, else it is >= 640.
+    limit = profile.beta.bit_length() > 1920 and getattr(sys, "get_int_max_str_digits", int)()
+    if limit and profile.beta >= 10 ** limit:
+        raise _InputError(f"beta has more than {limit} digits, the most Python prints"
+                          " (sys.get_int_max_str_digits())")
+    return profile
 
 
 # The integer grammars of --window, --inject and the catalog bound.  A digit is
@@ -200,7 +205,7 @@ def _cmd_catalog(args) -> int:
 # The argv grammar, declared once: per subcommand its handler, its help, its
 # positionals as (name, help) and its options as flag -> (metavar, help),
 # metavar None for a switch; ``--json`` stores ``json``, so no flag has an
-# inner "-".  ``_build_parser`` and ``_match`` read it, ``main`` the handler.
+# inner "-".  ``_read`` reads an argv by it and ``_help`` prints it.
 _COMMANDS = {
     "compute": (_cmd_compute, "decomposition of a word or profile",
                 (("input", "surgery word or profile JSON"),),
@@ -216,99 +221,91 @@ _COMMANDS = {
 }
 
 
-def _build_parser():
-    """The argparse parser of ``_COMMANDS``, in the table's order."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="c2surf",
-        description="RO(C2)-graded mod-2 cohomology of surfaces with involution")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, text, positionals, options) in _COMMANDS.items():
-        command = sub.add_parser(name, help=text)
-        for dest, help_text in positionals:
-            command.add_argument(dest, help=help_text)
-        for flag, (metavar, help_text) in options.items():
-            if metavar is None:
-                command.add_argument(flag, action="store_true", help=help_text)
-            else:
-                command.add_argument(flag, metavar=metavar, help=help_text)
-    return parser
-
-
-def _preprocess(argv: list[str]) -> list[str]:
-    # Let "--window -2:6,-8:8" through argparse, which would otherwise read
-    # the leading dash as an option prefix.
-    out = []
-    i = 0
-    while i < len(argv):
-        if argv[i] == "--window" and i + 1 < len(argv):
-            out.append(f"--window={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(argv[i])
-            i += 1
-    return out
+def _help(command: str | None) -> str:
+    """The help of the program (``command`` None) or of one subcommand."""
+    if command is None:
+        usage = "{" + ",".join(_COMMANDS) + "} ..."
+        about = "RO(C2)-graded mod-2 cohomology of surfaces with involution"
+        rows = [(name, spec[1]) for name, spec in _COMMANDS.items()]
+    else:
+        _, about, positionals, options = _COMMANDS[command]
+        flags = [(f"{flag} {metavar}" if metavar else flag, text)
+                 for flag, (metavar, text) in options.items()]
+        usage = " ".join([command, *(f"[{flag}]" for flag, _ in flags),
+                          *(name for name, _ in positionals)])
+        rows = [*positionals, *flags]
+    rows.append(("-h, --help", "show this help message and exit"))
+    width = max(len(name) for name, _ in rows) + 2
+    return "\n".join([f"usage: c2surf {usage}", "", about, "",
+                      *(f"  {name:{width}}{text or ''}".rstrip() for name, text in rows)])
 
 
-def _match(argv: list[str]) -> SimpleNamespace | None:
-    """The namespace ``parse_args(argv)`` returns, for a plain argv; else None.
+def _read(argv: list[str]) -> SimpleNamespace | str:
+    """``argv`` read by ``_COMMANDS``: the namespace of its command,
+    positionals and options, or the help text ``-h`` or ``--help`` asks for.
+    Any other argv raises ``_InputError`` naming the token at fault.
 
-    Plain: a subcommand, then its switches and ``--opt VALUE`` /
-    ``--opt=VALUE`` options spelled in full, in any order, and exactly its
-    positionals.  Any other token starting with "-" (``-h``, an abbreviation,
-    ``--``, an unknown flag, a negative number), a ``--opt VALUE`` whose
-    value starts with "-", or a missing or extra positional is declined, so
-    argparse still owns help, usage and error text.
+    A subcommand comes first, then its switches and ``--opt VALUE`` /
+    ``--opt=VALUE`` options in any order, and exactly its positionals.  A
+    flag may be shortened to a prefix of it alone.  An option takes the
+    next token as its value, whatever it is.  ``--`` ends the options; every
+    other token not starting with "--", except ``-h``, is a positional.
     """
-    spec = _COMMANDS.get(argv[0]) if argv else None
-    if spec is None:
-        return None
-    _, _, positionals, options = spec
-    values = {"command": argv[0]}
-    for flag, (metavar, _) in options.items():
-        values[flag[2:]] = None if metavar else False
+    command = argv[0] if argv else None
+    if command not in _COMMANDS:
+        if command in ("-h", "--help"):
+            return _help(None)
+        got = f"unknown command {command!r}" if argv else "missing command"
+        raise _InputError(f"{got} (want one of {', '.join(_COMMANDS)})")
+    _, _, positionals, options = _COMMANDS[command]
+    values = {flag[2:]: None if metavar else False for flag, (metavar, _) in options.items()}
+    values["command"] = command
     texts = []
     tokens = iter(argv[1:])
     for token in tokens:
-        if not token.startswith("-"):
+        if token == "--":
+            texts += tokens
+        elif token == "-h":
+            return _help(command)
+        elif not token.startswith("--"):
             texts.append(token)
-            continue
-        flag, eq, text = token.partition("=")
-        option = options.get(flag)
-        if option is None:
-            return None
-        if option[0] is None:           # a switch
-            if eq:
-                return None
-            values[flag[2:]] = True
-            continue
-        if not eq:
-            text = next(tokens, "-")    # a missing value is argparse's error too
-            if text.startswith("-"):
-                return None
-        if text == "--":                # argparse strips it, differently across versions
-            return None
-        values[flag[2:]] = text
+        else:
+            flag, eq, text = token.partition("=")
+            if flag not in options:
+                found = [f for f in (*options, "--help") if f.startswith(flag)]
+                if len(found) != 1:
+                    raise _InputError(f"{command}: ambiguous option {token!r} (could be"
+                                      f" {', '.join(found)})" if found
+                                      else f"{command}: unknown option {token!r}")
+                flag = found[0]
+            metavar = options[flag][0] if flag in options else None
+            if eq and metavar is None:
+                raise _InputError(f"{command}: {flag} takes no value, got {token!r}")
+            if flag == "--help":
+                return _help(command)
+            if metavar and not eq:
+                text = next(tokens, None)
+                if text is None:
+                    raise _InputError(f"{command}: {token!r} needs a value ({flag} {metavar})")
+            values[flag[2:]] = text if metavar else True
     if len(texts) != len(positionals):
-        return None
-    values.update(zip((dest for dest, _ in positionals), texts))
+        raise _InputError(f"{command}: missing argument {positionals[len(texts)][0]}"
+                          if len(texts) < len(positionals) else
+                          f"{command}: unexpected argument {texts[len(positionals)]!r}")
+    values.update(zip((name for name, _ in positionals), texts))
     return SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    argv = _preprocess(argv)
-    args = _match(argv)
-    if args is None:
-        args = _build_parser().parse_args(argv)
-        # Before Python 3.13, argparse stores an option value "--" as [].
-        for dest, value in vars(args).items():
-            if value == []:
-                setattr(args, dest, "--")
     try:
-        code = _COMMANDS[args.command][0](args)
+        args = _read(argv)
+        if isinstance(args, str):       # the help text
+            print(args)
+            code = OK
+        else:
+            code = _COMMANDS[args.command][0](args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

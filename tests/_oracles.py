@@ -53,23 +53,30 @@ A0_1 = Summand.antipodal(1, 0)
 
 class Worked(NamedTuple):
     """A hand-worked answer: the word or profile JSON it comes from, its
-    profile, and the answer as ``compute`` prints it and as a decomposition."""
+    profile, and the answer as ``compute`` prints it, as ``compute --json``
+    prints it (the compact wire JSON) and as a decomposition."""
 
     source: str
     profile: InvariantProfile
     text: str
+    json: str
     answer: Decomposition
 
 
 # The paper's three worked examples.
 X1 = Worked("S21 + AT10", InvariantProfile(NONFREE, 2, 0, 2),
-            "M2 + S(1,0)M2 + S(1,1)M2 + S(2,1)M2", Decomposition([M2, S10, S11, S21]))
+            "M2 + S(1,0)M2 + S(1,1)M2 + S(2,1)M2",
+            '{"free":[[0,0,1],[1,0,1],[1,1,1],[2,1,1]],"antipodal":[]}',
+            Decomposition([M2, S10, S11, S21]))
 X2 = Worked('{"kind":"nonfree","beta":14,"F":8,"C":0}', InvariantProfile(NONFREE, 14, 8, 0),
             "M2 + S(1,1)M2^6 + S(2,2)M2 + S(1,0)A0^4",
+            '{"free":[[0,0,1],[1,1,6],[2,2,1]],"antipodal":[[1,0,4]]}',
             Decomposition([M2] + [S11] * 6 + [A0_1] * 4 + [S22]))
 X3 = Worked("S22 + FM", InvariantProfile(NONFREE, 1, 1, 1), "M2 + S(1,1)M2 + S(2,1)M2",
+            '{"free":[[0,0,1],[1,1,1],[2,1,1]],"antipodal":[]}',
             Decomposition([M2, S11, S21]))
 _T1A = Worked("T1a", InvariantProfile(FREE_TORUS, 2), "A1 + S(1,0)A1",
+              '{"free":[],"antipodal":[[0,1,1],[1,1,1]]}',
               Decomposition([Summand.antipodal(0, 1), Summand.antipodal(1, 1)]))
 
 # Every hand-worked answer, keyed by its source: the three above, the free
@@ -78,15 +85,18 @@ _T1A = Worked("T1a", InvariantProfile(FREE_TORUS, 2), "A1 + S(1,0)A1",
 WORKED = {w.source: w for w in (
     X1, X2, X3,
     Worked("S2a + CS(T[1])", InvariantProfile(FREE_SPHERE, 4), "A2 + S(1,0)A0^2",
+           '{"free":[],"antipodal":[[0,2,1],[1,0,2]]}',
            Decomposition([A0_1, A0_1, Summand.antipodal(0, 2)])),
     _T1A, _T1A._replace(source="T1r"),
     Worked("T1a + DCC", InvariantProfile(FREE_TORUS, 4), "A1 + S(1,0)A0 + S(1,0)A1",
+           '{"free":[],"antipodal":[[0,1,1],[1,0,1],[1,1,1]]}',
            Decomposition([Summand.antipodal(0, 1), A0_1, Summand.antipodal(1, 1)])),
     Worked("S22", InvariantProfile(NONFREE, 0, 2, 0), "M2 + S(2,2)M2",
-           Decomposition([M2, S22])),
+           '{"free":[[0,0,1],[2,2,1]],"antipodal":[]}', Decomposition([M2, S22])),
     Worked("S21", InvariantProfile(NONFREE, 0, 0, 1), "M2 + S(2,1)M2",
-           Decomposition([M2, S21])),
+           '{"free":[[0,0,1],[2,1,1]],"antipodal":[]}', Decomposition([M2, S21])),
     Worked("triv:T[1]", InvariantProfile(TRIVIAL, 2), "M2 + S(1,0)M2^2 + S(2,0)M2",
+           '{"free":[[0,0,1],[1,0,2],[2,0,1]],"antipodal":[]}',
            Decomposition([M2, S10, S10, Summand.free(2, 0)])),
 )}
 
@@ -509,9 +519,9 @@ def naive_parse_word(text: str) -> SurgeryWord:
 
 
 def reference_parser() -> argparse.ArgumentParser:
-    """The CLI's parser as it was declared before its grammar table, one
-    ``add_argument`` per flag: the reference for the help and usage text of
-    the parser ``cli._build_parser`` makes from the table."""
+    """The CLI's parser as argparse declared it before its grammar table,
+    one ``add_argument`` per flag: the reference for the namespaces
+    ``cli._read`` builds and for the help strings it prints."""
     parser = argparse.ArgumentParser(
         prog="c2surf",
         description="RO(C2)-graded mod-2 cohomology of surfaces with involution")

@@ -44,6 +44,10 @@ def test_matrix_validation():
         F2Matrix(2, 2, [1])
     with pytest.raises(ValueError):
         F2Matrix.from_rows([[1, 0], [1]])
+    with pytest.raises(ValueError, match="negative matrix dimensions"):
+        F2Matrix(-1, 2)
+    with pytest.raises(ValueError, match="inner dimensions do not match"):
+        F2Matrix(2, 3).mul(F2Matrix(2, 3))
 
 
 def test_mul_matches_entrywise_definition():

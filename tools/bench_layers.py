@@ -43,6 +43,11 @@ next to it.  The rows are:
   over their tallies and their profiles' ``expected`` tallies, both built
   beforehand, called as ``check(t, want)``, so each row times only the
   comparison;
+* in-process ``cli.main`` over three plain argvs for each of the 614
+  witness words W with beta <= 20: ``compute W``, ``verify --json W`` and
+  ``compute --grid --window -2:6,-8:8 W``, with stdout sent to a null sink,
+  each checked to exit 0 beforehand (the argv reader and the three output
+  paths of a request);
 * an in-process ``catalog 40``, with stdout sent to a null sink (its
   3,624 profiles overflow the 1024-entry memos of ``closed_form`` and
   ``expected``, so this row runs mostly cold);
@@ -59,8 +64,9 @@ one Python version as a smoke test of about 20 s: it fails when the script
 raises, as it does when a closed form fails its checks, a mutant passes
 them, the mutants' violations are not exactly the recorded count (a walk
 that drops or duplicates a report), a folded witness word leaves its closed form, a
-closed form or a witness word is spelled otherwise than plainly, or a
-check no longer takes ``(t, want)``.  No timing is a CI gate.
+closed form or a witness word is spelled otherwise than plainly, a plain
+request on a witness word exits other than 0, or a check no longer takes
+``(t, want)``.  No timing is a CI gate.
 """
 
 from __future__ import annotations
@@ -78,7 +84,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-OUT = ROOT / "BENCH_33.json"
+OUT = ROOT / "BENCH_34.json"
 REPEATS = 7
 
 sys.path[:0] = [str(SRC), str(ROOT / "tests")]
@@ -220,6 +226,25 @@ def check_rows(cases) -> dict:
     return rows
 
 
+def cli_argvs(texts) -> list[list[str]]:
+    """``compute W``, ``verify --json W`` and ``compute --grid --window
+    -2:6,-8:8 W`` for each word W; each must exit 0."""
+    argvs = [argv for w in texts for argv in (
+        ["compute", w], ["verify", "--json", w], ["compute", "--grid", "--window", "-2:6,-8:8", w])]
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        for argv in argvs:
+            code = cli.main(argv)
+            if code != 0:
+                raise AssertionError(f"{argv} exited {code}")
+    return argvs
+
+
+def cli_all(argvs) -> None:
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        for argv in argvs:
+            cli.main(argv)
+
+
 def catalog_40() -> None:
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         code = cli.main(["catalog", "40"])
@@ -257,6 +282,7 @@ def main() -> None:
     texts = [str(word) for word in words]
     steps = fold_steps(parse_word(text) for text in texts)
     wrong = mutant_sweep()
+    argvs = cli_argvs(texts)
     if len(wrong) != MUTANTS:
         raise AssertionError(f"expected {MUTANTS} mutants with beta <= 8, got {len(wrong)}")
     rows = {
@@ -272,6 +298,7 @@ def main() -> None:
         "expected x614 (beta <= 20, cold)": lambda: expected_cold(cases),
         f"tally x{MUTANTS} mutants": lambda: tally_all(wrong),
         **check_rows(wrong),
+        f"cli.main x{len(argvs)} plain argvs (beta <= 20)": lambda: cli_all(argvs),
         "catalog 40 (in-process)": catalog_40,
         "python -m c2surf compute S22 (cold)": cold_compute,
     }
