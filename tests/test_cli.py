@@ -419,15 +419,58 @@ def test_parser_reuse_keeps_calls_independent(capsys):
     assert run(capsys, "compute", x) == fresh_process(["compute", x])
 
 
-def test_no_argv_imports_argparse(capsys):
-    # One reader reads every argv, and no module of the package imports
-    # argparse (or the gettext it loads).  In a fresh interpreter, every
-    # README example, help, an abbreviation, "--" and bad argvs answer as
-    # they do in this process, and argparse is still not imported after
-    # them; -S keeps a site .pth file from importing it first.
+def fresh_argparse_free(calls):
+    """Exit code, stdout and stderr of ``python -S`` importing the CLI, running
+    ``calls`` (Python source) and printing whether argparse and gettext are
+    imported; -S keeps a site .pth file from importing argparse first."""
+    code = ("import sys, c2surf.cli as cli\n"
+            "assert 'argparse' not in sys.modules\n"
+            f"{calls}"
+            "print('argparse' in sys.modules, 'gettext' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_import_builds_no_parser():
+    # No module of the package names argparse, so the import builds no
+    # parser; an abbreviated flag, which argparse once read, is read by the
+    # same reader and imports neither argparse nor the gettext it loads.
     for path in glob.glob(os.path.join(SRC, "c2surf", "*.py")):
         with open(path) as f:
             assert "argparse" not in f.read(), path
+    assert fresh_argparse_free("cli.main(['compute', '--js', 'S22'])\n") == (
+        0, WORKED["S22"].json + "\nFalse False\n", "")
+
+
+def test_plain_call_imports_no_argparse():
+    # A plain call never imports argparse.
+    assert fresh_argparse_free("cli.main(['compute', 'S22'])\n") == (
+        0, WORKED["S22"].text + "\nFalse False\n", "")
+
+
+def test_plain_requests_skip_argparse(capsys, monkeypatch):
+    # With parse_args unusable, every README example and golden request is
+    # still answered: the reader never hands an argv on to argparse.
+    def refuse(self, args=None, namespace=None):
+        raise AssertionError(f"argparse entered for {args!r}")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    examples = readme_examples()
+    assert len(examples) >= 8
+    for argv in examples:
+        assert main(argv) in (0, 1), argv
+    capsys.readouterr()
+    for argv in golden_requests():
+        assert not isinstance(_read(argv), str), argv
+
+
+def test_no_argv_imports_argparse(capsys):
+    # One reader reads every argv.  In a fresh interpreter, every README
+    # example, help, an abbreviation, "--" and bad argvs answer as they do
+    # in this process, and argparse is still not imported after them; -S
+    # keeps a site .pth file from importing it first.
     argvs = readme_examples() + [
         ["compute", "--js", "S22"], ["-h"], ["--help"], ["compute", "-h"], ["verify", "--help"],
         ["catalog", "--he"], ["compute", "--", "S22"],
