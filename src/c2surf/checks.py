@@ -42,12 +42,14 @@ locations only when the two differ, to report them:
 * beta recovery  -- dimension-one generator count: the p = 1 entry of the
   same per-p count of underlying classes, against beta.
 
-``verify_decomposition`` tallies the decomposition once, reads the
-profile's tally once, and runs the five in that order, each as
-``check(t, want)``, every one of them even when the two tallies are
-equal.  No check reads the profile itself.  Its window, p in [-2, 6] and
-q in [-8, 8], is fixed, and it only bounds where the forgetful-LES
-identity is reported: it never changes a verdict.  The other checks
+``verify_decomposition`` tallies the decomposition once and reads the
+profile's tally once.  Two equal tallies have no violation, since each
+check finds none when its pair of tables is equal, so it accepts them
+with that one comparison and calls no check; otherwise it runs the five
+in that order, each as ``check(t, want)``.  No check reads the profile
+itself.  Its window, p in [-2, 6] and q in [-8, 8], is fixed, and it
+only bounds where the forgetful-LES identity is reported: it never
+changes a verdict.  The other checks
 read every summand, and a summand with an underlying degree outside p in
 [-2, 6] fails one of them, whatever else the decomposition holds.  Such a
 degree lies in the summand's weight-zero support, which the quotient row
@@ -289,8 +291,12 @@ def check_beta_recovery(t: Tally, want: Tally) -> list[Violation]:
 
 def verify_decomposition(d: Decomposition, pr: InvariantProfile) -> list[Violation]:
     """Every violation of the five checks, in order, on a candidate
-    decomposition, tallied once, against ``expected(pr)``, read once."""
+    decomposition, tallied once, against ``expected(pr)``, read once.
+    Equal tallies are accepted with one comparison: every check compares
+    a field of the two, and finds no violation where they are equal."""
     t, want = tally(d), expected(pr)
+    if t == want:
+        return []
     out = check_quotient_row(t, want)
     out += check_rho_localization(t, want)
     out += check_forgetful_les(t, want)

@@ -11,9 +11,10 @@ Three subcommands:
 * ``catalog BETA_MAX`` -- one verified row per realizable profile with
   beta <= BETA_MAX (plain ASCII digits, at most ``MAX_CATALOG_BETA``).
 
-Exit codes: 0 ok, 1 verification failure, 2 bad input, 141 stdout closed
-by its reader (see README); any other exception is a program error and
-propagates.
+Exit codes: 0 ok, 1 verification failure, 2 bad input, 74 stdout cannot
+be written (closed at start, as by ``>&-``, or a write fails, as into
+``/dev/full``), 141 stdout closed by its reader (see README); any other
+exception is a program error and propagates.
 INPUT starting with '{' is parsed as a profile JSON object
 ``{"kind":..., "beta":..., "F":..., "C":...}``; anything else as a word.
 ``compute --grid`` draws the window ``--window pmin:pmax,qmin:qmax`` gives,
@@ -60,6 +61,7 @@ MAX_CATALOG_BETA = 160
 OK = 0
 VERIFY_FAILED = 1
 BAD_INPUT = 2
+STDOUT_FAILED = 74      # EX_IOERR of sysexits.h
 BROKEN_PIPE = 141       # 128 + SIGPIPE, as a shell reports ``yes | head -1``
 
 
@@ -192,13 +194,14 @@ def _cmd_catalog(args) -> int:
         raise _InputError(f"catalog bound {beta_max} is more than the"
                           f" {MAX_CATALOG_BETA} a catalog may list")
     any_failed = False
+    write = sys.stdout.write        # one write per row; print makes two
     for pr, word in profiles_by_words(beta_max).items():
         kind, beta, f, c = pr
         decomposition = closed_form(pr)
         violations = verify_decomposition(decomposition, pr)
         status = "ok" if not violations else "FAIL"
         any_failed = any_failed or bool(violations)
-        print(f"{word}\t{kind}\tbeta={beta} F={f} C={c}\t{decomposition}\t{status}")
+        write(f"{word}\t{kind}\tbeta={beta} F={f} C={c}\t{decomposition}\t{status}\n")
     return VERIFY_FAILED if any_failed else OK
 
 
@@ -296,9 +299,20 @@ def _read(argv: list[str]) -> SimpleNamespace | str:
     return SimpleNamespace(**values)
 
 
+def _stdout_to_devnull() -> None:
+    """Point fd 1 at devnull, so that the flush at shutdown of what stdout
+    still buffers neither fails nor prints."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    if sys.stdout is None:              # started with fd 1 closed (``>&-``)
+        print("error: cannot write stdout: it is closed", file=sys.stderr)
+        return STDOUT_FAILED
     try:
         args = _read(argv)
         if isinstance(args, str):       # the help text
@@ -309,14 +323,18 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # The reader closed stdout (``c2surf catalog 40 | head -1``).  Point
-        # fd 1 at devnull so that the flush at shutdown prints nothing.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        # The reader closed stdout (``c2surf catalog 40 | head -1``).
+        _stdout_to_devnull()
         return BROKEN_PIPE
     except (ParseError, WordError, ProfileError, _InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
+    except OSError as exc:
+        # A write to stdout failed (``c2surf catalog 2 > /dev/full``): the
+        # package opens no file or socket, so no other OSError reaches here.
+        print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        _stdout_to_devnull()
+        return STDOUT_FAILED
 
 
 if __name__ == "__main__":

@@ -428,6 +428,39 @@ def test_verify_calls_each_check_once_in_order(monkeypatch):
     assert calls == names
 
 
+CHECKS = (check_quotient_row, check_rho_localization, check_forgetful_les,
+          check_top_class, check_beta_recovery)
+
+
+@given(decompositions)
+@example(Decomposition())
+@example(Decomposition({S11: 10**20, Summand.antipodal(-3, 2): 2}))
+def test_every_check_accepts_two_equal_tallies(d):
+    # What lets verify_decomposition accept equal tallies without calling
+    # a check: each check finds no violation in a tally against itself,
+    # and against an equal copy of it.
+    t = tally(d)
+    copy = Tally(*(dict(table) for table in t))
+    for check in CHECKS:
+        assert check(t, t) == check(t, copy) == [], check.__name__
+
+
+def test_a_correct_answer_is_accepted_without_a_check(monkeypatch):
+    # On each of the 614 closed forms with beta <= 20 the tally equals the
+    # expected one, so verify_decomposition returns [] on that comparison
+    # and calls none of the five checks.
+    calls = []
+    for check in CHECKS:
+        def spy(*args, _name=check.__name__):
+            calls.append(_name)
+            return []
+        monkeypatch.setattr(checks, check.__name__, spy)
+    assert len(PROFILES_TO_20) == 614
+    for pr in PROFILES_TO_20:
+        assert verify_decomposition(closed_form(pr), pr) == [], pr
+    assert calls == []
+
+
 def test_verify_looks_up_the_expected_tally_once(monkeypatch):
     # verify_decomposition reads expected(pr) once and hands it to all five
     # checks, which never read the profile: one lookup per verification,

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from _oracles import WORKED, X1, X3, reference_parser
-from c2surf.cli import _COMMANDS, MAX_CATALOG_BETA, MAX_GRID_CELLS, _InputError, _read, main
+from c2surf.cli import (_COMMANDS, MAX_CATALOG_BETA, MAX_GRID_CELLS, STDOUT_FAILED,
+                        _InputError, _read, main)
 from c2surf.engine import closed_form
 from c2surf.surfaces import enumerate_profiles
 
@@ -396,6 +397,55 @@ def test_closed_stdout_pipe_exits_141_without_a_traceback():
     assert b"Traceback" not in err, err.decode()
 
 
+class WriteCounter(io.TextIOBase):
+    """A stdout stand-in that keeps the text of each ``write`` call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        self.calls.append(text)
+        return len(text)
+
+
+def test_catalog_writes_each_row_once():
+    # Each row reaches stdout as one write, its newline included.
+    sink = WriteCounter()
+    with redirect_stdout(sink):
+        assert main(["catalog", "12"]) == 0
+    assert len(sink.calls) == len(enumerate_profiles(12))
+    for text, (kind, beta, f, c) in zip(sink.calls, enumerate_profiles(12)):
+        assert text.endswith("\tok\n") and text.count("\n") == 1, text
+        assert f"\t{kind}\tbeta={beta} F={f} C={c}\t" in text, text
+
+
+def unwritable_stdout(argv, stdout_spec):
+    """Exit code and stderr of ``python -m c2surf`` with stdout set by a
+    shell redirection, ``>&-`` or ``> /dev/full``."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(["sh", "-c", f'exec "$0" -m c2surf "$@" {stdout_spec}',
+                           sys.executable, *argv], capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["compute", "S22"], ["catalog", "2"]])
+def test_closed_stdout_is_one_error_line(argv):
+    assert unwritable_stdout(argv, ">&-") == (
+        STDOUT_FAILED, "error: cannot write stdout: it is closed\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [["compute", "S22"], ["catalog", "2"], ["catalog", "40"]])
+def test_full_stdout_is_one_error_line(argv):
+    # catalog 40 fills the write buffer, so its write fails mid-catalog;
+    # the others fail at the flush.
+    assert unwritable_stdout(argv, "> /dev/full") == (
+        STDOUT_FAILED, "error: cannot write stdout: No space left on device\n")
+
+
 def fresh_process(argv):
     """stdout, stderr and exit code of one call in a new interpreter."""
     env = dict(os.environ, PYTHONPATH=SRC)
@@ -617,12 +667,27 @@ VALUE_PIECES = (
 ARGV_PIECES = COMMANDS + ("frob",) + OPTION_PIECES + VALUE_PIECES
 pieces = st.sampled_from(ARGV_PIECES)
 options = st.lists(st.sampled_from(OPTION_PIECES), max_size=3)
-# A subcommand, options, one value, options and a last piece; the first, the
-# value and the last are sometimes any piece at all, so that the reader
-# often accepts and often refuses.
-argvs = st.tuples(st.sampled_from(COMMANDS) | pieces, options,
-                  st.sampled_from(VALUE_PIECES) | pieces, options,
-                  st.lists(pieces, max_size=1)).map(
+
+
+def own_options(first):
+    """Up to three option pieces that each name a flag of the subcommand
+    ``first`` (a prefix of it, in any form), or none if it has no flags or
+    is no subcommand."""
+    flags = _COMMANDS[first][3] if first in _COMMANDS else {}
+    own = [piece for piece in OPTION_PIECES if any(
+        flag.startswith((piece if isinstance(piece, str) else piece[0]).partition("=")[0])
+        for flag in flags)]
+    return st.lists(st.sampled_from(own), max_size=3) if own else st.just([])
+
+
+# A first piece, options, one value, options and a last piece.  The first is
+# drawn from 179 pieces, 123 of them a subcommand, and each run of options
+# is the subcommand's own or any, so that the reader accepts about one argv
+# in five (one in fifteen with the plain pieces and any options).  The value
+# and the last are sometimes any piece at all, so that it often refuses too.
+argvs = st.sampled_from(COMMANDS * 40 + ARGV_PIECES).flatmap(lambda first: st.tuples(
+    st.just(first), own_options(first) | options, st.sampled_from(VALUE_PIECES) | pieces,
+    own_options(first) | options, st.lists(pieces, max_size=1))).map(
     lambda t: [token for piece in (t[0], *t[1], t[2], *t[3], *t[4])
                for token in ((piece,) if isinstance(piece, str) else piece)])
 
