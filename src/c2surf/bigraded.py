@@ -24,6 +24,10 @@ dimension is additive over the direct sum.
 
 ``Bidegree`` and ``Summand`` are ``NamedTuple``s, so they hash and compare
 like plain tuples and compare equal to them: ``Bidegree(1, 2) == (1, 2)``.
+Each value type of the package with a rule to keep (``Summand`` here)
+checks it in ``__new__`` and takes ``_Checked`` as its first base, whose
+``_make``, and so ``_replace``, builds through that ``__new__``; an integer
+field is an int, never a bool (``_is_int``).
 A ``Decomposition`` is one dict from summand to count, in
 ``Summand.sort_key`` order.  Construction counts into a plain dict and
 sorts it once; ``direct_sum`` and ``remove`` start from a copy of their
@@ -74,6 +78,22 @@ class Bidegree(NamedTuple):
 ZERO = Bidegree(0, 0)
 
 
+class _Checked:
+    """The first base of a value type whose ``__new__`` keeps a rule:
+    ``_make``, and so ``_replace``, builds through that ``__new__`` too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+def _is_int(value) -> bool:
+    """The type rule of every integer field: an int, never a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 # ---------------------------------------------------------------------------
 # Summands and decompositions.
 
@@ -83,7 +103,7 @@ class _SummandFields(NamedTuple):
     n: int | None = None
 
 
-class Summand(_SummandFields):
+class Summand(_Checked, _SummandFields):
     """A shifted copy of M2 (``n is None``) or of A_n (``n >= 0``).
 
     ``Summand(Bidegree(p, q))`` is the suspension by (p, q) of the point
@@ -97,20 +117,14 @@ class Summand(_SummandFields):
 
     def __new__(cls, shift: Bidegree, n: int | None = None) -> "Summand":
         p, q = shift
-        # Ints, never bools, as in ``validate_profile``.
         for value in (p, q) if n is None else (p, q, n):
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not _is_int(value):
                 raise ValueError(f"summand shift and index must be integers, got {value!r}")
         if n is not None:
             if n < 0:
                 raise ValueError("antipodal index must be a natural number")
             q = 0
         return tuple.__new__(cls, (Bidegree(p, q), n))
-
-    @classmethod
-    def _make(cls, iterable) -> "Summand":
-        # ``_replace`` goes through here; keep it canonical too.
-        return cls(*iterable)
 
     @classmethod
     def free(cls, p: int, q: int) -> "Summand":
@@ -349,7 +363,7 @@ def _check_summand(s) -> None:
 
 
 def _check_multiplicity(c) -> None:
-    if not isinstance(c, int) or isinstance(c, bool):
+    if not _is_int(c):
         raise ValueError(f"multiplicity must be an integer, got {c!r}")
     if c < 0:
         raise ValueError("negative multiplicity")

@@ -70,7 +70,7 @@ from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from typing import NamedTuple
 
-from .bigraded import Bidegree, Decomposition, Summand
+from .bigraded import Bidegree, Decomposition, Summand, _Checked
 from .surfaces import InvariantProfile, SingProfile, fixed_sing, quotient_sing, underlying_sing
 
 
@@ -81,9 +81,9 @@ class _WindowFields(NamedTuple):
     qmax: int
 
 
-class Window(_WindowFields):
+class Window(_Checked, _WindowFields):
     """A box of bidegrees, pmin <= p <= pmax and qmin <= q <= qmax; never
-    inverted, ``_replace`` and ``_make`` included."""
+    inverted (a ``_Checked`` value type)."""
 
     __slots__ = ()
 
@@ -92,10 +92,6 @@ class Window(_WindowFields):
         if pmin > pmax or qmin > qmax:
             raise ValueError(f"inverted window {window}")
         return window
-
-    @classmethod
-    def _make(cls, iterable) -> "Window":
-        return cls(*iterable)
 
     def __str__(self) -> str:
         return f"{self.pmin}:{self.pmax},{self.qmin}:{self.qmax}"

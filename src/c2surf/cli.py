@@ -52,10 +52,10 @@ DEFAULT_GRID_WINDOW = Window(-4, 6, -6, 6)
 # The most cells ``compute --grid`` draws: a 316 x 316 window, far wider than
 # a screen.  A larger one is bad input, before its grid is allocated.
 MAX_GRID_CELLS = 100_000
-# The largest ``catalog`` bound: 184,084 rows, 8-9 s and 117 MB on a
-# 2-core host.  A larger one is bad input, refused before any row is built:
-# every row is built before the first prints, and the row count grows about
-# as the cube of the bound.
+# The largest ``catalog`` bound: 184,084 rows, 2.4-4.2 s and 117 MB peak
+# RSS on a 2-core host.  A larger one is bad input, refused before any row
+# is built: every row is built before the first prints, and the row count
+# grows about as the cube of the bound.
 MAX_CATALOG_BETA = 160
 
 OK = 0

@@ -30,9 +30,9 @@ conjugate copies of the nonequivariant surface Y.
 
 Everything here is pure and immutable.  The value types are
 ``NamedTuple``s: they hash and compare like plain tuples, and the ones
-with a rule to keep check it in ``__new__``, which ``_replace`` and
-``_make`` go through too: a ``ClosedSurface`` has a valid genus, an
-``InvariantProfile`` is realizable, a ``Base`` or ``Op`` has a known
+with a rule to keep are ``bigraded._Checked`` value types: a
+``ClosedSurface`` has a valid genus, an ``InvariantProfile`` is
+realizable, a ``Base`` or ``Op`` has a known
 token, with a surface exactly when it is ``triv`` or ``CS``, and a
 ``SurgeryWord`` is a ``Base`` and a tuple of ``Op``s.  ``parse_word``
 reads every piece through one bounded memo (``_read_piece``), which
@@ -61,6 +61,8 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from typing import NamedTuple
+
+from .bigraded import _Checked, _is_int
 
 TRIVIAL = "trivial"
 FREE_SPHERE = "free-sphere"
@@ -99,26 +101,20 @@ class _SurfaceFields(NamedTuple):
     genus: int
 
 
-class ClosedSurface(_SurfaceFields):
+class ClosedSurface(_Checked, _SurfaceFields):
     """A nonequivariant closed surface: T[g] (orientable, genus g >= 0)
     or N[s] (nonorientable, cross-cap number s >= 1)."""
 
     __slots__ = ()
 
     def __new__(cls, orientable: bool, genus: int) -> "ClosedSurface":
-        # The type rule of ``validate_profile``: an int, never a bool.
-        if not isinstance(genus, int) or isinstance(genus, bool):
+        if not _is_int(genus):
             raise ValueError(f"genus must be an integer, got {genus!r}")
         if orientable and genus < 0:
             raise ValueError("orientable genus must be >= 0")
         if not orientable and genus < 1:
             raise ValueError("nonorientable genus must be >= 1")
         return tuple.__new__(cls, (orientable, genus))
-
-    @classmethod
-    def _make(cls, iterable) -> "ClosedSurface":
-        # ``_replace`` goes through here; keep the genus rule too.
-        return cls(*iterable)
 
     @property
     def beta(self) -> int:
@@ -151,10 +147,9 @@ class _PieceFields(NamedTuple):
     surface: ClosedSurface | None = None
 
 
-class _Piece(_PieceFields):
+class _Piece(_Checked, _PieceFields):
     """A base or an op: the token ``_WITH_SURFACE`` takes a ``ClosedSurface``,
-    and each token of ``_PLAIN`` takes none.  ``__new__`` keeps the rule, and
-    ``_replace`` and ``_make`` go through it."""
+    and each token of ``_PLAIN`` takes none."""
 
     __slots__ = ()
 
@@ -167,10 +162,6 @@ class _Piece(_PieceFields):
         elif surface is not None:
             raise ValueError(f"{token} takes no surface, got {surface!r}")
         return tuple.__new__(cls, (token, surface))
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
     def __str__(self) -> str:
         return self.token if self.surface is None else self._FORMAT.format(self.surface)
@@ -191,7 +182,7 @@ class _WordFields(NamedTuple):
     ops: tuple[Op, ...] = ()
 
 
-class SurgeryWord(_WordFields):
+class SurgeryWord(_Checked, _WordFields):
     """A ``Base`` and a tuple of ``Op``s; anything else is a ValueError that
     names it, never coerced (a list of ops included)."""
 
@@ -206,10 +197,6 @@ class SurgeryWord(_WordFields):
             if not isinstance(op, Op):
                 raise ValueError(f"a word's op must be an Op, got {op!r}")
         return tuple.__new__(cls, (base, ops))
-
-    @classmethod
-    def _make(cls, iterable) -> "SurgeryWord":
-        return cls(*iterable)
 
     def __str__(self) -> str:
         return " + ".join([_piece_text(self.base), *map(_piece_text, self.ops)])
@@ -274,14 +261,14 @@ class _ProfileFields(NamedTuple):
     fixed_circles: int = 0
 
 
-class InvariantProfile(_ProfileFields):
+class InvariantProfile(_Checked, _ProfileFields):
     """The data the cohomology depends on: kind, beta, and the fixed-set
     counts (isolated points, circles).
 
-    Every instance is valid: construction (``_replace`` and ``_make``
-    included) runs ``validate_profile`` and raises ``ProfileError`` for a
-    triple that no closed C2-surface realizes, or for a field that is not
-    an int.  Downstream code never validates a profile again.
+    Every instance is valid: construction runs ``validate_profile`` and
+    raises ``ProfileError`` for a triple that no closed C2-surface
+    realizes, or for a field that is not an int.  Downstream code never
+    validates a profile again.
     """
 
     __slots__ = ()
@@ -291,11 +278,6 @@ class InvariantProfile(_ProfileFields):
         pr = tuple.__new__(cls, (kind, beta, fixed_points, fixed_circles))
         validate_profile(pr)
         return pr
-
-    @classmethod
-    def _make(cls, iterable) -> "InvariantProfile":
-        # ``_replace`` goes through here; keep every instance valid.
-        return cls(*iterable)
 
     def __str__(self) -> str:
         return (f"{self.kind} beta={self.beta} F={self.fixed_points}"
@@ -332,7 +314,7 @@ def validate_profile(pr: InvariantProfile) -> None:
     f, c, beta = pr.fixed_points, pr.fixed_circles, pr.beta
     if not (type(beta) is int and type(f) is int and type(c) is int):
         for name, value in (("beta", beta), ("F", f), ("C", c)):
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not _is_int(value):
                 raise ProfileError(f"profile field {name} must be an integer, got {value!r}")
     if pr.kind not in KINDS:
         raise ProfileError(f"unknown kind {pr.kind!r}")

@@ -1,10 +1,14 @@
 """Closed formulas, the reduced flag, and the incremental rewrite rules."""
 
+import importlib
+import inspect
+import pkgutil
 from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
+import c2surf
 import c2surf.surfaces
 from _oracles import (
     A0_1,
@@ -88,6 +92,25 @@ def test_closed_form_memo_caches_no_error_and_is_bounded():
         closed_form(InvariantProfile(NONFREE, 4.0, 2, 0))
     assert str(closed_form(whole)) == want
     assert closed_form.cache_info().maxsize is not None
+
+
+def test_every_memo_is_bounded():
+    # Every lru_cache in a c2surf module or class dict holds at most 1024
+    # entries, so no memo grows with the inputs a long-lived process sees.
+    memos = {}
+    for info in pkgutil.iter_modules(c2surf.__path__):
+        if info.name == "__main__":             # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"c2surf.{info.name}")
+        spaces = [vars(module)] + [vars(cls) for cls in vars(module).values()
+                                   if inspect.isclass(cls) and cls.__module__ == module.__name__]
+        for space in spaces:
+            for name, value in space.items():
+                if callable(getattr(value, "cache_parameters", None)):
+                    memos[name] = value.cache_parameters()["maxsize"]
+    assert {"closed_form", "expected"} <= set(memos)
+    for name, maxsize in memos.items():
+        assert type(maxsize) is int and maxsize <= 1024, (name, maxsize)
 
 
 def test_kind_separation():
