@@ -20,14 +20,14 @@ For each mutant, a temporary copy of the checkout (without ``.git``) gets
 the mutated module, and tier-1 runs there with ``-x``, without bytecode,
 so no stale ``.pyc`` can stand in for the mutated source, and with a
 fixed hypothesis seed and no example database, so a verdict depends on
-the mutant alone, not on the run or on the mutants before it.  A mutant is
-killed when the run fails or outlasts ``TIMEOUT_S``.  The unmutated copy
-must pass first.  The script prints one line per mutant as it goes, then
-``killed/total`` and each survivor as ``file:line operator``.  It exits 1
-when a mutant survives.
+the mutant alone, not on the run or on the mutants before it.  A mutant
+is killed when the run fails or outlasts ``TIMEOUT_S``.  The unmutated
+copy must pass first, else the script exits 2.  It prints one line per
+mutant as it goes, then ``killed/total`` and each survivor as
+``file:line operator``.  It exits 1 when a mutant survives.
 
 Standard library only; one pytest process at a time, on one core.  It is
-too slow for CI: on the order of 500 mutants at 1-3 s each.
+too slow for CI: on the order of 500 mutants at a few seconds each.
 """
 
 from __future__ import annotations
