@@ -322,11 +322,11 @@ class Decomposition:
         """The wire format: {"free": [[p,q,count],...], "antipodal": [[p,n,count],...]},
         entries in canonical order."""
         free, anti = [], []
-        for s, c in self.items():
-            if s.is_free:
-                free.append([s.shift.p, s.shift.q, c])
+        for ((p, q), n), c in self._counts.items():
+            if n is None:
+                free.append([p, q, c])
             else:
-                anti.append([s.shift.p, s.n, c])
+                anti.append([p, n, c])
         return {"free": free, "antipodal": anti}
 
     @classmethod
@@ -381,7 +381,9 @@ def _sorted_counts(counts: dict) -> dict:
     return {s: counts[s] for s in sorted(counts, key=_sort_key)}
 
 
-_GLYPHS = ".123456789"           # render_grid's cell for a total below 10
+# render_grid's glyph for each total 0-255, as a ``bytes.translate`` table:
+# '.' for 0, the digit for 1-9, '+' for 10 or more.
+_GLYPHS = b".123456789".ljust(256, b"+")
 
 
 @lru_cache(maxsize=1024)
@@ -409,6 +411,10 @@ def render_grid(d: Decomposition, p_range: tuple[int, int], q_range: tuple[int, 
 
     Dimension is additive over the direct sum, so the grid is the
     multiplicity-weighted sum of one cached cell table per distinct summand.
+    The running totals become one ``bytes`` and are mapped to glyphs by one
+    ``bytes.translate`` through a 256-entry table (``_GLYPHS``); only when a
+    total is above 255, which no byte holds, are the totals clamped to 10
+    first.
     """
     pmin, pmax = p_range
     qmin, qmax = q_range
@@ -423,5 +429,9 @@ def render_grid(d: Decomposition, p_range: tuple[int, int], q_range: tuple[int, 
             steps[cells.start] += c
             steps[cells.stop] -= c
     steps.pop()
-    glyphs = "".join([_GLYPHS[v] if v < 10 else "+" for v in accumulate(steps)])
+    try:
+        totals = bytes(accumulate(steps))
+    except ValueError:          # a total above 255
+        totals = bytes([min(v, 10) for v in accumulate(steps)])
+    glyphs = totals.translate(_GLYPHS).decode()
     return "\n".join([glyphs[i:i + width] for i in range(0, len(glyphs), width)])

@@ -20,7 +20,10 @@ INPUT starting with '{' is parsed as a profile JSON object
 ``compute --grid`` draws the window ``--window pmin:pmax,qmin:qmax`` gives,
 else ``-4:6,-6:6``; ``--window`` without ``--grid``, ``--json`` with
 ``--grid``, and a window of more than ``MAX_GRID_CELLS`` cells, are bad
-input.  stdout carries data; diagnostics go to stderr.
+input.  stdout carries data; diagnostics go to stderr.  Each answer
+(every ``FAIL:`` line of a verdict together), a help text and a bad-input
+error line reach their stream as one ``write``, the final newline
+included: ``print`` makes two, the text and then "\n".
 
 The three subcommands are declared once, in ``_COMMANDS``, each with its
 handler.  ``_read`` reads every argv from that table, and ``_help`` prints
@@ -152,12 +155,13 @@ def _cmd_compute(args) -> int:
     decomposition = reduced_form(profile) if args.reduced else closed_form(profile)
     if args.grid:
         window = _grid_window(args.window)
-        print(render_grid(decomposition, (window.pmin, window.pmax),
-                          (window.qmin, window.qmax)))
+        text = render_grid(decomposition, (window.pmin, window.pmax),
+                           (window.qmin, window.qmax))
     elif args.json:
-        print(_COMPACT_JSON.encode(decomposition.to_json_obj()))
+        text = _COMPACT_JSON.encode(decomposition.to_json_obj())
     else:
-        print(decomposition)
+        text = decomposition
+    sys.stdout.write(f"{text}\n")
     return OK
 
 
@@ -178,12 +182,12 @@ def _cmd_verify(args) -> int:
         decomposition = _apply_injection(decomposition, args.inject)
     violations = verify_decomposition(decomposition, profile)
     if args.json:
-        print(_COMPACT_JSON.encode([v.to_json_obj() for v in violations]))
+        text = _COMPACT_JSON.encode([v.to_json_obj() for v in violations])
     elif violations:
-        for v in violations:
-            print(f"FAIL: {v}")
+        text = "\n".join([f"FAIL: {v}" for v in violations])
     else:
-        print(f"ok: {profile} [window {DEFAULT_LES_WINDOW}] {decomposition}")
+        text = f"ok: {profile} [window {DEFAULT_LES_WINDOW}] {decomposition}"
+    sys.stdout.write(f"{text}\n")
     return VERIFY_FAILED if violations else OK
 
 
@@ -222,6 +226,11 @@ _COMMANDS = {
                 "--inject": ("drop:P,Q", "corrupt the decomposition first (testing hook)")}),
     "catalog": (_cmd_catalog, "verified catalog up to a beta bound", (("beta_max", None),), {}),
 }
+# Each command's namespace before its argv is read, built once: every option
+# unset (None, or False for a switch).  ``_read`` fills a copy.
+_DEFAULTS = {command: {**{flag[2:]: None if metavar else False
+                          for flag, (metavar, _) in options.items()}, "command": command}
+             for command, (_, _, _, options) in _COMMANDS.items()}
 
 
 def _help(command: str | None) -> str:
@@ -261,8 +270,7 @@ def _read(argv: list[str]) -> SimpleNamespace | str:
         got = f"unknown command {command!r}" if argv else "missing command"
         raise _InputError(f"{got} (want one of {', '.join(_COMMANDS)})")
     _, _, positionals, options = _COMMANDS[command]
-    values = {flag[2:]: None if metavar else False for flag, (metavar, _) in options.items()}
-    values["command"] = command
+    values = _DEFAULTS[command].copy()
     texts = []
     tokens = iter(argv[1:])
     for token in tokens:
@@ -316,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _read(argv)
         if isinstance(args, str):       # the help text
-            print(args)
+            sys.stdout.write(f"{args}\n")
             code = OK
         else:
             code = _COMMANDS[args.command][0](args)
@@ -327,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
         _stdout_to_devnull()
         return BROKEN_PIPE
     except (ParseError, WordError, ProfileError, _InputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        sys.stderr.write(f"error: {exc}\n")
         return BAD_INPUT
     except OSError as exc:
         # A write to stdout failed (``c2surf catalog 2 > /dev/full``): the

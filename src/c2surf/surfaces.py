@@ -257,8 +257,8 @@ _PROFILE_KEYS = frozenset({"kind", "beta", "F", "C"})
 class _ProfileFields(NamedTuple):
     kind: str
     beta: int
-    fixed_points: int = 0
-    fixed_circles: int = 0
+    fixed_points: int
+    fixed_circles: int
 
 
 class InvariantProfile(_Checked, _ProfileFields):
@@ -294,8 +294,8 @@ class InvariantProfile(_Checked, _ProfileFields):
             f, c = obj.get("F", 0), obj.get("C", 0)
         except (KeyError, TypeError) as exc:
             raise ProfileError(f"bad profile object: {exc}") from None
-        unknown = sorted(map(repr, set(obj) - _PROFILE_KEYS))
-        if unknown:
+        if not _PROFILE_KEYS.issuperset(obj):
+            unknown = sorted(map(repr, set(obj) - _PROFILE_KEYS))
             raise ProfileError(f"unknown profile key(s) {', '.join(unknown)}"
                                " (want kind, beta, F, C)")
         return cls(kind, beta, f, c)
@@ -411,10 +411,13 @@ def invariants(w: SurgeryWord) -> InvariantProfile:
     result is insensitive to the order of the ops (whenever each order
     validates prefix by prefix).
     """
-    fields = base_profile(w.base)
+    pr = base_profile(w.base)
+    if not w.ops:
+        return pr
+    kind, beta, f, c = pr
     for i, op in enumerate(w.ops):
-        fields = _step(*fields, op, i)
-    return _reached(*fields) if w.ops else fields
+        kind, beta, f, c = _step(kind, beta, f, c, op, i)
+    return _reached(kind, beta, f, c)
 
 
 # ---------------------------------------------------------------------------

@@ -483,6 +483,18 @@ def test_render_grid_large_dims_capped():
     assert render_grid(d, (0, 0), (0, 0)) == "+"
 
 
+def test_render_grid_clamps_totals_past_a_byte():
+    # Totals of 9, 10, 255, 256 and 300 in one window: a total above 255
+    # fits no byte, so the grid takes its clamping path, and still agrees
+    # with the cell-by-cell grid.
+    d = Decomposition({Summand.free(p, 0): c for p, c in enumerate((9, 10, 255, 256, 300))})
+    grid = render_grid(d, (-1, 5), (-1, 1))
+    assert grid.splitlines()[1] == ".9++++."
+    assert grid == naive_render_grid(d, (-1, 5), (-1, 1))
+    below = Decomposition({Summand.free(p, 0): c for p, c in enumerate((9, 10, 255))})
+    assert render_grid(below, (-1, 3), (0, 0)) == ".9++." == naive_render_grid(below, (-1, 3), (0, 0))
+
+
 def test_render_grid_rejects_inverted_window():
     with pytest.raises(ValueError):
         render_grid(Decomposition([]), (2, 0), (0, 1))

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from _oracles import WORKED, X1, X3, reference_parser
-from c2surf.cli import (_COMMANDS, MAX_CATALOG_BETA, MAX_GRID_CELLS, STDOUT_FAILED,
-                        _InputError, _read, main)
+from c2surf.cli import (_COMMANDS, BAD_INPUT, BROKEN_PIPE, MAX_CATALOG_BETA, MAX_GRID_CELLS,
+                        OK, STDOUT_FAILED, VERIFY_FAILED, _InputError, _read, main)
 from c2surf.engine import closed_form
 from c2surf.surfaces import enumerate_profiles
 
@@ -45,6 +45,11 @@ def test_compute_profile_json(capsys):
     assert profiles
     for w in profiles:
         assert run(capsys, "compute", w.source) == (0, w.text + "\n", ""), w.source
+
+
+def test_profile_json_fixed_counts_default_to_zero(capsys):
+    # F and C may be left out of profile JSON: each is then 0.
+    assert run(capsys, "compute", '{"kind":"free-sphere","beta":2}') == (0, "A2 + S(1,0)A0\n", "")
 
 
 def test_compute_json_round_trip(capsys):
@@ -420,6 +425,37 @@ def test_catalog_writes_each_row_once():
     for text, (kind, beta, f, c) in zip(sink.calls, enumerate_profiles(12)):
         assert text.endswith("\tok\n") and text.count("\n") == 1, text
         assert f"\t{kind}\tbeta={beta} F={f} C={c}\t" in text, text
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "S22 + AT11"], ["compute", "--json", "S22 + AT11"],
+    ["compute", "--grid", "S22 + AT11"], ["compute", "--reduced", "S22 + AT11"],
+    ["verify", "S22 + AT11"], ["verify", "--json", "S22 + AT11"],
+    ["verify", "--inject", "drop:1,1", "S22 + AT11"]])
+def test_each_answer_is_one_write(argv):
+    # A whole answer reaches stdout as one write, its final newline
+    # included: a grid's rows and a verdict's FAIL: lines too.
+    out, err = WriteCounter(), WriteCounter()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert (code, err.calls) == (VERIFY_FAILED if "--inject" in argv else OK, [])
+    assert len(out.calls) == 1 and out.calls[0].endswith("\n"), out.calls
+    if "--inject" in argv:
+        assert out.calls[0].count("FAIL: ") == out.calls[0].count("\n") > 1
+
+
+def test_bad_input_is_one_write():
+    out, err = WriteCounter(), WriteCounter()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert main(["compute", "S22 + XX"]) == BAD_INPUT
+    assert out.calls == []
+    assert len(err.calls) == 1 and err.calls[0].startswith("error: "), err.calls
+    assert err.calls[0].count("\n") == 1 and err.calls[0].endswith("\n")
+
+
+def test_exit_codes_are_the_documented_numbers():
+    # README and the cli docstring give these numbers; a script tests them.
+    assert (OK, VERIFY_FAILED, BAD_INPUT, STDOUT_FAILED, BROKEN_PIPE) == (0, 1, 2, 74, 141)
 
 
 def unwritable_stdout(argv, stdout_spec):

@@ -36,6 +36,7 @@ from c2surf.surfaces import (
     enumerate_profiles,
     fixed_sing,
     invariants,
+    parse_surface,
     parse_word,
     profiles_by_words,
     quotient_sing,
@@ -60,6 +61,11 @@ def test_parse_errors_carry_positions():
     assert err.value.position == 6
     with pytest.raises(ParseError):
         parse_word("S99")
+    # A surface descriptor on its own is read from its first character.
+    for token in ("T[x]", "N[0]"):
+        with pytest.raises(ParseError) as err:
+            parse_surface(token)
+        assert err.value.position == 0, token
     with pytest.raises(ParseError):
         parse_word("S21 + CS(T[x])")
     with pytest.raises(ParseError):

@@ -48,6 +48,11 @@ next to it.  The rows are:
   ``compute --grid --window -2:6,-8:8 W``, with stdout sent to a null sink,
   each checked to exit 0 beforehand (the argv reader and the three output
   paths of a request);
+* in-process ``cli.main`` over ``verify --inject drop:P,Q W`` for each of
+  those witness words W whose closed form has a free summand, (P, Q) the
+  shift of its first, with stdout sent to a null sink, each checked to
+  exit 1 and print only ``FAIL:`` lines beforehand (the reject path of a
+  request, perfbench's costliest ``requests`` class);
 * an in-process ``catalog 40``, with stdout sent to a null sink (its
   3,624 profiles overflow the 1024-entry memos of ``closed_form`` and
   ``expected``, so this row runs mostly cold);
@@ -69,7 +74,8 @@ raises, as it does when a closed form fails its checks, a mutant passes
 them, the mutants' violations are not exactly the recorded count (a walk
 that drops or duplicates a report), a folded witness word leaves its closed form, a
 closed form or a witness word is spelled otherwise than plainly, a plain
-request on a witness word exits other than 0, or a check no longer takes
+request on a witness word exits other than 0, an injected one other than 1
+or with a line that is not ``FAIL:``, or a check no longer takes
 ``(t, want)``.  No timing is a CI gate.
 """
 
@@ -77,6 +83,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import io
 import json
 import os
 import platform
@@ -88,7 +95,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-OUT = ROOT / "BENCH_36.json"
+OUT = ROOT / "BENCH_37.json"
 REPEATS = 7
 
 sys.path[:0] = [str(SRC), str(ROOT / "tests")]
@@ -243,6 +250,25 @@ def cli_argvs(texts) -> list[list[str]]:
     return argvs
 
 
+def inject_argvs(cases, texts) -> list[list[str]]:
+    """``verify --inject drop:P,Q W`` for each word W whose closed form has
+    a free summand, (P, Q) the shift of its first; each must exit 1 and
+    print only ``FAIL:`` lines."""
+    argvs = []
+    for (d, _), w in zip(cases, texts):
+        free = [s.shift for s, _ in d.items() if s.is_free]
+        if free:
+            argvs.append(["verify", "--inject", f"drop:{free[0].p},{free[0].q}", w])
+    for argv in argvs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        lines = out.getvalue().splitlines()
+        if code != 1 or not lines or not all(line.startswith("FAIL: ") for line in lines):
+            raise AssertionError(f"{argv} exited {code} and printed {out.getvalue()!r}")
+    return argvs
+
+
 def cli_all(argvs) -> None:
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         for argv in argvs:
@@ -287,6 +313,7 @@ def main() -> None:
     steps = fold_steps(parse_word(text) for text in texts)
     wrong = mutant_sweep()
     argvs = cli_argvs(texts)
+    injected = inject_argvs(cases, texts)
     if len(wrong) != MUTANTS:
         raise AssertionError(f"expected {MUTANTS} mutants with beta <= 8, got {len(wrong)}")
     rows = {
@@ -303,6 +330,8 @@ def main() -> None:
         f"tally x{MUTANTS} mutants": lambda: tally_all(wrong),
         **check_rows(wrong),
         f"cli.main x{len(argvs)} plain argvs (beta <= 20)": lambda: cli_all(argvs),
+        f"cli.main x{len(injected)} verify --inject argvs (beta <= 20)":
+            lambda: cli_all(injected),
         "catalog 40 (in-process)": lambda: catalog("40"),
         "catalog 14 (in-process, warm)": lambda: catalog("14"),
         "python -m c2surf compute S22 (cold)": cold_compute,
