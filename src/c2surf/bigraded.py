@@ -37,10 +37,21 @@ lacks, by a memoized sort key.  A decomposition's text joins the texts of
 its summands, each spelled once into a bounded memo (``_text``), so a
 catalog row that repeats the same few summands does not spell them again.
 
+Besides its dict a decomposition has two slots, each a view derived from
+the dict alone, ``None`` until first asked for and then written once:
+``_str``, its text, which ``__str__`` fills, and ``_tally``, the count
+tables of ``checks.tally``, which ``checks.verify_decomposition`` fills
+when it accepts the decomposition.  A memoized closed form
+(``engine.closed_form``) is thus spelled and tallied once per process,
+however many catalog rows or requests print or verify it again.
+
 All values are immutable (a decomposition's dict is never mutated once
 built, only copied) and every operation is a pure function (the caches are
 thread-safe ``functools.lru_cache``s), so the whole module is safe to use
-from concurrent threads without locking.
+from concurrent threads without locking.  The two slots keep this: a slot
+is written only with a value that the dict determines, so two threads that
+fill it at once store equal values, and a reader sees ``None``, whereupon
+it computes the value itself, or a complete one.
 
 >>> point = Summand.free(0, 0)
 >>> point.dim_at((0, 0)), point.dim_at((1, 0)), point.dim_at((0, -2))
@@ -213,7 +224,7 @@ class Decomposition:
     M2 + S(1,0)M2 + S(1,1)M2 + S(2,1)M2
     """
 
-    __slots__ = ("_counts",)
+    __slots__ = ("_counts", "_str", "_tally")
 
     def __init__(self, summands: Iterable[Summand] | dict[Summand, int] = ()):
         counts = {}
@@ -228,6 +239,7 @@ class Decomposition:
                 _check_summand(s)
                 counts[s] = counts.get(s, 0) + 1
         self._counts = _sorted_counts(counts)
+        self._str = self._tally = None
 
     @classmethod
     def _from_counts(cls, counts: dict) -> "Decomposition":
@@ -235,6 +247,7 @@ class Decomposition:
         now on: positive int counts of summands, already in sort_key order."""
         d = object.__new__(cls)
         d._counts = counts
+        d._str = d._tally = None
         return d
 
     # -- multiset access ----------------------------------------------------
@@ -312,8 +325,11 @@ class Decomposition:
         return hash(tuple(self._counts.items()))
 
     def __str__(self) -> str:
-        return " + ".join([f"{_text(s)}^{c}" if c > 1 else _text(s)
-                           for s, c in self._counts.items()]) or "0"
+        text = self._str
+        if text is None:
+            text = self._str = " + ".join([f"{_text(s)}^{c}" if c > 1 else _text(s)
+                                           for s, c in self._counts.items()]) or "0"
+        return text
 
     def __repr__(self) -> str:
         return f"Decomposition<{self}>"

@@ -46,8 +46,15 @@ locations only when the two differ, to report them:
 profile's tally once.  Two equal tallies have no violation, since each
 check finds none when its pair of tables is equal, so it accepts them
 with that one comparison and calls no check; otherwise it runs the five
-in that order, each as ``check(t, want)``.  No check reads the profile
-itself.  Its window, p in [-2, 6] and q in [-8, 8], is fixed, and it
+in that order, each as ``check(t, want)``.  An accepted decomposition
+keeps the profile's tally in its slot ``_tally`` (see ``bigraded``): the
+two are equal, so the slot costs one reference, and verifying the same
+decomposition again, as a catalog row or a request does with a memoized
+closed form, tallies nothing.  A rejected one keeps nothing, so a
+candidate judged once holds no table.  A decomposition accepted for one
+profile and judged against another is compared with that profile's tally
+through the same checks, with the same reports.  No check reads the
+profile itself.  Its window, p in [-2, 6] and q in [-8, 8], is fixed, and it
 only bounds where the forgetful-LES identity is reported: it never
 changes a verdict.  The other checks
 read every summand, and a summand with an underlying degree outside p in
@@ -289,9 +296,14 @@ def verify_decomposition(d: Decomposition, pr: InvariantProfile) -> list[Violati
     """Every violation of the five checks, in order, on a candidate
     decomposition, tallied once, against ``expected(pr)``, read once.
     Equal tallies are accepted with one comparison: every check compares
-    a field of the two, and finds no violation where they are equal."""
-    t, want = tally(d), expected(pr)
+    a field of the two, and finds no violation where they are equal.
+
+    An accepted ``d`` keeps ``want`` as its tally (``d._tally``), which
+    equals ``tally(d)``, so a later verification of it tallies nothing."""
+    want = expected(pr)
+    t = d._tally or tally(d)
     if t == want:
+        d._tally = want
         return []
     out = check_quotient_row(t, want)
     out += check_rho_localization(t, want)

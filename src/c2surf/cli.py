@@ -9,7 +9,8 @@ Three subcommands:
   ok line names the fixed forgetful-LES window, ``-2:6,-8:8``, which never
   changes the verdict (see ``checks``).
 * ``catalog BETA_MAX`` -- one verified row per realizable profile with
-  beta <= BETA_MAX (plain ASCII digits, at most ``MAX_CATALOG_BETA``).
+  beta <= BETA_MAX (plain ASCII digits, at most ``MAX_CATALOG_BETA``),
+  each written as it is built.
 
 Exit codes: 0 ok, 1 verification failure, 2 bad input, 74 stdout cannot
 be written (closed at start, as by ``>&-``, or a write fails, as into
@@ -46,19 +47,20 @@ from .surfaces import (
     ParseError,
     ProfileError,
     WordError,
+    enumerate_profiles,
     invariants,
     parse_word,
-    profiles_by_words,
+    witness,
 )
 
 DEFAULT_GRID_WINDOW = Window(-4, 6, -6, 6)
 # The most cells ``compute --grid`` draws: a 316 x 316 window, far wider than
 # a screen.  A larger one is bad input, before its grid is allocated.
 MAX_GRID_CELLS = 100_000
-# The largest ``catalog`` bound: 184,084 rows, 2.4-4.2 s and 117 MB peak
+# The largest ``catalog`` bound: 184,084 rows, 4.8-6.5 s and 32 MB peak
 # RSS on a 2-core host.  A larger one is bad input, refused before any row
-# is built: every row is built before the first prints, and the row count
-# grows about as the cube of the bound.
+# is built.  Rows are written as they are built, but the list of profiles
+# is built first, and it and the time grow about as the cube of the bound.
 MAX_CATALOG_BETA = 160
 
 OK = 0
@@ -199,8 +201,9 @@ def _cmd_catalog(args) -> int:
                           f" {MAX_CATALOG_BETA} a catalog may list")
     any_failed = False
     write = sys.stdout.write        # one write per row; print makes two
-    for pr, word in profiles_by_words(beta_max).items():
+    for pr in enumerate_profiles(beta_max):
         kind, beta, f, c = pr
+        word = witness(pr)
         decomposition = closed_form(pr)
         violations = verify_decomposition(decomposition, pr)
         status = "ok" if not violations else "FAIL"

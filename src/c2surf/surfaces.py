@@ -555,5 +555,6 @@ def witness(pr: InvariantProfile) -> SurgeryWord:
 
 def profiles_by_words(beta_max: int) -> dict[InvariantProfile, SurgeryWord]:
     """The profiles of ``enumerate_profiles``, in its order, each mapped to
-    its ``witness``: the catalog's rows."""
+    its ``witness``: the catalog's rows, all held at once.  The ``catalog``
+    command builds each witness as it writes its row instead."""
     return {pr: witness(pr) for pr in enumerate_profiles(beta_max)}

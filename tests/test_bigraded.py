@@ -259,6 +259,29 @@ def test_text_is_the_plain_spelling(counts):
     assert c2surf.bigraded._text.cache_info().maxsize == 1024
 
 
+def test_text_is_spelled_once_per_decomposition():
+    # Each decomposition keeps its text: str returns the same object every
+    # time, and a result of the algebra spells its own text, never its
+    # operand's, already kept or not.
+    def plain(d):
+        return " + ".join([f"{s}^{c}" if c > 1 else str(s) for s, c in d.items()]) or "0"
+
+    base = X2.answer
+    spelled = Decomposition(dict(base.items()))
+    str(spelled)
+    extra = Decomposition([Summand.free(3, 1), Summand.antipodal(0, 2)])
+    results = [Decomposition(dict(base.items())),
+               Decomposition([s for s, c in base.items() for _ in range(c)])]
+    for d in (base, spelled):
+        results += [d + extra, d + d, d.remove(Summand.free(1, 1)), d.remove(Summand.free(0, 0)),
+                    Decomposition.from_json_obj(d.to_json_obj())]
+    for d in results:
+        text = str(d)
+        assert str(d) is text and text == plain(d) and len(d.items()) > 1, text
+        assert repr(d) == f"Decomposition<{text}>"
+    assert str(spelled) is str(spelled) == str(base)
+
+
 @given(summand_strategy, st.builds(Bidegree, st.integers(-4, 4), st.integers(-4, 4)),
        bidegrees)
 def test_suspension_equivariance(s, t, b):
@@ -362,7 +385,7 @@ def test_remove_matches_the_oracle(pairs, spec, from_d):
 def test_remove():
     d = X1.answer
     assert len(d.remove(Summand.free(1, 1))) == 3
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match=re.escape("decomposition has no summand S(5,5)M2")):
         d.remove(Summand.free(5, 5))
 
 

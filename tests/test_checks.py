@@ -2,6 +2,8 @@
 top class, beta recovery, and their sensitivity to corruption."""
 
 import ast
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -477,6 +479,91 @@ def test_verify_looks_up_the_expected_tally_once(monkeypatch):
     assert lookups == [X2.profile]
     assert verify_decomposition(wrong, X2.profile) == naive_verify(wrong, X2.profile) != []
     assert lookups == [X2.profile, X2.profile]
+
+
+def _fresh(pr) -> Decomposition:
+    """A copy of ``closed_form(pr)`` that no memo shares: its slots are unset."""
+    return Decomposition(dict(closed_form(pr).items()))
+
+
+def test_an_accepted_answer_judged_against_another_profile_gets_every_report():
+    # The tally an accepted decomposition keeps is its own (equal to the
+    # profile's), not a verdict: against every other profile with beta <= 8
+    # it is judged as a fresh copy is, with every report.
+    d = _fresh(X1.profile)
+    assert d._tally is None
+    assert verify_decomposition(d, X1.profile) == []
+    assert d._tally is expected(X1.profile) == tally(d)
+    rejected = 0
+    for pr in enumerate_profiles(8):
+        reports = verify_decomposition(d, pr)
+        assert reports == naive_verify(d, pr) == verify_decomposition(_fresh(X1.profile), pr), pr
+        rejected += bool(reports)
+    assert rejected == len(enumerate_profiles(8)) - 1
+
+
+def test_a_second_verify_of_an_accepted_answer_tallies_nothing(monkeypatch):
+    # An accepted decomposition keeps its tally, so judging it again, for
+    # its own profile or another, calls no tally.
+    d = _fresh(X3.profile)
+    assert verify_decomposition(d, X3.profile) == []
+
+    def no_tally(d):
+        raise AssertionError("tally called on an accepted decomposition")
+    monkeypatch.setattr(checks, "tally", no_tally)
+    assert verify_decomposition(d, X3.profile) == []
+    assert verify_decomposition(d, X2.profile) == naive_verify(d, X2.profile) != []
+    with pytest.raises(AssertionError, match="tally called"):
+        verify_decomposition(_fresh(X3.profile), X3.profile)
+
+
+def test_a_rejected_candidate_keeps_no_tally():
+    # Only acceptance stores a tally: a candidate rejected once, or twice,
+    # holds no table.
+    right = closed_form(X2.profile)
+    candidates = [right.remove(s) for s, _ in right.items()]
+    candidates += [right + Decomposition([s]) for s in (S11, M2, Summand.antipodal(9, 0))]
+    for d in candidates:
+        for _ in range(2):
+            assert verify_decomposition(d, X2.profile) == naive_verify(d, X2.profile) != [], d
+            assert d._tally is None, d
+
+
+def test_threads_that_share_decompositions_fill_their_slots_alike():
+    # The text and tally slots are filled without a lock: a thread that
+    # finds one unset computes the value itself, and each stores only a
+    # value the decomposition's dict determines.  Threads printing and
+    # judging the same fresh decompositions, for their own profile and for
+    # another, with a thread switch every microsecond, get what one thread
+    # alone gets.
+    profiles = enumerate_profiles(6)
+    shared = [_fresh(pr) for pr in profiles]
+    want = [(str(closed_form(pr)), naive_verify(d, X1.profile)) for d, pr in zip(shared, profiles)]
+    errors = []
+
+    def work():
+        try:
+            for _ in range(3):
+                for d, pr, (text, reports) in zip(shared, profiles, want):
+                    assert verify_decomposition(d, pr) == []
+                    assert verify_decomposition(d, X1.profile) == reports
+                    assert str(d) == text
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert all(d._tally == expected(pr) for d, pr in zip(shared, profiles))
 
 
 def test_verify_reads_each_betti_profile_once(monkeypatch):

@@ -20,6 +20,10 @@ def test_rank_trivial_cases():
 def test_rank_handles_empty_shapes():
     assert F2Matrix(0, 7).rank() == 0
     assert F2Matrix(7, 0).rank() == 0
+    # No rows and no declared width: 0 x 0.
+    empty = F2Matrix.from_rows([])
+    assert (empty.rows, empty.cols, empty.rank()) == (0, 0, 0)
+    assert F2Matrix.from_rows([], cols=3).cols == 3
 
 
 def test_rank_does_not_mutate_input():

@@ -28,6 +28,9 @@ next to it.  The rows are:
   ``apply_op`` alone, called as ``apply_op(pr, op)``;
 * ``verify_decomposition`` over the 614 profiles with beta <= 20, their
   closed forms computed beforehand (the accept path);
+* ``tally`` alone over those closed forms: the count tables that the
+  accept path builds once per closed form, and the row above reads from
+  the closed form's slot;
 * the text of a catalog row, ``str`` of each of those closed forms and of
   each of their witness words, every text checked beforehand against its
   plain spelling (each summand's or piece's own ``__str__``, joined);
@@ -63,6 +66,17 @@ next to it.  The rows are:
 * a cold ``python -m c2surf compute S22``: a new interpreter, so mostly
   start-up and imports.
 
+A decomposition keeps its text and, once accepted, its tally in two slots
+(see ``bigraded``), and the closed forms here are ``closed_form``'s shared
+objects, so some rows read those cached views rather than build them.
+After the untimed call, ``verify_decomposition x614`` reads each closed
+form's kept tally and only compares it with ``expected``'s; the row text
+spells only the witness words, the closed forms' texts being kept since
+their check; ``cli.main`` over the plain argvs reads both for ``compute W``
+and ``verify --json W``; ``catalog 14`` reads both on every row.  The
+``tally`` rows, the mutants, the injected requests (each a new
+decomposition) and the mostly cold ``catalog 40`` build them.
+
 The record, written at the root of the checkout, also names the Python
 version, the CPUs this process may run on (``nproc``) and the commit
 (marked "-dirty" when the tree has uncommitted changes), and counts the
@@ -95,7 +109,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-OUT = ROOT / "BENCH_37.json"
+OUT = ROOT / "BENCH_38.json"
 REPEATS = 7
 
 sys.path[:0] = [str(SRC), str(ROOT / "tests")]
@@ -324,6 +338,7 @@ def main() -> None:
         f"transform x{len(steps)} fold steps (beta <= 20)": lambda: transform_all(steps),
         f"apply_op x{len(steps)} fold steps (beta <= 20)": lambda: apply_op_all(steps),
         "verify_decomposition x614 (beta <= 20)": lambda: verify_all(cases),
+        "tally x614 closed forms (beta <= 20)": lambda: tally_all(cases),
         "row text x614 (beta <= 20)": lambda: text_all(cases, words),
         f"verify_decomposition x{MUTANTS} mutants (beta <= 8)": lambda: reject_all(wrong),
         "expected x614 (beta <= 20, cold)": lambda: expected_cold(cases),

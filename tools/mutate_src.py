@@ -24,7 +24,18 @@ the mutant alone, not on the run or on the mutants before it.  A mutant
 is killed when the run fails or outlasts ``TIMEOUT_S``.  The unmutated
 copy must pass first, else the script exits 2.  It prints one line per
 mutant as it goes, then ``killed/total`` and each survivor as
-``file:line operator``.  It exits 1 when a mutant survives.
+``file:line operator``.
+
+Some mutants change no behaviour of the program, so no test can kill them.
+``EQUIVALENT`` names each, with the reason, by its module and the mutated
+line (stripped), which stays the same when other lines move.  A surviving
+one is printed apart, as ``equivalent:``, with its reason; a killed one is
+printed as ``killed, listed as equivalent:``, so that a stale entry shows.
+The script exits 1 when a mutant that ``EQUIVALENT`` does not name
+survives, else 0.  ``tests/test_mutate_src.py`` checks that every entry
+still names exactly one mutant.  That test reads the source text, so it
+fails on every mutant of a line the table names, equivalent or not: the
+mutants are judged by the rest of tier-1, without it.
 
 Standard library only; one pytest process at a time, on one core.  It is
 too slow for CI: on the order of 500 mutants at a few seconds each.
@@ -48,12 +59,46 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "c2surf").glob("*.py"))
 TIMEOUT_S = 300
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache")
+OWN_TEST = "tests/test_mutate_src.py"       # left out of each run; see above
 
 # Each operator's spelling and the spelling of its mutant.
 FLIPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="),
          ast.GtE: (">=", ">"), ast.Eq: ("==", "!="), ast.NotEq: ("!=", "==")}
 SWAPS = {ast.Add: ("+", "-"), ast.Sub: ("-", "+"), ast.Mult: ("*", "//"),
          ast.FloorDiv: ("//", "*")}
+
+
+# Each equivalent mutant, keyed by its module and its mutated line, stripped.
+EQUIVALENT = {
+    ("bigraded.py", "return cls(Bidegree(p, 1), n)"):
+        "Summand.__new__ sets an antipodal summand's q to 0",
+    ("bigraded.py", "return (0, p, q, -2)"):
+        "the last entry only orders free summands of one shift, which are one summand",
+    ("bigraded.py", "return (2, p, q, n)"):
+        "any first entry above the free summands' 0 sorts antipodal summands after them",
+    ("bigraded.py", "totals = bytes([min(v, 11) for v in accumulate(steps)])"):
+        "every total from 10 to 255 maps to '+'",
+    ("cli.py", "limit = profile.beta.bit_length() >= 1920 and"
+               " getattr(sys, \"get_int_max_str_digits\", int)()"):
+        "a beta of 1920 or 1921 bits has under 640 digits, the least nonzero limit",
+    ("cli.py", "limit = profile.beta.bit_length() > 1921 and"
+               " getattr(sys, \"get_int_max_str_digits\", int)()"):
+        "a beta of 1920 or 1921 bits has under 640 digits, the least nonzero limit",
+    ("cli.py", "if len(texts) <= len(positionals) else"):
+        "it runs only when the two lengths differ",
+    ("surfaces.py", "if (beta + f) % 2:"):
+        "beta + f and beta - f have one parity",
+    ("surfaces.py", "if beta < f - 3:"):
+        "beta = F (mod 2) is checked first, and F - 3 has the other parity",
+    ("surfaces.py", "if beta < f + 2 * c - 3:"):
+        "beta = F (mod 2) is checked first, and F + 2C - 3 has the other parity",
+    ("surfaces.py", "(NONFREE, True): lambda b, f, c: (f - c, c, 0),"):
+        "the cell has C = 0",
+    ("surfaces.py", "for f in range(beta % 2, beta + 4, 2):"):
+        "F = beta (mod 2), so beta + 2 stays the last F",
+    ("surfaces.py", "for c in range(0 if f and f % 2 == 0 else 1, (beta + 3 - f) // 2 + 1):"):
+        "beta - F is even, so adding 1 before halving changes nothing",
+}
 
 
 class Mutant(NamedTuple):
@@ -66,6 +111,11 @@ class Mutant(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.path.relative_to(ROOT)}:{self.line} {self.old} -> {self.new}"
+
+    def key(self) -> tuple[str, str]:
+        """The module and the mutated line, stripped: the key of ``EQUIVALENT``."""
+        line = apply(self, self.path.read_text()).splitlines()[self.line - 1]
+        return self.path.name, line.strip()
 
 
 def _nodes(node: ast.AST):
@@ -132,7 +182,8 @@ def tier1(copy: Path) -> bool:
     shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
     try:
         run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                              "--hypothesis-seed=0", "--continue-on-collection-errors"],
+                              "--hypothesis-seed=0", "--continue-on-collection-errors",
+                              f"--ignore={OWN_TEST}"],
                              cwd=copy, env=env, stdout=subprocess.DEVNULL,
                              stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
@@ -142,7 +193,7 @@ def tier1(copy: Path) -> bool:
 
 def main() -> int:
     sites = [m for path in SOURCES for m in mutants(path)]
-    survivors = []
+    survivors, killed_equivalent = [], []
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "checkout"
         shutil.copytree(ROOT, copy, ignore=IGNORE)
@@ -159,11 +210,22 @@ def main() -> int:
                 target.write_text(original)
             if not killed:
                 survivors.append(m)
+            elif m.key() in EQUIVALENT:
+                killed_equivalent.append(m)
             print(f"[{i}/{len(sites)}] {'killed' if killed else 'SURVIVED'} {m}", flush=True)
     print(f"killed {len(sites) - len(survivors)}/{len(sites)}")
+    real = []
     for m in survivors:
+        reason = EQUIVALENT.get(m.key())
+        if reason is None:
+            real.append(m)
+        else:
+            print(f"equivalent: {m} ({reason})")
+    for m in killed_equivalent:
+        print(f"killed, listed as equivalent: {m}")
+    for m in real:
         print(f"survivor: {m}")
-    return 1 if survivors else 0
+    return 1 if real else 0
 
 
 if __name__ == "__main__":
