@@ -262,7 +262,9 @@ def test_text_is_the_plain_spelling(counts):
 def test_text_is_spelled_once_per_decomposition():
     # Each decomposition keeps its text: str returns the same object every
     # time, and a result of the algebra spells its own text, never its
-    # operand's, already kept or not.
+    # operand's, already kept or not.  Each has two or more summands: the
+    # text of one summand of count one is its memoized text, the same
+    # object with or without the slot.
     def plain(d):
         return " + ".join([f"{s}^{c}" if c > 1 else str(s) for s, c in d.items()]) or "0"
 
