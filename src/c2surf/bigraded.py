@@ -30,12 +30,12 @@ checks it in ``__new__`` and takes ``_Checked`` as its first base, whose
 field is an int, never a bool (``_is_int``).
 A ``Decomposition`` is one dict from summand to count, in
 ``Summand.sort_key`` order.  Construction counts into a plain dict and
-sorts it once; ``direct_sum`` and ``remove`` start from a copy of their
-operand's dict, which keeps its order and its stored hashes, and
-``direct_sum`` sorts only when the right operand brings a summand the left
-lacks, by a memoized sort key.  A decomposition's text joins the texts of
-its summands, each spelled once into a bounded memo (``_text``), so a
-catalog row that repeats the same few summands does not spell them again.
+sorts it once; ``remove``, ``direct_sum`` and ``engine.transform`` each
+make one ``Decomposition._edit``, a copy of the operand's dict (which keeps
+its order and its stored hashes) sorted again, by a memoized sort key, only
+when the edit adds a summand it lacked.  A decomposition's text joins the
+texts of its summands, each spelled once into a bounded memo (``_text``),
+so a catalog row that repeats the same few summands does not spell them again.
 
 Besides its dict a decomposition has two slots, each a view derived from
 the dict alone, ``None`` until first asked for and then written once:
@@ -212,9 +212,10 @@ class Decomposition:
     rebuilds it in ``Summand.sort_key`` order, a dict never mutated
     afterwards.  Equality compares the dicts, exact because both are in that
     one order, so ``S(1,1)A0`` and ``S(1,0)A0`` give equal decompositions.
-    The algebra below copies its operand's dict, keeping its order and the
-    summands' stored hashes, builds its result from counts it knows are
-    valid without validating again, and sorts only when a summand is new.
+    ``remove`` and ``direct_sum`` (``+``, of two decompositions) are each
+    one ``_edit``: one copy of the dict, keeping its order and the summands'
+    stored hashes, edited without validating again and sorted only when a
+    summand is new.
 
     >>> x1 = Decomposition([Summand.free(0, 0), Summand.free(1, 0),
     ...                     Summand.free(1, 1), Summand.free(2, 1)])
@@ -240,15 +241,6 @@ class Decomposition:
                 counts[s] = counts.get(s, 0) + 1
         self._counts = _sorted_counts(counts)
         self._str = self._tally = None
-
-    @classmethod
-    def _from_counts(cls, counts: dict) -> "Decomposition":
-        """The decomposition of ``counts``, taken as it is and owned from
-        now on: positive int counts of summands, already in sort_key order."""
-        d = object.__new__(cls)
-        d._counts = counts
-        d._str = d._tally = None
-        return d
 
     # -- multiset access ----------------------------------------------------
 
@@ -289,30 +281,40 @@ class Decomposition:
     # -- algebra -------------------------------------------------------------
 
     def direct_sum(self, other: "Decomposition") -> "Decomposition":
-        counts = self._counts.copy()
-        for s, c in other.items():
-            counts[s] = counts.get(s, 0) + c
-        if len(counts) == len(self._counts):
-            # No new summand: the copy still holds self's keys in self's order.
-            return Decomposition._from_counts(counts)
-        return Decomposition._from_counts(_sorted_counts(counts))
+        if not isinstance(other, Decomposition):
+            raise TypeError(f"direct_sum needs a Decomposition, got {other!r}")
+        return self._edit((), other._counts.items())
 
-    __add__ = direct_sum
+    def __add__(self, other) -> "Decomposition":
+        return self.direct_sum(other) if isinstance(other, Decomposition) else NotImplemented
 
     def remove(self, summand: Summand) -> "Decomposition":
-        """A copy with one copy of ``summand`` removed.
+        """A copy with one copy of ``summand`` removed; KeyError if it has none."""
+        return self._edit((summand,), ())
 
-        Raises KeyError if the decomposition does not contain it.
-        """
-        left = self._counts.get(summand, 0) - 1
-        if left < 0:
-            raise KeyError(f"decomposition has no summand {summand}")
+    def _edit(self, remove: Iterable[Summand],
+              add: Iterable[tuple[Summand, int]]) -> "Decomposition":
+        """One copy of the dict, less one copy of each summand of ``remove``
+        (KeyError if one is missing), plus each ``(summand, count)`` of
+        ``add``, a positive int count; sorted only if a summand is new."""
         counts = self._counts.copy()
-        if left:
-            counts[summand] = left
-        else:
-            del counts[summand]
-        return Decomposition._from_counts(counts)
+        for s in remove:
+            left = counts.get(s, 0) - 1
+            if left < 0:
+                raise KeyError(f"decomposition has no summand {s}")
+            if left:
+                counts[s] = left
+            else:
+                del counts[s]
+        size = len(counts)
+        for s, c in add:
+            counts[s] = counts.get(s, 0) + c
+        if len(counts) != size:     # a new summand went in last: sort again
+            counts = _sorted_counts(counts)
+        d = object.__new__(Decomposition)       # owns ``counts`` from now on
+        d._counts = counts
+        d._str = d._tally = None
+        return d
 
     # -- comparison / serialization ------------------------------------------
 

@@ -121,22 +121,23 @@ _INJECTION = re.compile(r"drop:(-?[0-9]+),(-?[0-9]+)")
 _BOUND = re.compile(r"([0-9]+)")
 
 
-def _ints(pattern: re.Pattern, text: str, error: str) -> list[int]:
-    """``pattern``'s groups fullmatched on ``text``, as ints, else ``_InputError(error)``."""
+def _ints(pattern: re.Pattern, text: str, error: str, shown: str) -> list[int]:
+    """``pattern``'s groups fullmatched on ``text``, as ints, else
+    ``_InputError(error.format(shown))``, a message built only for bad input."""
     m = pattern.fullmatch(text)
     if m is not None:
         try:
             return [int(g) for g in m.groups()]
         except ValueError:          # more digits than int() accepts
             pass
-    raise _InputError(error)
+    raise _InputError(error.format(shown))
 
 
 def _grid_window(flag_value: str | None) -> Window:
     if flag_value is None:
         return DEFAULT_GRID_WINDOW
     bounds = _ints(_WINDOW, flag_value.strip(),
-                   f"bad window {flag_value!r} (want pmin:pmax,qmin:qmax)")
+                   "bad window {!r} (want pmin:pmax,qmin:qmax)", flag_value)
     try:
         window = Window(*bounds)
     except ValueError as exc:       # inverted
@@ -170,7 +171,7 @@ def _cmd_compute(args) -> int:
 def _apply_injection(decomposition: Decomposition, directive: str) -> Decomposition:
     """Test hook: 'drop:p,q' removes one free summand with that shift; p
     and q are plain ASCII integers, with no spaces or underscores."""
-    p, q = _ints(_INJECTION, directive, f"bad injection {directive!r} (want drop:p,q)")
+    p, q = _ints(_INJECTION, directive, "bad injection {!r} (want drop:p,q)", directive)
     try:
         return decomposition.remove(Summand.free(p, q))
     except KeyError:
@@ -195,7 +196,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_catalog(args) -> int:
     (beta_max,) = _ints(_BOUND, args.beta_max,
-                        f"catalog bound must be ASCII digits, got {args.beta_max!r}")
+                        "catalog bound must be ASCII digits, got {!r}", args.beta_max)
     if beta_max > MAX_CATALOG_BETA:
         raise _InputError(f"catalog bound {beta_max} is more than the"
                           f" {MAX_CATALOG_BETA} a catalog may list")

@@ -15,10 +15,11 @@ it.  Results are immutable and shared between callers.
 
 ``transform`` implements the incremental effect of a single surgery on a
 closed-form-shaped decomposition, as an independent set of rewrite rules:
-each removes fixed summands, one copy each, then adds a fixed
-decomposition.  The antitubes' and FM's are one table, ``_RULES``, keyed
-by (op, kind, C == 0); CS(Y) adds (S(1,0)A0)^k, k = beta(Y), from a small
-memo keyed by k, and DCC one S(1,0)A0.  ``transform`` never calls
+each removes fixed summands, one copy each, then adds fixed counts of
+summands, and is applied as one ``Decomposition._edit``, one copy of the
+dict.  The antitubes' and FM's are one table, ``_RULES``, keyed by
+(op, kind, C == 0); CS(Y) adds k = beta(Y) copies of S(1,0)A0 (for k = 0,
+CS(T[0]), it returns its input), and DCC one.  ``transform`` never calls
 ``closed_form``, nor takes the surgery step: only two steps are illegal
 (any op on a trivial action, FM with F = 0), and it calls ``apply_op`` on
 those alone, for its WordError.
@@ -52,37 +53,36 @@ _A1 = Summand.antipodal(0, 1)
 _A1_1 = Summand.antipodal(1, 1)
 _A2 = Summand.antipodal(0, 2)
 
-_PLUS_A0 = Decomposition({_A0_1: 1})
-
 # The rule of each antitube and FM, keyed by (token, kind, C == 0): the
-# summands it removes, one copy each, and the decomposition it then adds.
+# summands it removes, one copy each, and the (summand, count) pairs it then
+# adds: the two arguments of ``Decomposition._edit``.
 # A free kind has C = 0, and FM needs F >= 1, so it has no free cell.
 _RULES = {
     # Pinching the conjugate gluing disks wedges on an S(1,1) sphere,
     # and the remaining extension splits off a second one.
-    ("AT11", NONFREE, False): ((), Decomposition({_S11: 2})),
-    ("AT11", NONFREE, True): ((), Decomposition({_S11: 2})),
+    ("AT11", NONFREE, False): ((), ((_S11, 2),)),
+    ("AT11", NONFREE, True): ((), ((_S11, 2),)),
     # C(Y) > 0: the top class already sits in weight 1; the pinch wedge
     # adds one S(1,1)M2 and the new circle one S(1,0)M2.
-    ("AT10", NONFREE, False): ((), Decomposition({_S11: 1, _S10: 1})),
+    ("AT10", NONFREE, False): ((), ((_S11, 1), (_S10, 1))),
     # C(Y) = 0: the new circle moves the top class from weight 2 to
     # weight 1; the pinch wedge and the nontrivial extension each
     # contribute one S(1,1)M2.
-    ("AT10", NONFREE, True): ((_S22,), Decomposition({_S11: 2, _S21: 1})),
+    ("AT10", NONFREE, True): ((_S22,), ((_S11, 2), (_S21, 1))),
     # C(Y) > 0: trading a fixed point for a circle keeps the top class,
     # and the new circle adds one S(1,0)M2.
-    ("FM", NONFREE, False): ((), Decomposition({_S10: 1})),
+    ("FM", NONFREE, False): ((), ((_S10, 1),)),
     # C(Y) = 0: trading a fixed point for a circle again rewrites the
     # top class, with a single new S(1,1)M2 from the extension.
-    ("FM", NONFREE, True): ((_S22,), Decomposition({_S11: 1, _S21: 1})),
+    ("FM", NONFREE, True): ((_S22,), ((_S11, 1), (_S21, 1))),
     # An antitube on a free surface makes the action nonfree: its
     # antipodal top, A2 on a sphere and A1 (+) S(1,0)A1 on a torus, gives
     # way to the M2 of the new fixed set, the top class S(2,2)M2 (AT11) or
     # S(2,1)M2 (AT10), and one resp. two tau-periodic columns S(1,0)A0.
-    ("AT11", FREE_SPHERE, True): ((_A2,), Decomposition({_M2: 1, _A0_1: 1, _S22: 1})),
-    ("AT10", FREE_SPHERE, True): ((_A2,), Decomposition({_M2: 1, _A0_1: 1, _S21: 1})),
-    ("AT11", FREE_TORUS, True): ((_A1, _A1_1), Decomposition({_M2: 1, _A0_1: 2, _S22: 1})),
-    ("AT10", FREE_TORUS, True): ((_A1, _A1_1), Decomposition({_M2: 1, _A0_1: 2, _S21: 1})),
+    ("AT11", FREE_SPHERE, True): ((_A2,), ((_M2, 1), (_A0_1, 1), (_S22, 1))),
+    ("AT10", FREE_SPHERE, True): ((_A2,), ((_M2, 1), (_A0_1, 1), (_S21, 1))),
+    ("AT11", FREE_TORUS, True): ((_A1, _A1_1), ((_M2, 1), (_A0_1, 2), (_S22, 1))),
+    ("AT10", FREE_TORUS, True): ((_A1, _A1_1), ((_M2, 1), (_A0_1, 2), (_S21, 1))),
 }
 
 
@@ -118,13 +118,6 @@ def reduced_form(pr: InvariantProfile) -> Decomposition:
     return closed_form(pr).remove(_M2)
 
 
-@lru_cache(maxsize=64, typed=True)
-def _plus_a0(k: int) -> Decomposition:
-    """The addend of CS(Y) with beta(Y) = k: (S(1,0)A0)^k.  Typed, so a
-    non-int k is never served an int's entry and still fails construction."""
-    return Decomposition({_A0_1: k})
-
-
 def transform(d_y: Decomposition, pr_y: InvariantProfile, op: Op) -> Decomposition:
     """Rewrite the decomposition of Y into that of Y-after-one-surgery.
 
@@ -145,15 +138,15 @@ def transform(d_y: Decomposition, pr_y: InvariantProfile, op: Op) -> Decompositi
     if token == "CS":
         # Connected summing glues two conjugate copies of a punctured Y:
         # each singular 1-class of the glued surface contributes one
-        # tau-periodic column in dimension one.
-        return d_y.direct_sum(_plus_a0(op.surface.beta))
+        # tau-periodic column in dimension one.  CS(T[0]) changes nothing.
+        k = op.surface.beta
+        return d_y._edit((), ((_A0_1, k),)) if k else d_y
     if token == "DCC":
-        return d_y.direct_sum(_PLUS_A0)
+        return d_y._edit((), ((_A0_1, 1),))
     remove, add = _RULES[token, kind, c == 0]
-    for s in remove:
-        try:
-            d_y = d_y.remove(s)
-        except KeyError:
-            raise TransformError(f"{token} must remove {s}, which the input lacks:"
-                                 " it is not in closed-form shape") from None
-    return d_y.direct_sum(add)
+    try:
+        return d_y._edit(remove, add)
+    except KeyError:
+        s = next(s for s in remove if s not in dict(d_y.items()))
+        raise TransformError(f"{token} must remove {s}, which the input lacks:"
+                             " it is not in closed-form shape") from None

@@ -210,11 +210,15 @@ _piece_text = lru_cache(maxsize=256)(_Piece.__str__)
 # The plain tokens, built once, for ``witness`` and ``_fill`` to hand out.
 _BASES = {token: Base(token) for token in Base._PLAIN}
 _OPS = {token: Op(token) for token in Op._PLAIN}
+# Builds a word of ``parse_word`` or ``witness`` from checked pieces, without
+# the Python-level ``__new__`` of ``SurgeryWord``.
+_new = tuple.__new__
 
 
 def parse_word(text: str) -> SurgeryWord:
     """Parse the word DSL; raises ParseError with a character position.
-    Piece 0 is read by ``_read_piece`` as a ``Base``, the rest as ``Op``s.
+    Piece 0 is read by ``_read_piece`` as a ``Base``, the rest as ``Op``s,
+    so the word is built without ``SurgeryWord.__new__``'s checks (``_new``).
 
     >>> str(parse_word("S2a + CS(T[1])"))
     'S2a + CS(T[1])'
@@ -227,7 +231,7 @@ def parse_word(text: str) -> SurgeryWord:
         except ParseError as exc:
             raise ParseError(exc.message, pos + raw.index(token) + exc.position) from None
         pos += len(raw) + 1
-    return SurgeryWord(pieces[0], tuple(pieces[1:]))
+    return _new(SurgeryWord, (pieces[0], tuple(pieces[1:])))
 
 
 @lru_cache(maxsize=256)
@@ -504,11 +508,6 @@ def enumerate_profiles(beta_max: int) -> list[InvariantProfile]:
             for c in range(0 if f and f % 2 == 0 else 1, (beta + 2 - f) // 2 + 1):
                 out.append(InvariantProfile(NONFREE, beta, f, c))
     return out
-
-
-# Builds a ``witness`` word without the Python-level ``__new__`` of
-# ``SurgeryWord``: its pieces come from constructors that checked them.
-_new = tuple.__new__
 
 
 @lru_cache(maxsize=256)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import operator
 import re
 from collections import Counter
 
@@ -382,6 +383,57 @@ def test_remove_matches_the_oracle(pairs, spec, from_d):
             d.remove(s)
     else:
         assert_like_oracle(d.remove(s), pairs + [(spec, -1)])
+
+
+@given(spec_pairs, st.data())
+def test_edit_matches_the_oracle(pairs, data):
+    # The one edit behind remove, direct_sum and transform: one copy of each
+    # summand of ``removed`` out (a KeyError naming the first that is not
+    # there), each count of ``added`` in, and the result in sort_key order,
+    # whether it sorted for a new summand or kept the copy's order.
+    present = [spec for spec, c in pairs if c]
+    some = st.sampled_from(present) | wide_specs if present else wide_specs
+    removed = data.draw(st.lists(some, max_size=3))
+    added = data.draw(st.lists(st.tuples(some, st.integers(1, 3)), max_size=3))
+    d = _from_pairs(pairs)
+    out = [_summand(*spec) for spec in removed]
+    put = [(_summand(*spec), c) for spec, c in added]
+    held, missing = Counter(dict(d.items())), None
+    for s in out:
+        if not held[s]:
+            missing = s
+            break
+        held[s] -= 1
+    if missing is not None:
+        with pytest.raises(KeyError, match=re.escape(f"decomposition has no summand {missing}")):
+            d._edit(out, put)
+    else:
+        assert_like_oracle(d._edit(out, put), pairs + [(spec, -1) for spec in removed] + added)
+    assert list(d.items()) == naive_items(pairs)
+
+
+def test_edit_keeps_or_sorts_the_order():
+    d = X1.answer                           # M2 + S(1,0)M2 + S(1,1)M2 + S(2,1)M2
+    m2, s10, s11, s21 = (s for s, _ in d.items())
+    # No new summand: the copy's order, counts changed in place.
+    assert list(d._edit((s10,), ((s11, 2), (m2, 1))).items()) == [(m2, 2), (s11, 3), (s21, 1)]
+    # A summand taken out and put back, and a new one: sorted again.
+    new = Summand.free(1, 5)
+    assert list(d._edit((s10,), ((s21, 1), (s10, 1), (new, 1))).items()) == \
+        [(m2, 1), (s10, 1), (s11, 1), (new, 1), (s21, 2)]
+
+
+@pytest.mark.parametrize("other", [{Summand.free(0, 0): -5}, {(1, 0): 2}, 1])
+def test_direct_sum_takes_only_a_decomposition(other):
+    # Each was read as a decomposition through .items(), or failed deep
+    # inside: a count of -4 that len() refused, a TypeError in sort_key, an
+    # AttributeError.
+    d = Decomposition([Summand.free(0, 0)])
+    with pytest.raises(TypeError, match=re.escape(f"needs a Decomposition, got {other!r}")):
+        d.direct_sum(other)
+    assert d.__add__(other) is NotImplemented
+    with pytest.raises(TypeError, match="unsupported operand"):
+        operator.add(d, other)
 
 
 def test_remove():

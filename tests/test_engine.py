@@ -28,10 +28,8 @@ from _oracles import (
 from c2surf.bigraded import Decomposition, Summand
 from c2surf.engine import (
     _CLOSED_FORMS,
-    _PLUS_A0,
     _RULES,
     TransformError,
-    _plus_a0,
     closed_form,
     reduced_form,
     transform,
@@ -185,14 +183,11 @@ def test_transform_connected_sum_with_sphere_is_identity():
 
 
 def test_transform_connected_sum_rejects_a_non_int_beta_after_an_int_one():
-    # CS's addend is memoized per beta(Y); a float beta that equals an int
-    # one must still fail as a multiplicity, not reuse the int's entry.  No
-    # Op carries one: a CS op's surface is a ClosedSurface, whose genus is an
-    # int, and a stand-in with a float beta makes no Op.
+    # transform puts beta(Y) in as a count unchecked, so no CS op may carry
+    # a non-int one: its surface is a ClosedSurface, whose genus is an int,
+    # and a stand-in with a float beta makes no Op.
     x1, pr = X1.answer, X1.profile
     assert transform(x1, pr, Op("CS", ClosedSurface(True, 1))) == x1 + Decomposition([A0_1] * 2)
-    with pytest.raises(ValueError, match="multiplicity must be an integer, got 2.0"):
-        _plus_a0(2.0)
     with pytest.raises(ValueError, match="genus must be an integer, got 1.0"):
         transform(x1, pr, Op("CS", ClosedSurface(True, 1.0)))
 
@@ -289,7 +284,7 @@ def test_rule_table_covers_exactly_the_legal_cells_with_the_closed_form_incremen
             key = (op.token, pr.kind, pr.fixed_circles == 0)
             legal.add(key)
             removed, added = _RULES[key]
-            increment = Counter(dict(added.items()))
+            increment = Counter(dict(added))
             increment.subtract(removed)
             want = Counter(dict(after.items()))
             want.subtract(before)
@@ -318,7 +313,7 @@ def test_every_rule_is_the_closed_form_increment_on_every_cell():
             rule = (op.token, pr.kind, pr.fixed_circles == 0)
             legal.add(rule)
             removed, added = _RULES[rule]
-            increment = dict(added.items())
+            increment = dict(added)
             for s in removed:
                 assert (Affine.of(before.get(s, 0)) - 1).nonnegative(), (rule, s)
                 increment[s] = increment.get(s, 0) - 1
@@ -346,9 +341,19 @@ def test_connected_sum_and_cross_cap_are_the_closed_form_increment_on_every_cell
             for s, c in _CLOSED_FORMS[key](*pr[1:]).items():
                 change[s] = change.get(s, 0) - c
             assert nonzero(change) == nonzero(addend), (op.token, key)
-    for k in range(9):
-        assert _plus_a0(k) == Decomposition({A0_1: k})
-    assert _PLUS_A0 == _plus_a0(1)
+    # ... and transform adds exactly that to a closed form: S(1,0)A0^k for
+    # CS(Y) with beta(Y) = k, T[0] for k = 0 and N[k] else, and DCC one.
+    steps = [(Op("CS", ClosedSurface(True, 0)), 0), (Op("DCC"), 1)]
+    steps += [(Op("CS", ClosedSurface(False, k)), k) for k in range(1, 9)]
+    for pr in enumerate_profiles(4):
+        if pr.kind == TRIVIAL:
+            continue
+        d = closed_form(pr)
+        for op, k in steps:
+            change = dict(transform(d, pr, op).items())
+            for s, c in d.items():
+                change[s] = change.get(s, 0) - c
+            assert nonzero(change) == nonzero({A0_1: k}), (pr, op)
 
 
 ALL_OPS = [Op("AT11"), Op("AT10"), Op("FM"), Op("DCC"),

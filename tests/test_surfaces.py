@@ -134,7 +134,12 @@ def _parsed(parse, text):
 @example("S22", [""])
 def test_parse_word_matches_the_naive_parser(base, ops):
     text = "+".join([base] + ops)
-    assert _parsed(parse_word, text) == _parsed(naive_parse_word, text)
+    word = _parsed(parse_word, text)
+    assert word == _parsed(naive_parse_word, text)
+    if isinstance(word, SurgeryWord):
+        # Built without SurgeryWord.__new__'s checks, yet a word that the
+        # checking constructor accepts and builds equal.
+        assert type(word) is SurgeryWord and word == SurgeryWord(word.base, word.ops)
 
 
 @pytest.mark.parametrize("make, args, message", [

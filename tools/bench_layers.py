@@ -109,7 +109,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-OUT = ROOT / "BENCH_38.json"
+OUT = ROOT / "BENCH_39.json"
 REPEATS = 7
 
 sys.path[:0] = [str(SRC), str(ROOT / "tests")]
