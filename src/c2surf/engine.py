@@ -2,12 +2,12 @@
 
 ``closed_form`` emits the full (unreduced) RO(C2)-graded mod-2 Bredon
 cohomology of any realizable invariant profile as a decomposition over
-the point module: one entry of ``_CLOSED_FORMS`` per cell (kind, C == 0)
-of ``surfaces.cell``, each summand's count affine in beta, F and C.  The
-profile inequalities make every count a natural number.  The tests prove
-this on each cell for every beta, on symbols, as they prove that
-``checks.expected`` is the tally of each entry and that each ``_RULES``
-entry is the increment between two.
+the point module: by May's structure theorem, the one sum of shifted M2
+and A_n whose counts the fixed set, beta and a^2 force, which ``_solve``
+reads off ``checks.expected(pr)``'s fixed-set table, beta and the kind.
+So a closed form passes ``verify`` by construction.  The tests prove on
+symbols, for every beta, that on each cell (kind, C == 0) it is the
+paper's table, and each ``_RULES`` entry the increment between two.
 
 ``closed_form`` is a bounded, thread-safe memo (1024 entries) keyed by
 the profile, which is valid from construction, so nothing here validates
@@ -30,6 +30,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .bigraded import Decomposition, Summand
+from .checks import expected
 from .surfaces import (
     FREE_SPHERE,
     FREE_TORUS,
@@ -39,19 +40,19 @@ from .surfaces import (
     Op,
     ProfileError,
     apply_op,
-    cell,
 )
 
 _M2 = Summand.free(0, 0)
 _S10 = Summand.free(1, 0)
 _S11 = Summand.free(1, 1)
-_S20 = Summand.free(2, 0)
 _S21 = Summand.free(2, 1)
 _S22 = Summand.free(2, 2)
 _A0_1 = Summand.antipodal(1, 0)
 _A1 = Summand.antipodal(0, 1)
 _A1_1 = Summand.antipodal(1, 1)
 _A2 = Summand.antipodal(0, 2)
+_S1 = (_S11, _S10, Summand.free(1, -1))    # S(1,1-k)M2
+_S2 = (_S22, _S21, Summand.free(2, 0))     # S(2,2-k)M2
 
 # The rule of each antitube and FM, keyed by (token, kind, C == 0): the
 # summands it removes, one copy each, and the (summand, count) pairs it then
@@ -86,16 +87,23 @@ _RULES = {
 }
 
 
-# closed_form per cell (kind, C == 0): each summand's count in beta, F, C.
-_CLOSED_FORMS = {
-    # The point module tensored with singular cohomology.
-    (TRIVIAL, True): lambda b, f, c: {_M2: 1, _S10: b, _S20: 1},
-    (FREE_SPHERE, True): lambda b, f, c: {_A0_1: b // 2, _A2: 1},
-    (FREE_TORUS, True): lambda b, f, c: {_A0_1: (b - 2) // 2, _A1: 1, _A1_1: 1},
-    (NONFREE, True): lambda b, f, c: {_M2: 1, _S11: f - 2, _A0_1: (b - f) // 2 + 1, _S22: 1},
-    (NONFREE, False): lambda b, f, c: {_M2: 1, _S11: f + c - 1, _S10: c - 1,
-                                       _A0_1: (b - f) // 2 + 1 - c, _S21: 1},
-}
+def _solve(free: dict[int, int], beta: int, a2: bool) -> dict[Summand, int]:
+    """The summand counts, some maybe zero, forced by the fixed set's nonzero
+    Betti numbers ``free``, beta and ``a2``, a^2 != 0 on a free action."""
+    if free:
+        # M2 and the top class _S2[d] = S(2,2-d)M2 take one class each, of
+        # degree 0 and the top degree d; any other of degree k is _S1[k].
+        d = max(free)
+        counts = {_S1[k]: h for k, h in free.items()}
+        counts[_S1[0]] -= 1
+        counts[_S1[d]] -= 1
+        ones = sum(counts.values())
+        counts[_M2] = counts[_S2[d]] = 1
+    else:
+        counts, ones = ({_A2: 1}, 0) if a2 else ({_A1: 1, _A1_1: 1}, 2)
+    # S(1,0)A0 restricts to two classes of degree 1, and S(1,q)M2 to one.
+    counts[_A0_1] = (beta - ones) // 2
+    return counts
 
 
 class TransformError(ValueError):
@@ -104,9 +112,8 @@ class TransformError(ValueError):
 
 @lru_cache(maxsize=1024)
 def closed_form(pr: InvariantProfile) -> Decomposition:
-    """The unreduced cohomology decomposition of a profile, from
-    ``_CLOSED_FORMS`` (memoized)."""
-    return Decomposition(_CLOSED_FORMS[cell(pr)](*pr[1:]))
+    """The unreduced cohomology decomposition of a profile (memoized)."""
+    return Decomposition(_solve(expected(pr).free, pr.beta, pr.kind == FREE_SPHERE))
 
 
 def reduced_form(pr: InvariantProfile) -> Decomposition:

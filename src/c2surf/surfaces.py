@@ -45,8 +45,9 @@ into a bounded memo (``_piece_text``), as a decomposition's text does
 ``invariants`` folds a word on them, and both build the
 ``InvariantProfile`` they end on through a bounded memo keyed by the
 four fields, so a profile reached again is not validated again.  The
-Betti numbers of the fixed set and the orbit space are read from one
-table each, keyed by ``cell(pr) = (kind, C == 0)``.  The catalog needs
+fixed set's Betti numbers are read from one table, ``_FIXED_SING``, keyed
+by ``cell(pr) = (kind, C == 0)``; the orbit space's follow from them by
+the Euler characteristic.  The catalog needs
 no search: ``enumerate_profiles`` scans the realizability inequalities,
 and ``witness`` writes down a shortest word for each profile, its last
 op, if it needs one to fill beta, shared through a bounded memo
@@ -442,8 +443,8 @@ def underlying_sing(pr: InvariantProfile) -> SingProfile:
 
 
 def cell(pr: InvariantProfile) -> tuple[str, bool]:
-    """The key ``(kind, C == 0)`` of every per-cell table; five cells are
-    realizable, and on each every table is affine in beta, F and C."""
+    """The key ``(kind, C == 0)`` of ``_FIXED_SING`` and ``engine._RULES``:
+    five cells are realizable, each with a fixed set affine in beta, F, C."""
     return pr.kind, pr.fixed_circles == 0
 
 
@@ -457,19 +458,6 @@ _FIXED_SING = {
     (NONFREE, False): lambda b, f, c: (f + c, c, 0),
 }
 
-# The orbit space per cell.  Under the trivial action it is the surface.
-# Otherwise chi(X) = 2 chi(X/C2) - chi(fixed set), and chi(fixed set) = F,
-# so chi(X/C2) = (2 - beta + F) / 2, exact as beta = F (mod 2); the C
-# fixed circles become boundary circles of the quotient, so h2 = 1 exactly
-# when C = 0, and h1 = 1 + h2 - chi(X/C2).
-_QUOTIENT_SING = {
-    (TRIVIAL, True): lambda b, f, c: (1, b, 1),
-    (FREE_SPHERE, True): lambda b, f, c: (1, b // 2 + 1, 1),
-    (FREE_TORUS, True): lambda b, f, c: (1, b // 2 + 1, 1),
-    (NONFREE, True): lambda b, f, c: (1, (b - f) // 2 + 1, 1),
-    (NONFREE, False): lambda b, f, c: (1, (b - f) // 2, 0),
-}
-
 
 def fixed_sing(pr: InvariantProfile) -> SingProfile:
     """Betti numbers of the fixed set, from ``_FIXED_SING``."""
@@ -477,8 +465,13 @@ def fixed_sing(pr: InvariantProfile) -> SingProfile:
 
 
 def quotient_sing(pr: InvariantProfile) -> SingProfile:
-    """Betti numbers of the orbit space, from ``_QUOTIENT_SING``."""
-    return SingProfile(*_QUOTIENT_SING[cell(pr)](*pr[1:]))
+    """Betti numbers of the orbit space X/C2, from the fixed set's in
+    ``_FIXED_SING`` by chi(X) = 2 chi(X/C2) - chi(fixed set), halved
+    exactly, as the two chi agree mod 2.  X/C2 is connected, and the C
+    fixed circles become its boundary circles: h2 = 1 exactly when C = 0."""
+    h0, h1, h2 = _FIXED_SING[cell(pr)](*pr[1:])
+    top = 1 if pr.fixed_circles == 0 else 0
+    return SingProfile(1, 1 + top - (2 - pr.beta + h0 - h1 + h2) // 2, top)
 
 
 # ---------------------------------------------------------------------------

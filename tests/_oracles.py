@@ -3,10 +3,11 @@
 Everything here is deliberately naive: the point is that these paths
 share no code with the implementations they check.  The exception is
 ``Affine`` and ``CELL_PROFILES``: they evaluate the package's own per-cell
-tables on symbols, so that the tests prove the tables for every beta.
+code on symbols, so that the tests prove it for every beta.
 
 Each recorded answer is written here once, for every test and for
-``tools/bench_layers.py``: the hand-worked answers (``WORKED``) and the
+``tools/bench_layers.py``: the hand-worked answers (``WORKED``), the
+paper's tables per cell (``CLOSED_FORMS``, ``QUOTIENT_SING``) and the
 mutant sweep with the count and digest of its reports.
 """
 
@@ -46,9 +47,13 @@ from c2surf.surfaces import (
 M2 = Summand.free(0, 0)
 S10 = Summand.free(1, 0)
 S11 = Summand.free(1, 1)
+S20 = Summand.free(2, 0)
 S21 = Summand.free(2, 1)
 S22 = Summand.free(2, 2)
 A0_1 = Summand.antipodal(1, 0)
+A1 = Summand.antipodal(0, 1)
+A1_1 = Summand.antipodal(1, 1)
+A2 = Summand.antipodal(0, 2)
 
 
 class Worked(NamedTuple):
@@ -99,6 +104,31 @@ WORKED = {w.source: w for w in (
            '{"free":[[0,0,1],[1,0,2],[2,0,1]],"antipodal":[]}',
            Decomposition([M2, S10, S10, Summand.free(2, 0)])),
 )}
+
+# The paper's answer per cell (kind, C == 0), each summand's count affine in
+# beta, F and C: written down by hand, the reference that ``engine._solve``
+# must give on every cell.
+CLOSED_FORMS = {
+    # The point module tensored with singular cohomology.
+    (TRIVIAL, True): lambda b, f, c: {M2: 1, S10: b, S20: 1},
+    (FREE_SPHERE, True): lambda b, f, c: {A0_1: b // 2, A2: 1},
+    (FREE_TORUS, True): lambda b, f, c: {A0_1: (b - 2) // 2, A1: 1, A1_1: 1},
+    (NONFREE, True): lambda b, f, c: {M2: 1, S11: f - 2, A0_1: (b - f) // 2 + 1, S22: 1},
+    (NONFREE, False): lambda b, f, c: {M2: 1, S11: f + c - 1, S10: c - 1,
+                                       A0_1: (b - f) // 2 + 1 - c, S21: 1},
+}
+
+# The orbit space's Betti numbers (h0, h1, h2) per cell, by hand: the
+# surface under the trivial action; else chi(X/C2) = (2 - beta + F) / 2,
+# h2 = 1 exactly when C = 0 and h1 = 1 + h2 - chi(X/C2).  The reference
+# that ``surfaces.quotient_sing`` must derive on every cell.
+QUOTIENT_SING = {
+    (TRIVIAL, True): lambda b, f, c: (1, b, 1),
+    (FREE_SPHERE, True): lambda b, f, c: (1, b // 2 + 1, 1),
+    (FREE_TORUS, True): lambda b, f, c: (1, b // 2 + 1, 1),
+    (NONFREE, True): lambda b, f, c: (1, (b - f) // 2 + 1, 1),
+    (NONFREE, False): lambda b, f, c: (1, (b - f) // 2, 0),
+}
 
 
 def mutant_sweep() -> list[tuple[Decomposition, InvariantProfile]]:

@@ -38,7 +38,7 @@ from c2surf.checks import (
     tally,
     verify_decomposition,
 )
-from c2surf.engine import _CLOSED_FORMS, closed_form
+from c2surf.engine import _solve, closed_form
 from c2surf.surfaces import (
     FREE_SPHERE,
     FREE_TORUS,
@@ -229,10 +229,10 @@ def test_top_class_detects_misplacement():
 
 
 def test_every_top_summand_edit_of_the_closed_form_table_fails_its_whole_cell():
-    # An edit of a _CLOSED_FORMS entry's top summand, S(2,q)M2, is caught
-    # on every profile of the cell with beta <= 8: moved to another weight,
-    # dropped, or added to a free cell.  The rule it breaks is read off the
-    # fixed set, not off a second table that could be edited to match.
+    # An edit of a closed form's top summand, S(2,q)M2, is caught on every
+    # profile of the cell with beta <= 8: moved to another weight, dropped,
+    # or added to a free cell.  The rule it breaks is read off the fixed
+    # set, not off a second table that could be edited to match.
     weights = [Summand.free(2, q) for q in (0, 1, 2)]
     by_cell = {}
     for pr in enumerate_profiles(8):
@@ -242,33 +242,22 @@ def test_every_top_summand_edit_of_the_closed_form_table_fails_its_whole_cell():
         (NONFREE, True): 15, (NONFREE, False): 55}
     edits = []
     for key, prs in by_cell.items():
-        tops = [s for s in _CLOSED_FORMS[key](*prs[0][1:]) if s in weights]
+        tops = [s for s, _ in closed_form(prs[0]).items() if s in weights]
         for top in tops:
             edits += [(key, top, s) for s in weights if s != top] + [(key, top, None)]
         if not tops:
             edits += [(key, None, s) for s in weights]
     assert len(edits) == 15
 
-    def edited(entry, drop, add):
-        def counts(b, f, c):
-            out = dict(entry(b, f, c))
+    for key, drop, add in edits:
+        for pr in by_cell[key]:
+            d = closed_form(pr)
             if drop is not None:
-                assert out.pop(drop) == 1
+                assert dict(d.items())[drop] == 1
+                d = d.remove(drop)
             if add is not None:
-                out[add] = out.get(add, 0) + 1
-            return out
-        return counts
-
-    saved = dict(_CLOSED_FORMS)
-    try:
-        for key, drop, add in edits:
-            _CLOSED_FORMS[key] = edited(saved[key], drop, add)
-            closed_form.cache_clear()
-            for pr in by_cell[key]:
-                assert verify_decomposition(closed_form(pr), pr), (key, drop, add, pr)
-    finally:
-        _CLOSED_FORMS.update(saved)
-        closed_form.cache_clear()
+                d += Decomposition([add])
+            assert verify_decomposition(d, pr), (key, drop, add, pr)
 
 
 def test_beta_recovery():
@@ -367,15 +356,18 @@ def test_expected_is_the_tally_of_the_closed_form():
 
 def test_expected_is_the_tally_of_the_closed_form_on_every_cell():
     # The proof of the sweep above for every beta, on each cell's symbolic
-    # profile: the closed-form table's counts are natural numbers, each
-    # "// 2" is exact, and their tally, each summand read through the real
-    # _reads, has the four tables expected reads, key for key.
+    # profile: _solve, fed the fixed set's nonzero Betti numbers as
+    # expected keys them, gives natural-number counts, each "// 2" exact,
+    # and their tally, each summand read through the real _reads, has the
+    # four tables expected reads, key for key.  So tally after _solve is
+    # the identity on expected's tables, and a closed form passes verify
+    # by construction.
     for key, pr in CELL_PROFILES.items():
-        counts = _CLOSED_FORMS[cell(pr)](*pr[1:])
+        free = nonzero(enumerate(checks.fixed_sing(pr)))
+        counts = _solve(free, pr.beta, pr.kind == FREE_SPHERE)
         assert all(Affine.of(c).nonnegative() for c in counts.values()), key
         got = tally(counts)
-        want = (enumerate(checks.quotient_sing(pr)), enumerate(checks.fixed_sing(pr)),
-                checks._tops(nonzero(enumerate(checks.fixed_sing(pr)))),
+        want = (enumerate(checks.quotient_sing(pr)), free, checks._tops(free),
                 enumerate(checks.underlying_sing(pr)))
         for name, table, table_want in zip(Tally._fields, got, want):
             assert nonzero(table) == nonzero(table_want), (key, name)

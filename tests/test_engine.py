@@ -13,7 +13,9 @@ import c2surf.surfaces
 from _oracles import (
     A0_1,
     CELL_PROFILES,
+    CLOSED_FORMS,
     M2,
+    QUOTIENT_SING,
     S10,
     S11,
     S21,
@@ -27,8 +29,8 @@ from _oracles import (
 )
 from c2surf.bigraded import Decomposition, Summand
 from c2surf.engine import (
-    _CLOSED_FORMS,
     _RULES,
+    _solve,
     TransformError,
     closed_form,
     reduced_form,
@@ -50,13 +52,43 @@ from c2surf.surfaces import (
     base_profile,
     cell,
     enumerate_profiles,
+    fixed_sing,
     parse_word,
+    quotient_sing,
 )
 
 
 def test_worked_examples():
     for w in WORKED.values():
         assert closed_form(w.profile) == w.answer, w.source
+
+
+def test_solve_is_the_papers_table_on_every_cell():
+    # The proof that closed_form gives the paper's answer for every beta:
+    # on each cell's symbolic profile, _solve, fed the fixed set's nonzero
+    # Betti numbers as expected keys them, gives the counts of the paper's
+    # table, each a natural number and each "// 2" exact; and the orbit
+    # space that quotient_sing derives from the Euler characteristic is the
+    # paper's, with its "// 2" exact too.
+    for key, pr in CELL_PROFILES.items():
+        free = nonzero(enumerate(fixed_sing(pr)))
+        counts = _solve(free, pr.beta, pr.kind == FREE_SPHERE)
+        assert all(Affine.of(c).nonnegative() for c in counts.values()), key
+        assert nonzero(counts) == nonzero(CLOSED_FORMS[key](*pr[1:])), key
+        assert quotient_sing(pr) == QUOTIENT_SING[key](*pr[1:]), key
+
+
+def test_closed_form_is_the_papers_table_up_to_beta_40():
+    # The proof above, evaluated through the memos of closed_form and
+    # expected and the Decomposition built from _solve's counts, zeros
+    # dropped: the paper's answer and orbit space on each of the 3,624
+    # profiles with beta <= 40.
+    profiles = enumerate_profiles(40)
+    assert len(profiles) == 3624
+    for pr in profiles:
+        key = cell(pr)
+        assert closed_form(pr) == Decomposition(CLOSED_FORMS[key](*pr[1:])), pr
+        assert quotient_sing(pr) == QUOTIENT_SING[key](*pr[1:]), pr
 
 
 def test_closed_form_memo_matches_a_fresh_computation():
@@ -304,7 +336,7 @@ def test_every_rule_is_the_closed_form_increment_on_every_cell():
     # same.
     legal = set()
     for key, pr in CELL_PROFILES.items():
-        before = _CLOSED_FORMS[key](*pr[1:])
+        before = CLOSED_FORMS[key](*pr[1:])
         for op in (Op("AT11"), Op("AT10"), Op("FM")):
             try:
                 fields = _step(*pr, op)
@@ -317,7 +349,7 @@ def test_every_rule_is_the_closed_form_increment_on_every_cell():
             for s in removed:
                 assert (Affine.of(before.get(s, 0)) - 1).nonnegative(), (rule, s)
                 increment[s] = increment.get(s, 0) - 1
-            change = dict(_CLOSED_FORMS[cell(_ProfileFields(*fields))](*fields[1:]))
+            change = dict(CLOSED_FORMS[cell(_ProfileFields(*fields))](*fields[1:]))
             for s, c in before.items():
                 change[s] = change.get(s, 0) - c
             assert nonzero(increment) == nonzero(change), rule
@@ -337,8 +369,8 @@ def test_connected_sum_and_cross_cap_are_the_closed_form_increment_on_every_cell
         for key in cells:
             pr = CELL_PROFILES[key]
             fields = _step(*pr, op)
-            change = dict(_CLOSED_FORMS[cell(_ProfileFields(*fields))](*fields[1:]))
-            for s, c in _CLOSED_FORMS[key](*pr[1:]).items():
+            change = dict(CLOSED_FORMS[cell(_ProfileFields(*fields))](*fields[1:]))
+            for s, c in CLOSED_FORMS[key](*pr[1:]).items():
                 change[s] = change.get(s, 0) - c
             assert nonzero(change) == nonzero(addend), (op.token, key)
     # ... and transform adds exactly that to a closed form: S(1,0)A0^k for

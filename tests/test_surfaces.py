@@ -10,9 +10,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import c2surf.surfaces
-from _oracles import CELL_PROFILES, WORKED, Affine, naive_parse_word, search_profiles_by_words
+from _oracles import (
+    CELL_PROFILES,
+    CLOSED_FORMS,
+    QUOTIENT_SING,
+    WORKED,
+    Affine,
+    naive_parse_word,
+    search_profiles_by_words,
+)
 from c2surf.checks import Window
-from c2surf.engine import _CLOSED_FORMS, _RULES
+from c2surf.engine import _RULES
 from c2surf.surfaces import (
     FREE_SPHERE,
     FREE_TORUS,
@@ -30,7 +38,6 @@ from c2surf.surfaces import (
     WordError,
     apply_op,
     _FIXED_SING,
-    _QUOTIENT_SING,
     base_profile,
     cell,
     enumerate_profiles,
@@ -533,7 +540,7 @@ def test_orbit_space_euler_characteristic_on_every_cell():
     # space's and the fixed set's Betti numbers are natural numbers, chi(X)
     # = 2 chi(X/C2) - chi(fixed set), the fixed set's chi is F (the whole
     # surface under the trivial action), and X/C2 is connected, with h2 = 1
-    # exactly when C = 0; each "// 2" of the tables is exact.
+    # exactly when C = 0; each "// 2" is exact.
     def chi(s):
         return s.h0 - s.h1 + s.h2
 
@@ -552,12 +559,12 @@ def test_orbit_space_euler_characteristic_on_every_cell():
 
 
 def test_every_cell_table_has_the_five_realizable_cells():
-    # closed_form, fixed_sing and quotient_sing each read one table keyed
-    # by cell(pr), and each has exactly the cells that realizable profiles
-    # fall in; _RULES's keys name only those.
+    # fixed_sing reads one table keyed by cell(pr), as do the paper's
+    # tables in the tests, and each has exactly the cells that realizable
+    # profiles fall in; _RULES's keys name only those.
     cells = set(CELL_PROFILES)
     assert len(cells) == 5
-    for table in (_CLOSED_FORMS, _FIXED_SING, _QUOTIENT_SING):
+    for table in (_FIXED_SING, CLOSED_FORMS, QUOTIENT_SING):
         assert set(table) == cells
     assert {key[1:] for key in _RULES} <= cells
     assert {cell(pr) for pr in enumerate_profiles(6)} == cells

@@ -42,6 +42,10 @@ next to it.  The rows are:
 * ``expected`` alone over the 614 profiles with beta <= 20, its memo
   and the memo of its Betti-number tables cleared at the start of each
   repeat (the cold path of the profile side);
+* ``closed_form`` over the 3,624 profiles with beta <= 40, its memo and
+  the two memos above cleared at the start of each repeat: each answer
+  solved cold, from ``expected``'s fixed-set table, as a large ``catalog``
+  solves it;
 * ``tally`` alone over those mutants, and each of the five checks alone
   over their tallies and their profiles' ``expected`` tallies, both built
   beforehand, called as ``check(t, want)``, so each row times only the
@@ -109,7 +113,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-OUT = ROOT / "BENCH_39.json"
+OUT = ROOT / "BENCH_40.json"
 REPEATS = 7
 
 sys.path[:0] = [str(SRC), str(ROOT / "tests")]
@@ -233,6 +237,16 @@ def expected_cold(cases) -> None:
         expected(pr)
 
 
+def closed_form_cold(profiles) -> None:
+    """``closed_form`` for each profile, with its memo and those of
+    ``expected`` and its Betti-number tables cleared first."""
+    closed_form.cache_clear()
+    expected.cache_clear()
+    _counts.cache_clear()
+    for pr in profiles:
+        closed_form(pr)
+
+
 def tally_all(cases) -> None:
     for d, _ in cases:
         tally(d)
@@ -321,6 +335,9 @@ def main() -> None:
     cases = [(closed_form(pr), pr) for pr in enumerate_profiles(20)]
     if len(cases) != 614:
         raise AssertionError(f"expected 614 profiles with beta <= 20, got {len(cases)}")
+    profiles = enumerate_profiles(40)
+    if len(profiles) != 3624:
+        raise AssertionError(f"expected 3624 profiles with beta <= 40, got {len(profiles)}")
     words = [witness(pr) for _, pr in cases]
     check_texts(cases, words)
     texts = [str(word) for word in words]
@@ -342,6 +359,7 @@ def main() -> None:
         "row text x614 (beta <= 20)": lambda: text_all(cases, words),
         f"verify_decomposition x{MUTANTS} mutants (beta <= 8)": lambda: reject_all(wrong),
         "expected x614 (beta <= 20, cold)": lambda: expected_cold(cases),
+        "closed_form x3624 (beta <= 40, cold)": lambda: closed_form_cold(profiles),
         f"tally x{MUTANTS} mutants": lambda: tally_all(wrong),
         **check_rows(wrong),
         f"cli.main x{len(argvs)} plain argvs (beta <= 20)": lambda: cli_all(argvs),

@@ -86,6 +86,10 @@ EQUIVALENT = {
         "a beta of 1920 or 1921 bits has under 640 digits, the least nonzero limit",
     ("cli.py", "if len(texts) <= len(positionals) else"):
         "it runs only when the two lengths differ",
+    ("engine.py", "_S1 = (_S11, _S10, Summand.free(2, -1))    # S(1,1-k)M2"):
+        "the one fixed-set class of degree 2 is the top class, so _S1[2]'s count is 0",
+    ("engine.py", "_S1 = (_S11, _S10, Summand.free(1, -2))    # S(1,1-k)M2"):
+        "the one fixed-set class of degree 2 is the top class, so _S1[2]'s count is 0",
     ("surfaces.py", "if (beta + f) % 2:"):
         "beta + f and beta - f have one parity",
     ("surfaces.py", "if beta < f - 3:"):
